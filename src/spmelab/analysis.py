@@ -39,14 +39,19 @@ from .solver import (
     FieldState,
     SchemeConfig,
     SnapshotTable,
+    dense_values,
     eval_on_centers,
-    evolve,
     evolve_together,
     interp_mass,
     lp_power_sum,
     support_radius,
 )
 from .timechange import StochasticFieldSample
+
+# Reference tables reach TABLE_MARGIN times the largest sampled clock value,
+# with N_SNAPSHOTS geometrically spaced snapshots.
+TABLE_MARGIN = 1.05
+N_SNAPSHOTS = 160
 
 
 @dataclass(frozen=True, eq=False)
@@ -56,8 +61,8 @@ class McConfig:
     ``initial`` carries the deterministic initial data (and its spatial grid);
     sweeps that only touch the multiplier may leave it None.  ``scheme``
     controls the reference solver runs; snapshot instants are chosen
-    internally, geometrically spaced up to the largest clock value realised
-    by the sampled paths times ``table_margin``.
+    internally, ``N_SNAPSHOTS`` of them geometrically spaced up to the largest
+    clock value realised by the sampled paths times ``TABLE_MARGIN``.
     """
 
     n_paths: int
@@ -68,8 +73,6 @@ class McConfig:
     initial: FieldState | None = None
     scheme: SchemeConfig = field(default_factory=SchemeConfig)
     threads: int = 1
-    table_margin: float = 1.05
-    n_snapshots: int = 160
 
     def __post_init__(self):
         if self.n_paths < 2:
@@ -146,17 +149,58 @@ def reference_table(cfg: McConfig, span: float) -> SnapshotTable:
     The table's absolute time axis starts at the initial state's own time,
     so a clock value s is read at initial.time + s.
     """
-    if cfg.initial is None:
+    return _reference_tables(cfg, span, (cfg.initial,))[0]
+
+
+def _reference_tables(cfg: McConfig, span: float, initials: tuple) -> tuple:
+    """Tables for states sharing one start time, marched together on the one snapshot schedule."""
+    if any(st is None for st in initials):
         raise InvalidInputError("this sweep needs deterministic initial data")
-    t0 = cfg.initial.time
+    t0 = initials[0].time
     t_end = t0 + max(span, 1e-6)
     if t0 > 0.0:
-        snaps = np.geomspace(t0, t_end, cfg.n_snapshots)[1:]
+        snaps = np.geomspace(t0, t_end, N_SNAPSHOTS)[1:]
     else:
         first = max(1e-4 * t_end, 1e-6)
-        snaps = np.geomspace(first, t_end, cfg.n_snapshots)
+        snaps = np.geomspace(first, t_end, N_SNAPSHOTS)
     scheme = SchemeConfig(cfl_safety=cfg.scheme.cfl_safety, snapshot_times=tuple(snaps))
-    return evolve(cfg.initial, cfg.m, t_end, scheme)
+    return evolve_together(initials, cfg.m, t_end, scheme)
+
+
+@dataclass(frozen=True, eq=False)
+class ClockSweep:
+    """Every path's clock at the probe times, and the solve it is read from.
+
+    ``h`` and ``H`` are (n_paths, len(times)) arrays in path-index order and
+    ``logh_end`` holds log h at the grid horizon per path.  ``tables`` holds
+    one reference table per initial state, all on one snapshot schedule that
+    covers ``TABLE_MARGIN * max_clock``; ``table_times`` is where each clock
+    value is read on their absolute time axis.
+    """
+
+    h: np.ndarray
+    H: np.ndarray
+    logh_end: np.ndarray
+    max_clock: float
+    tables: tuple
+
+    @property
+    def table_times(self) -> np.ndarray:
+        return self.tables[0].t_first + self.H
+
+
+def clock_sweep(cfg: McConfig, times, initials: tuple | None = None) -> ClockSweep:
+    """Sample the clock of every path at ``times``, then solve once for the largest value.
+
+    The solve starts from ``initials`` (states sharing one start time), by
+    default from ``cfg.initial`` alone.
+    """
+    times = np.asarray(times, dtype=float)
+    rows = sweep_paths(cfg, lambda c: (interp_h(c, times), interp_H(c, times), c.logh[-1]))
+    h, H, logh_end = (np.array(col) for col in zip(*rows))
+    max_clock = float(np.max(H))
+    tables = _reference_tables(cfg, TABLE_MARGIN * max_clock, initials or (cfg.initial,))
+    return ClockSweep(h=h, H=H, logh_end=logh_end, max_clock=max_clock, tables=tables)
 
 
 def mc_mean_mass(cfg: McConfig, t: float) -> McReport:
@@ -167,11 +211,9 @@ def mc_mean_mass(cfg: McConfig, t: float) -> McReport:
     factor constant up to the solver's mass drift, so with f = 0 the check is
     exact to that drift.
     """
-    samples = sweep_paths(cfg, lambda c: (interp_h(c, t), interp_H(c, t)))
-    max_clock = max(s[1] for s in samples)
-    table = reference_table(cfg, cfg.table_margin * max_clock)
-    t_off = cfg.initial.time
-    per_path = [h * interp_mass(table, t_off + s) for h, s in samples]
+    sweep = clock_sweep(cfg, [t])
+    table = sweep.tables[0]
+    per_path = (sweep.h[:, 0] * interp_mass(table, sweep.table_times[:, 0])).tolist()
     estimate, stderr = _mean_and_stderr(per_path)
     target = cfg.initial.mass * math.exp(cfg.coeffs.integral_g(t))
     tolerance = max(3.0 * stderr, 1e-9 * abs(target))
@@ -183,7 +225,7 @@ def mc_mean_mass(cfg: McConfig, t: float) -> McReport:
         target=target,
         passed=passed,
         rule="|estimate - target| <= max(3 SE, 1e-9 target)",
-        extras={"max_clock": max_clock, "t": t, "per_path": per_path},
+        extras={"max_clock": sweep.max_clock, "t": t, "per_path": per_path},
         provenance=_provenance(cfg, table_cells=table.grid.cells, table_horizon=table.t_last),
     )
 
@@ -198,15 +240,12 @@ def mc_lp_bound(cfg: McConfig, p: float, t: float) -> McReport:
     """
     if p < 1.0:
         raise InvalidInputError("the bound is stated for p >= 1")
-    samples = sweep_paths(cfg, lambda c: (interp_h(c, t), interp_H(c, t)))
-    max_clock = max(s[1] for s in samples)
-    table = reference_table(cfg, cfg.table_margin * max_clock)
-    t_off = cfg.initial.time
+    sweep = clock_sweep(cfg, [t])
+    table = sweep.tables[0]
     grid = table.grid
     per_path = [
-        h**p * lp_power_sum(dense, grid, p)
-        for h, s in samples
-        for dense in (eval_on_centers(table, t_off + s, grid.centers),)
+        h**p * lp_power_sum(dense_values(table, s), grid, p)
+        for h, s in zip(sweep.h[:, 0].tolist(), sweep.table_times[:, 0].tolist())
     ]
     mean_p, stderr_p = _mean_and_stderr(per_path)
     lhs = mean_p ** (1.0 / p)
@@ -221,7 +260,7 @@ def mc_lp_bound(cfg: McConfig, p: float, t: float) -> McReport:
         target=rhs,
         passed=passed,
         rule="lhs <= rhs * (1 + 3 relative SE)",
-        extras={"p": p, "t": t, "initial_lp": mp, "max_clock": max_clock, "per_path": per_path},
+        extras={"p": p, "t": t, "initial_lp": mp, "max_clock": sweep.max_clock, "per_path": per_path},
         provenance=_provenance(cfg, table_cells=grid.cells, table_horizon=table.t_last),
     )
 
@@ -404,33 +443,14 @@ def comparison_check(
         raise InvalidInputError("both initial states must share one start time")
     if np.any(initial_low.values > initial_high.values):
         raise InvalidInputError("initial ordering violated: expected low <= high")
-    probe_times = sorted({float(t) for t, _ in probes})
-    samples = sweep_paths(
-        cfg, lambda c: [(interp_h(c, t), interp_H(c, t)) for t in probe_times]
-    )
-    max_clock = max(s for row in samples for _, s in row)
-    span = cfg.table_margin * max_clock
-    t_off = initial_low.time
-    t_end = t_off + max(span, 1e-6)
-    if t_off > 0.0:
-        snaps = np.geomspace(t_off, t_end, cfg.n_snapshots)[1:]
-    else:
-        first = max(1e-4 * t_end, 1e-6)
-        snaps = np.geomspace(first, t_end, cfg.n_snapshots)
-    scheme = SchemeConfig(cfl_safety=cfg.scheme.cfl_safety, snapshot_times=tuple(snaps))
-    table_low, table_high = evolve_together(
-        (initial_low, initial_high), cfg.m, t_end, scheme
-    )
-    time_index = {t: i for i, t in enumerate(probe_times)}
-    xs = np.array([float(x) for _, x in probes])
-    ts = [float(t) for t, _ in probes]
-    for row in samples:
-        for t, x in zip(ts, xs):
-            h, s = row[time_index[t]]
-            u_low = h * float(eval_on_centers(table_low, t_off + s, x))
-            u_high = h * float(eval_on_centers(table_high, t_off + s, x))
-            if u_low > u_high + tol * max(1.0, abs(u_high)):
-                return False
+    sweep = clock_sweep(cfg, [float(t) for t, _ in probes], (initial_low, initial_high))
+    table_low, table_high = sweep.tables
+    for k, (_, x) in enumerate(probes):
+        h, s = sweep.h[:, k], sweep.table_times[:, k]
+        u_low = h * eval_on_centers(table_low, s, float(x))
+        u_high = h * eval_on_centers(table_high, s, float(x))
+        if np.any(u_low > u_high + tol * np.maximum(1.0, np.abs(u_high))):
+            return False
     return True
 
 
@@ -450,20 +470,12 @@ def maximum_check(
         raise InvalidInputError("maximum check needs initial data")
     if float(np.max(cfg.initial.values)) > bound:
         raise InvalidInputError("the bound must dominate the initial data")
-    probe_times = sorted({float(t) for t, _ in probes})
-    samples = sweep_paths(
-        cfg, lambda c: [(interp_h(c, t), interp_H(c, t)) for t in probe_times]
-    )
-    max_clock = max(s for row in samples for _, s in row)
-    table = reference_table(cfg, cfg.table_margin * max_clock)
-    t_off = cfg.initial.time
-    time_index = {t: i for i, t in enumerate(probe_times)}
-    for row in samples:
-        for t, x in probes:
-            h, s = row[time_index[float(t)]]
-            u = h * float(eval_on_centers(table, t_off + s, float(x)))
-            if u < -tol or u > bound * h + tol * max(1.0, bound * h):
-                return False
+    sweep = clock_sweep(cfg, [float(t) for t, _ in probes])
+    for k, (_, x) in enumerate(probes):
+        h = sweep.h[:, k]
+        u = h * eval_on_centers(sweep.tables[0], sweep.table_times[:, k], float(x))
+        if np.any((u < -tol) | (u > bound * h + tol * np.maximum(1.0, bound * h))):
+            return False
     return True
 
 
@@ -507,25 +519,17 @@ def asymptotics_experiment(
     times = [float(t) for t in probe_times]
     if len(times) < 2 or sorted(times) != times:
         raise InvalidInputError("probe times must be increasing, at least two")
-    samples = sweep_paths(
-        cfg, lambda c: [(interp_h(c, t), interp_H(c, t)) for t in times]
-    )
-    max_clock = max(s for row in samples for _, s in row)
-    table = reference_table(cfg, cfg.table_margin * max_clock)
-    t_off = cfg.initial.time
+    sweep = clock_sweep(cfg, times)
+    table = sweep.tables[0]
     m, d = cfg.m, table.grid.dim
     beta = 1.0 / ((m - 1.0) * d + 2.0)
     b = mass_to_b(m, d, cfg.initial.mass)
     params = BarenblattParams(m=m, d=d, b=b)
-    schedules = []
-    for row in samples:
-        errors = [
-            s ** (beta * d)
-            * h
-            * abs(float(eval_on_centers(table, t_off + s, x0)) - barenblatt(params, s, x0))
-            for h, s in row
-        ]
-        schedules.append(errors)
+    centre = eval_on_centers(table, sweep.table_times, x0).tolist()
+    schedules = [
+        [s ** (beta * d) * h * abs(u - barenblatt(params, s, x0)) for h, s, u in zip(*row)]
+        for row in zip(sweep.h.tolist(), sweep.H.tolist(), centre)
+    ]
     passes = [all(a > b_ for a, b_ in zip(e, e[1:])) for e in schedules]
     fraction = sum(passes) / len(passes)
     return McReport(
@@ -539,7 +543,7 @@ def asymptotics_experiment(
             "b": b,
             "probe_times": times,
             "first_schedule": schedules[0],
-            "max_clock": max_clock,
+            "max_clock": sweep.max_clock,
             "schedules": schedules,
             "pass_flags": passes,
         },
@@ -568,25 +572,19 @@ def limit_profile_check(
     times = [float(t) for t in probe_times]
     if len(times) < 2 or sorted(times) != times:
         raise InvalidInputError("probe times must be increasing, at least two")
-    samples = sweep_paths(
-        cfg,
-        lambda c: (float(c.logh[-1]), [(interp_h(c, t), interp_H(c, t)) for t in times]),
-    )
-    max_clock = max(s for _, row in samples for _, s in row)
-    table = reference_table(cfg, cfg.table_margin * max_clock)
-    t_off = cfg.initial.time
+    sweep = clock_sweep(cfg, times)
+    table = sweep.tables[0]
     m, d = cfg.m, table.grid.dim
     b = mass_to_b(m, d, cfg.initial.mass)
     params = BarenblattParams(m=m, d=d, b=b)
+    u_paths = (sweep.h * eval_on_centers(table, sweep.table_times, x0)).tolist()
+    xis = sweep.logh_end.tolist()
     passes = []
-    xis = []
-    for xi, row in samples:
-        xis.append(xi)
-        errors = []
-        for t, (h, s) in zip(times, row):
-            u = h * float(eval_on_centers(table, t_off + s, x0))
-            comparator = math.exp(xi) * barenblatt(params, math.exp((m - 1.0) * xi) * t, x0)
-            errors.append(abs(u - comparator))
+    for xi, row in zip(xis, u_paths):
+        errors = [
+            abs(u - math.exp(xi) * barenblatt(params, math.exp((m - 1.0) * xi) * t, x0))
+            for t, u in zip(times, row)
+        ]
         passes.append(all(a > b_ for a, b_ in zip(errors, errors[1:])))
     fraction = sum(passes) / len(passes)
     xi_mean, xi_stderr = _mean_and_stderr(xis)
@@ -667,23 +665,11 @@ def support_experiment(
         raise InvalidInputError("mass check time must lie inside the horizon")
     half = 0.5 * horizon
     decay_times = np.array([0.25, 0.5, 0.75, 1.0]) * horizon
-    samples = sweep_paths(
-        cfg,
-        lambda c: (
-            interp_H(c, half),
-            interp_H(c, horizon),
-            interp_h(c, horizon),
-            interp_h(c, mass_check_time),
-            interp_H(c, mass_check_time),
-            [(interp_h(c, t), interp_H(c, t)) for t in decay_times],
-        ),
-    )
-    H_half = np.array([s[0] for s in samples])
-    H_end = np.array([s[1] for s in samples])
-    h_end = np.array([s[2] for s in samples])
-
-    table = reference_table(cfg, cfg.table_margin * float(np.max(H_end)))
-    t_off = cfg.initial.time
+    # Columns: half horizon, horizon, mass check time, then the decay times.
+    # H is nondecreasing, so the largest clock value is that at the horizon.
+    sweep = clock_sweep(cfg, [half, horizon, mass_check_time, *decay_times])
+    H_half, H_end, h_end = sweep.H[:, 0], sweep.H[:, 1], sweep.h[:, 1]
+    table = sweep.tables[0]
 
     # Dominating envelope: a source-type profile at unit time offset that sits
     # above the initial data; its free boundary bounds every support radius.
@@ -695,13 +681,8 @@ def support_experiment(
     prefactor = math.sqrt(2.0 * m * b_dom / ((m - 1.0) * beta))
 
     snap_radii = np.array([support_radius(st) for st in table.states])
-    snap_times = table.times
-
-    def radius_at(clock_value: float) -> float:
-        j = int(np.searchsorted(snap_times, t_off + clock_value, side="left"))
-        return float(snap_radii[min(j, snap_radii.size - 1)])
-
-    radii = np.array([radius_at(s) for s in H_end])
+    first_after = np.searchsorted(table.times, sweep.table_times[:, 1], side="left")
+    radii = snap_radii[np.minimum(first_after, snap_radii.size - 1)]
     bounds = prefactor * (1.0 + H_end) ** beta
     bound_ok = bool(np.all(radii <= bounds))
     # Domain-truncation guard: compact support must never touch the box edge,
@@ -713,7 +694,7 @@ def support_experiment(
     plateau_ok = bool(plateau <= plateau_tol)
 
     mass0 = cfg.initial.mass
-    per_path_mass = [s[3] * interp_mass(table, t_off + s[4]) for s in samples]
+    per_path_mass = (sweep.h[:, 2] * interp_mass(table, sweep.table_times[:, 2])).tolist()
     estimate, stderr = _mean_and_stderr(per_path_mass)
     target = mass0 * math.exp(cfg.coeffs.integral_g(mass_check_time))
     mass_report = McReport(
@@ -727,12 +708,8 @@ def support_experiment(
         provenance=_provenance(cfg),
     )
 
-    center_initial = float(eval_on_centers(table, table.t_first, 0.0)) if cfg.initial.time > 0 else float(
-        np.interp(0.0, cfg.initial.grid.centers, cfg.initial.values)
-    )
-    center_by_time = np.array(
-        [[h * float(eval_on_centers(table, t_off + s, 0.0)) for h, s in row[5]] for row in samples]
-    )
+    center_initial = float(eval_on_centers(table, table.t_first, 0.0))
+    center_by_time = sweep.h[:, 3:] * eval_on_centers(table, sweep.table_times[:, 3:], 0.0)
     decay_medians = np.median(center_by_time, axis=0)
     center_median = float(decay_medians[-1])
     decay_ok = bool(center_median <= decay_factor * center_initial)

@@ -21,13 +21,12 @@ from . import __version__
 from .analysis import (
     McConfig,
     asymptotics_experiment,
+    clock_sweep,
     limit_law_statistics,
     mc_lp_bound,
     mc_mean_mass,
     path_clock,
-    reference_table,
     support_experiment,
-    sweep_paths,
 )
 from .config import RunConfig, apply_overrides, parse_config, serialize_config
 from .errors import ConfigError, SpmeError
@@ -39,7 +38,7 @@ from .exact import (
     linear_pressure_base,
     quadratic_pressure,
 )
-from .noise import CoefficientPair, TimeGrid, interp_H, interp_h
+from .noise import CoefficientPair, TimeGrid
 from .solver import (
     FieldState,
     SchemeConfig,
@@ -93,8 +92,14 @@ def _initial_state(cfg: RunConfig):
         params = BarenblattParams(m=cfg.m, d=cfg.dim, b=cfg.b)
         return barenblatt_state(grid, params, cfg.t0)
     if cfg.initial.startswith("csv:"):
-        table = np.loadtxt(cfg.initial[4:], delimiter=",", skiprows=1, ndmin=2)
-        profile = np.interp(grid.centers, table[:, 0], table[:, 1], left=0.0, right=0.0)
+        try:
+            table = np.loadtxt(cfg.initial[4:], delimiter=",", skiprows=1, ndmin=2)
+            profile = np.interp(grid.centers, table[:, 0], table[:, 1], left=0.0, right=0.0)
+        except (OSError, ValueError, IndexError) as exc:
+            raise ConfigError(
+                f"initial = {cfg.initial}: cannot read a two-column x,value table ({exc})",
+                key="initial",
+            ) from exc
         return FieldState(grid=grid, time=0.0, values=np.clip(profile, 0.0, None))
     raise ConfigError("initial must be box, barenblatt, or csv:PATH", key="initial")
 
@@ -192,17 +197,14 @@ def _run_evolve(cfg: RunConfig, outdir: Path) -> dict:
 def _run_transform(cfg: RunConfig, outdir: Path) -> dict:
     mc = _mc_config(cfg)
     probe_times = [t for t in cfg.times if t > 0.0] or [cfg.horizon]
-    samples = sweep_paths(
-        mc, lambda c: [(interp_h(c, t), interp_H(c, t)) for t in probe_times]
+    sweep = clock_sweep(mc, probe_times)
+    values = sweep.h[:, :, None] * eval_on_centers(sweep.tables[0], sweep.table_times, cfg.points)
+    rows = (
+        (i, t, x, v)
+        for i, path in enumerate(values)
+        for t, row in zip(probe_times, path.tolist())
+        for x, v in zip(cfg.points, row)
     )
-    max_clock = max(s for row in samples for _, s in row)
-    table = reference_table(mc, 1.05 * max_clock)
-    t_off = mc.initial.time
-    rows = []
-    for i, row in enumerate(samples):
-        for t, (h, s) in zip(probe_times, row):
-            for x in cfg.points:
-                rows.append((i, t, x, h * float(eval_on_centers(table, t_off + s, x))))
     csv_path = outdir / "samples.csv"
     _write_csv(csv_path, ("path", "t", "x", "value"), rows)
     _write_plot_note(

@@ -278,10 +278,15 @@ def multiplier_path(path: NoisePath, coeffs: CoefficientPair, gamma: float) -> M
     dw = np.diff(path.w)
     dlog = g_vals * dt + f_vals * dw - 0.5 * f_vals**2 * dt
     logh = np.concatenate(([0.0], np.cumsum(dlog)))
-    h = np.exp(logh)
+    with np.errstate(over="ignore"):
+        h = np.exp(logh)
     if not np.all(h > 0.0):
         raise InvalidInputError(
             "multiplier underflowed to zero; shorten the horizon or the drift"
+        )
+    if not np.all(np.isfinite(h)):
+        raise InvalidInputError(
+            "multiplier overflowed to infinity; shorten the horizon or the drift"
         )
     H = np.concatenate(([0.0], np.cumsum(h[:-1] ** (gamma - 1.0) * dt)))
     return MultiplierPath(

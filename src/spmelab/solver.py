@@ -194,13 +194,14 @@ def step(state: FieldState, m: float, dt: float, safety: float = 1.0) -> FieldSt
 
 @dataclass(frozen=True, eq=False)
 class SnapshotTable:
-    """States stored at increasing times, with the discrete-mass sequence."""
+    """States stored at increasing times, with the masses and the (snapshots, cells) values."""
 
     states: tuple
     m: float
     scheme: SchemeConfig
     times: np.ndarray = field(init=False)
     masses: np.ndarray = field(init=False)
+    values: np.ndarray = field(init=False)
     clamped_total: float = 0.0
 
     def __post_init__(self):
@@ -208,10 +209,12 @@ class SnapshotTable:
         if times.size < 1 or not np.all(np.diff(times) > 0.0):
             raise InvalidInputError("snapshots must be stored at increasing times")
         masses = np.array([s.mass for s in self.states], dtype=float)
-        times.flags.writeable = False
-        masses.flags.writeable = False
+        values = np.stack([s.values for s in self.states])
+        for arr in (times, masses, values):
+            arr.flags.writeable = False
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "masses", masses)
+        object.__setattr__(self, "values", values)
 
     @property
     def grid(self) -> SpatialGrid:
@@ -233,31 +236,7 @@ def evolve(initial: FieldState, m: float, horizon: float, cfg: SchemeConfig) -> 
     plus the initial and final instants.  Each step uses the adaptive stable
     step, cropped to land exactly on the next snapshot.
     """
-    t0 = initial.time
-    if not horizon > t0:
-        raise InvalidInputError("horizon must exceed the initial time")
-    targets = sorted({float(s) for s in cfg.snapshot_times} | {horizon})
-    for s in targets:
-        if s < t0 - 1e-12 or s > horizon + 1e-12:
-            raise InvalidInputError("snapshot times must lie between the initial time and the horizon")
-
-    snaps = [initial]
-    state = initial
-    clamped_total = initial.clamped_mass
-    steps_taken = 0
-    eps = 1e-12 * max(1.0, abs(horizon))
-    for target in targets:
-        if target <= t0 + eps:
-            continue
-        while state.time < target - eps:
-            dt = min(stable_dt(state, m, cfg.cfl_safety), target - state.time)
-            state = step(state, m, dt, safety=cfg.cfl_safety)
-            clamped_total += state.clamped_mass
-            steps_taken += 1
-            if steps_taken > _MAX_STEPS:
-                raise StabilityError("step budget exhausted before reaching the horizon")
-        snaps.append(state)
-    return SnapshotTable(states=tuple(snaps), m=m, scheme=cfg, clamped_total=clamped_total)
+    return _march((initial,), m, horizon, cfg)[0]
 
 
 def evolve_together(
@@ -272,6 +251,11 @@ def evolve_together(
     so order relations between them are preserved step by step by the
     monotone update.  The states must share a start time.
     """
+    return _march(initials, m, horizon, cfg)
+
+
+def _march(initials: tuple, m: float, horizon: float, cfg: SchemeConfig) -> tuple:
+    """The one marching loop behind :func:`evolve` and :func:`evolve_together`."""
     if len(initials) < 1:
         raise InvalidInputError("at least one initial state is required")
     t0 = initials[0].time
@@ -290,16 +274,17 @@ def evolve_together(
     clamped = [st.clamped_mass for st in initials]
     steps_taken = 0
     eps = 1e-12 * max(1.0, abs(horizon))
+    safety = cfg.cfl_safety
     for target in targets:
         if target <= t0 + eps:
             continue
         while states[0].time < target - eps:
-            dt = min(stable_dt(st, m, cfg.cfl_safety) for st in states)
-            dt = min(dt, target - states[0].time)
+            dt = target - states[0].time
+            for st in states:
+                dt = min(dt, stable_dt(st, m, safety))
             for i, st in enumerate(states):
-                nxt = step(st, m, dt, safety=cfg.cfl_safety)
-                states[i] = nxt
-                clamped[i] += nxt.clamped_mass
+                states[i] = step(st, m, dt, safety=safety)
+                clamped[i] += states[i].clamped_mass
             steps_taken += 1
             if steps_taken > _MAX_STEPS:
                 raise StabilityError("step budget exhausted before reaching the horizon")
@@ -311,51 +296,78 @@ def evolve_together(
     )
 
 
-def _bracket(table: SnapshotTable, t: float) -> tuple[int, int, float]:
+def _bracket(table: SnapshotTable, t):
+    """Bracketing snapshot indices (a, b) and weight lam for one time or an array of times."""
     times = table.times
+    arr = np.asarray(t, dtype=float)
     slack = 1e-9 * max(1.0, table.t_last)
-    if t < times[0] - slack or t > times[-1] + slack:
+    outside = (arr < times[0] - slack) | (arr > times[-1] + slack)
+    if np.any(outside):
         raise OutOfRangeError(
-            f"time {t:.6g} outside the stored range [{times[0]:.6g}, {times[-1]:.6g}]"
+            f"time {float(arr[outside].flat[0]):.6g} outside the stored range "
+            f"[{times[0]:.6g}, {times[-1]:.6g}]"
         )
-    t = min(max(t, float(times[0])), float(times[-1]))
+    arr = np.clip(arr, times[0], times[-1])
     if times.size == 1:
-        return 0, 0, 0.0
-    j = int(np.searchsorted(times, t, side="right"))
-    j = min(max(j, 1), times.size - 1)
-    lam = (t - times[j - 1]) / (times[j] - times[j - 1])
-    return j - 1, j, float(lam)
+        a = b = np.zeros(arr.shape, dtype=np.intp)
+        lam = np.zeros(arr.shape)
+    else:
+        b = np.clip(np.searchsorted(times, arr, side="right"), 1, times.size - 1)
+        a = b - 1
+        lam = (arr - times[a]) / (times[b] - times[a])
+    return a, b, lam
 
 
-def dense_values(table: SnapshotTable, t: float) -> np.ndarray:
-    """Cell values at time t, linear between the bracketing snapshots."""
+def _cells_at(table: SnapshotTable, t, cells: np.ndarray) -> np.ndarray:
+    """Values of the listed cells at time(s) t, shape ``shape(t) + (cells.size,)``."""
+    a, b, lam = (v[..., None] for v in _bracket(table, t))
+    return (1.0 - lam) * table.values[a, cells] + lam * table.values[b, cells]
+
+
+def dense_values(table: SnapshotTable, t) -> np.ndarray:
+    """Cell values at time t, linear between the bracketing snapshots.
+
+    An array of times gives one row of cell values per time.
+    """
+    return _cells_at(table, t, np.arange(table.grid.cells))
+
+
+def interp_mass(table: SnapshotTable, t):
+    """Discrete mass at time t, linear between snapshots; an array of times gives an array."""
     a, b, lam = _bracket(table, t)
-    return (1.0 - lam) * table.states[a].values + lam * table.states[b].values
+    out = (1.0 - lam) * table.masses[a] + lam * table.masses[b]
+    return float(out) if np.ndim(t) == 0 else out
 
 
-def interp_mass(table: SnapshotTable, t: float) -> float:
-    """Discrete mass at time t, linear between snapshots."""
-    a, b, lam = _bracket(table, t)
-    return float((1.0 - lam) * table.masses[a] + lam * table.masses[b])
-
-
-def eval_on_centers(table: SnapshotTable, t: float, positions) -> np.ndarray:
+def eval_on_centers(table: SnapshotTable, t, positions) -> np.ndarray:
     """Field at time t and the given positions, linear between cell centers.
 
     Positions outside the domain evaluate to 0; between the outermost cell
-    center and the boundary the edge value is held.
+    center and the boundary the edge value is held.  An array of times gives
+    shape ``shape(t) + shape(positions)``.  Only the two cells around each
+    position are read, with ``np.interp``'s arithmetic, so each value equals
+    the one a scalar time gives, bit for bit.
     """
     g = table.grid
-    vals = dense_values(table, t)
-    pos = np.abs(np.asarray(positions, dtype=float)) if g.kind == "radial" else np.asarray(
-        positions, dtype=float
-    )
-    out = np.interp(pos, g.centers, vals)
+    centers = g.centers
+    shape = np.shape(positions)
+    pos = np.asarray(positions, dtype=float).reshape(-1)
+    if g.kind == "radial":
+        pos = np.abs(pos)
+    # As np.interp: the edge value outside [c_0, c_last], the node value on a
+    # node, and slope * (x - c_k) + v_k strictly between c_k and c_k+1.
+    k = np.clip(np.searchsorted(centers, pos, side="right") - 1, 0, centers.size - 1)
+    k1 = np.minimum(k + 1, centers.size - 1)
+    on_node = (pos <= centers[0]) | (pos >= centers[-1]) | (pos == centers[k])
+    pair = _cells_at(table, t, np.concatenate((k, k1)))
+    near, far = pair[..., : pos.size], pair[..., pos.size :]
+    slope = (far - near) / np.where(on_node, 1.0, centers[k1] - centers[k])
+    out = np.where(on_node, near, slope * (pos - centers[k]) + near)
     if g.kind == "cartesian":
         out = np.where((pos < g.lo) | (pos > g.hi), 0.0, out)
     else:
         out = np.where(pos > g.hi, 0.0, out)
-    return out
+    return out.reshape(np.shape(t) + shape)
 
 
 def dense_eval(table: SnapshotTable, t: float, x) -> float:

@@ -22,13 +22,18 @@ from spmelab import (
     asymptotic_error,
     asymptotics_experiment,
     barenblatt,
+    barenblatt_state,
     box_state,
     comparison_check,
+    eval_on_centers,
     evolve,
     interp_H,
+    interp_h,
+    interp_mass,
     limit_law_statistics,
     limit_profile_check,
     linear_pressure_base,
+    lp_power_sum,
     mass_to_b,
     maximum_check,
     mc_lp_bound,
@@ -39,9 +44,11 @@ from spmelab import (
     sample_brownian,
     still_path,
     support_experiment,
+    support_radius,
     sweep_paths,
     weak_form_residual,
 )
+from spmelab.analysis import TABLE_MARGIN
 
 MASTER = 20260815
 
@@ -445,3 +452,82 @@ def test_support_experiment_validation():
             McConfig(n_paths=2, master_seed=1, grid=tg, coeffs=coeffs, m=2.0, initial=box),
             mass_check_time=40.0,
         )
+
+
+# ---------------------------------------------------------------------------
+# The sweeps against a scalar reference: one path, one time, one read at a
+# time, with the table sized from the largest clock value read.
+# ---------------------------------------------------------------------------
+
+
+def scalar_reference(cfg, times):
+    clocks = [path_clock(cfg, i) for i in range(cfg.n_paths)]
+    span = max(interp_H(c, t) for c in clocks for t in times)
+    return clocks, reference_table(cfg, TABLE_MARGIN * span)
+
+
+def test_mc_mean_mass_matches_the_scalar_reference_bitwise():
+    cfg = McConfig(
+        n_paths=12, master_seed=MASTER, grid=TimeGrid.uniform(0.5, 64),
+        coeffs=CoefficientPair.constant(1.0, 0.2), m=2.0, initial=box_state(line_grid(cells=80), 1.0, 1.0),
+    )
+    clocks, table = scalar_reference(cfg, [0.5])
+    want = [interp_h(c, 0.5) * interp_mass(table, 0.0 + interp_H(c, 0.5)) for c in clocks]
+    assert mc_mean_mass(cfg, 0.5).extras["per_path"] == want
+
+
+def test_mc_lp_bound_matches_the_scalar_reference_bitwise():
+    grid = line_grid(cells=96)
+    initial = barenblatt_state(grid, BarenblattParams(m=2.0, d=1, b=1.0), 0.5)
+    cfg = McConfig(
+        n_paths=10, master_seed=MASTER, grid=TimeGrid.uniform(1.0, 64),
+        coeffs=CoefficientPair.constant(0.8, 0.0), m=2.0, initial=initial,
+    )
+    clocks, table = scalar_reference(cfg, [1.0])
+    want = [
+        interp_h(c, 1.0) ** 3.0
+        * lp_power_sum(eval_on_centers(table, 0.5 + interp_H(c, 1.0), grid.centers), grid, 3.0)
+        for c in clocks
+    ]
+    assert mc_lp_bound(cfg, 3.0, 1.0).extras["per_path"] == want
+
+
+def test_asymptotics_schedules_match_the_scalar_reference_bitwise():
+    cfg = McConfig(
+        n_paths=8, master_seed=MASTER, grid=TimeGrid.uniform(4.0, 64),
+        coeffs=CoefficientPair.constant(0.3, 0.0), m=2.0, initial=box_state(line_grid(-9.0, 9.0, 120), 1.0, 1.0),
+    )
+    times, x0 = [1.0, 2.0, 4.0], 0.4
+    clocks, table = scalar_reference(cfg, times)
+    beta = 1.0 / ((2.0 - 1.0) * 1 + 2.0)
+    params = BarenblattParams(m=2.0, d=1, b=mass_to_b(2.0, 1, cfg.initial.mass))
+    want = [
+        [
+            s ** beta * h * abs(float(eval_on_centers(table, 0.0 + s, x0)) - barenblatt(params, s, x0))
+            for h, s in ((interp_h(c, t), interp_H(c, t)) for t in times)
+        ]
+        for c in clocks
+    ]
+    assert asymptotics_experiment(cfg, times, x0=x0).extras["schedules"] == want
+
+
+def test_support_portrait_matches_the_scalar_reference_bitwise():
+    horizon = 4.0
+    cfg = McConfig(
+        n_paths=10, master_seed=MASTER, grid=TimeGrid.uniform(horizon, 80),
+        coeffs=CoefficientPair.constant(1.0, 0.0), m=2.0, initial=box_state(line_grid(-8.0, 8.0, 160), 1.0, 1.0),
+    )
+    clocks, table = scalar_reference(cfg, [horizon])
+    snap_radii = [support_radius(st) for st in table.states]
+    radii = []
+    for c in clocks:
+        j = int(np.searchsorted(table.times, 0.0 + interp_H(c, horizon), side="left"))
+        radii.append(snap_radii[min(j, len(snap_radii) - 1)])
+    decay_times = (np.array([0.25, 0.5, 0.75, 1.0]) * horizon).tolist()
+    centre = [
+        [interp_h(c, t) * float(eval_on_centers(table, 0.0 + interp_H(c, t), 0.0)) for t in decay_times]
+        for c in clocks
+    ]
+    rep = support_experiment(cfg, mass_check_time=2.0)
+    assert np.array_equal(rep.support_radii, np.array(radii))
+    assert np.array_equal(rep.decay_medians, np.median(np.array(centre), axis=0))

@@ -261,6 +261,34 @@ def test_runtime_errors_exit_with_status_two(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "content",
+    [None, "x,value\n0,one\n1,two\n", "x\n-1\n0\n1\n"],
+    ids=["missing", "non_numeric", "one_column"],
+)
+def test_unreadable_csv_initial_data_is_a_config_error(tmp_path, capsys, content):
+    profile = tmp_path / "profile.csv"
+    if content is not None:
+        profile.write_text(content, encoding="utf-8")
+    cfg = write_config(
+        tmp_path, "evolve_csv.ini",
+        f"command = evolve\ninitial = csv:{profile}\nhorizon = 0.5\n"
+        f"out = {tmp_path / 'out'}\n",
+    )
+    assert main(["--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and "initial" in err
+
+
+def test_multiplier_overflow_exits_with_status_two(tmp_path, capsys):
+    cfg = write_config(
+        tmp_path, "overflow.ini",
+        f"command = mc\nmode = mean_mass\ng = 0:800\nn_paths = 4\nout = {tmp_path / 'out'}\n",
+    )
+    assert main(["--config", cfg]) == 2
+    assert "multiplier overflowed to infinity" in capsys.readouterr().err
+
+
 def test_installed_entry_point_smoke(tmp_path):
     cfg = write_config(
         tmp_path, "exact.ini",

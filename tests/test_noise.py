@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -289,6 +290,14 @@ def test_multiplier_underflow_raises():
     grid = TimeGrid.uniform(1.0, 16)
     with pytest.raises(InvalidInputError):
         multiplier_path(still_path(grid), CoefficientPair.constant(0.0, -5000.0), gamma=2.0)
+
+
+def test_multiplier_overflow_raises_without_a_numpy_warning():
+    grid = TimeGrid.uniform(1.0, 16)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidInputError, match="overflowed"):
+            multiplier_path(still_path(grid), CoefficientPair.constant(0.0, 800.0), gamma=2.0)
 
 
 def test_clock_exponent_below_one_rejected():

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spmelab import (
     BarenblattParams,
@@ -318,3 +320,99 @@ def test_pointwise_residual_oracle_and_negative_control():
     assert abs(residual(heat_kernel, 2.0, 1.0, 0.5, dt=1e-4, dx=1e-3)) >= 0.01
     with pytest.raises(InvalidInputError):
         residual(profile, 2.0, 1.0, 0.5, dt=0.0, dx=1e-2)
+
+
+# ---------------------------------------------------------------------------
+# Table readers at arrays of times: each element equals the scalar read, bit
+# for bit, and the scalar read equals the plain bracket-and-np.interp rule.
+# ---------------------------------------------------------------------------
+
+
+def _reference_dense(table, t):
+    """Scalar rule: clamp into the stored range, bracket, blend two snapshots."""
+    times = table.times
+    t = min(max(t, float(times[0])), float(times[-1]))
+    if times.size == 1:
+        return table.states[0].values.copy(), float(table.masses[0])
+    j = min(max(int(np.searchsorted(times, t, side="right")), 1), times.size - 1)
+    lam = float((t - times[j - 1]) / (times[j] - times[j - 1]))
+    a, b = table.states[j - 1], table.states[j]
+    return (1.0 - lam) * a.values + lam * b.values, float(
+        (1.0 - lam) * table.masses[j - 1] + lam * table.masses[j]
+    )
+
+
+def _reference_point(table, t, positions):
+    g = table.grid
+    pos = np.asarray(positions, dtype=float)
+    pos = np.abs(pos) if g.kind == "radial" else pos
+    out = np.interp(pos, g.centers, _reference_dense(table, t)[0])
+    outside = (pos > g.hi) | ((pos < g.lo) if g.kind == "cartesian" else False)
+    return np.where(outside, 0.0, out)
+
+
+@st.composite
+def tables_and_queries(draw):
+    radial = draw(st.booleans())
+    cells = draw(st.integers(8, 24))
+    n_snaps = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if radial:
+        grid = SpatialGrid(kind="radial", lo=0.0, hi=float(rng.uniform(0.5, 4.0)), cells=cells,
+                           dim=int(rng.integers(2, 4)))
+    else:
+        lo = float(rng.uniform(-4.0, 0.0))
+        grid = SpatialGrid(kind="cartesian", lo=lo, hi=lo + float(rng.uniform(0.5, 5.0)), cells=cells)
+    t0 = float(rng.choice([0.0, rng.uniform(0.0, 2.0)]))
+    times = t0 + np.concatenate(([0.0], np.cumsum(rng.uniform(1e-3, 1.0, n_snaps - 1))))
+    states = tuple(
+        FieldState(grid=grid, time=float(t), values=rng.uniform(0.0, 2.0, cells) * (rng.random(cells) < 0.8))
+        for t in times
+    )
+    table = SnapshotTable(states=states, m=2.0, scheme=SchemeConfig())
+    slack = 1e-9 * max(1.0, table.t_last)
+    inside = rng.uniform(table.t_first, table.t_last, draw(st.integers(0, 6)))
+    ts = np.concatenate((times, inside, [table.t_first - 0.5 * slack, table.t_last + 0.5 * slack]))
+    rng.shuffle(ts)
+    edges = [grid.lo, grid.hi, -grid.hi, grid.hi + 1.0, grid.lo - 1.0]
+    spots = rng.uniform(grid.lo - 1.0 - grid.hi, grid.hi + 1.0, draw(st.integers(0, 8)))
+    positions = np.concatenate((grid.centers[:: max(1, cells // 5)], grid.faces[:3], edges, spots))
+    return table, ts, positions
+
+
+@settings(max_examples=60, deadline=None)
+@given(tables_and_queries())
+def test_array_reads_equal_stacked_scalar_reads_bitwise(case):
+    table, ts, positions = case
+    masses = interp_mass(table, ts)
+    rows = dense_values(table, ts)
+    points = eval_on_centers(table, ts, positions)
+    assert rows.shape == (ts.size, table.grid.cells)
+    assert points.shape == (ts.size, positions.size)
+    assert np.array_equal(masses, np.array([interp_mass(table, float(t)) for t in ts]))
+    assert np.array_equal(rows, np.stack([dense_values(table, float(t)) for t in ts]))
+    assert np.array_equal(points, np.stack([eval_on_centers(table, float(t), positions) for t in ts]))
+    grid_2d = ts.reshape(-1, 1)
+    assert np.array_equal(eval_on_centers(table, grid_2d, positions[:3]), points[:, None, :3])
+    for t in ts:
+        dense, mass = _reference_dense(table, float(t))
+        assert interp_mass(table, float(t)) == mass
+        assert np.array_equal(dense_values(table, float(t)), dense)
+        assert np.array_equal(eval_on_centers(table, float(t), positions), _reference_point(table, float(t), positions))
+        for x in positions[:4]:
+            assert np.array_equal(eval_on_centers(table, float(t), float(x)), _reference_point(table, float(t), float(x)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(tables_and_queries(), st.booleans())
+def test_one_out_of_range_time_fails_the_whole_array_read(case, late):
+    table, ts, positions = case
+    bad = table.t_last + 1e-6 * max(1.0, table.t_last) if late else table.t_first - 1e-3
+    ts = np.insert(ts, ts.size // 2, bad)
+    for read in (
+        lambda: interp_mass(table, ts),
+        lambda: dense_values(table, ts),
+        lambda: eval_on_centers(table, ts, positions),
+    ):
+        with pytest.raises(OutOfRangeError):
+            read()
