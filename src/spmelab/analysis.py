@@ -5,14 +5,14 @@ finite-horizon, finite-sample surrogates: moment identities are tested at a
 3-standard-error level, variances against 3-sigma chi-square bands, pathwise
 monotone decay along a fixed probe schedule, and support bounds against the
 explicit dominating envelope.  Every sweep derives per-path seeds from the
-master seed with :func:`spmelab.noise.mix_seed` and reduces results with
+master seed with :func:`spmelab.noise.mix_seed`, samples the clocks in
+blocks of paths with one array arithmetic, and reduces results with
 compensated summation in path-index order, so the outcome is independent of
-the thread count.
+the block size.
 """
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,11 +28,15 @@ from .noise import (
     CoefficientPair,
     MultiplierPath,
     TimeGrid,
+    brownian_block,
     interp_h,
     interp_H,
     limit_distribution,
+    locate_times,
     mix_seed,
+    multiplier_block,
     multiplier_path,
+    read_block,
     sample_brownian,
 )
 from .solver import (
@@ -53,6 +57,10 @@ from .timechange import StochasticFieldSample
 TABLE_MARGIN = 1.05
 N_SNAPSHOTS = 160
 
+# Clock sweeps sample paths in blocks of BLOCK_VALUES // (steps + 1) rows (at
+# least one), so each block array holds about BLOCK_VALUES float64 values.
+BLOCK_VALUES = 65536
+
 
 @dataclass(frozen=True, eq=False)
 class McConfig:
@@ -72,15 +80,12 @@ class McConfig:
     m: float
     initial: FieldState | None = None
     scheme: SchemeConfig = field(default_factory=SchemeConfig)
-    threads: int = 1
 
     def __post_init__(self):
         if self.n_paths < 2:
             raise InvalidInputError("Monte Carlo sweeps need at least 2 paths")
         if self.m <= 1.0:
             raise InvalidInputError("the noisy equation is posed for m > 1")
-        if self.threads < 1:
-            raise InvalidInputError("threads must be >= 1")
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,23 +109,8 @@ def path_clock(cfg: McConfig, index: int) -> MultiplierPath:
 
 
 def sweep_paths(cfg: McConfig, reduce_path) -> list:
-    """Apply ``reduce_path(clock)`` to every path, in any execution order.
-
-    Results land in a list indexed by path number, so serial and threaded
-    sweeps produce identical output.
-    """
-    out: list = [None] * cfg.n_paths
-
-    def work(i: int) -> None:
-        out[i] = reduce_path(path_clock(cfg, i))
-
-    if cfg.threads <= 1:
-        for i in range(cfg.n_paths):
-            work(i)
-    else:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            list(pool.map(work, range(cfg.n_paths)))
-    return out
+    """``reduce_path(clock)`` for every path, in path-index order."""
+    return [reduce_path(path_clock(cfg, i)) for i in range(cfg.n_paths)]
 
 
 def _mean_and_stderr(values) -> tuple[float, float]:
@@ -137,7 +127,6 @@ def _provenance(cfg: McConfig, **extra) -> dict:
         "grid_steps": cfg.grid.steps,
         "horizon": cfg.grid.horizon,
         "m": cfg.m,
-        "threads": cfg.threads,
     }
     info.update(extra)
     return info
@@ -189,15 +178,36 @@ class ClockSweep:
         return self.tables[0].t_first + self.H
 
 
+def _clocks(cfg: McConfig, times) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """h and H of every path at the 1-d ``times``, and log h at the horizon.
+
+    Paths are drawn in blocks of rows and only the probe columns and the last
+    log h are kept; every value has the bits of the one-path calls
+    (:func:`path_clock` read by ``interp_h``/``interp_H``).  The times are
+    checked before any path is drawn.
+    """
+    grid, n = cfg.grid, cfg.n_paths
+    located = locate_times(grid, times)
+    h, H = np.empty((n, located[0].size)), np.empty((n, located[0].size))
+    logh_end = np.empty(n)
+    rows = max(1, BLOCK_VALUES // (grid.steps + 1))
+    for start in range(0, n, rows):
+        block = slice(start, min(start + rows, n))
+        seeds = [mix_seed(cfg.master_seed, i) for i in range(block.start, block.stop)]
+        logh, h_rows, H_rows = multiplier_block(brownian_block(grid, seeds), grid, cfg.coeffs, cfg.m)
+        h[block] = read_block(h_rows, grid, located)
+        H[block] = read_block(H_rows, grid, located)
+        logh_end[block] = logh[:, -1]
+    return h, H, logh_end
+
+
 def clock_sweep(cfg: McConfig, times, initials: tuple | None = None) -> ClockSweep:
     """Sample the clock of every path at ``times``, then solve once for the largest value.
 
     The solve starts from ``initials`` (states sharing one start time), by
     default from ``cfg.initial`` alone.
     """
-    times = np.asarray(times, dtype=float)
-    rows = sweep_paths(cfg, lambda c: (interp_h(c, times), interp_H(c, times), c.logh[-1]))
-    h, H, logh_end = (np.array(col) for col in zip(*rows))
+    h, H, logh_end = _clocks(cfg, times)
     max_clock = float(np.max(H))
     tables = _reference_tables(cfg, TABLE_MARGIN * max_clock, initials or (cfg.initial,))
     return ClockSweep(h=h, H=H, logh_end=logh_end, max_clock=max_clock, tables=tables)
@@ -278,7 +288,7 @@ def limit_law_statistics(cfg: McConfig) -> McReport:
     cutoff = float(cfg.coeffs.breaks[-1])
     if cfg.grid.horizon <= cutoff:
         raise InvalidInputError("the horizon must pass the coefficient cutoff")
-    xis = sweep_paths(cfg, lambda c: float(c.logh[-1]))
+    xis = _clocks(cfg, [])[2].tolist()
     mean, stderr = _mean_and_stderr(xis)
     n = cfg.n_paths
     sample_var = math.fsum((v - mean) ** 2 for v in xis) / (n - 1)

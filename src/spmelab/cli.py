@@ -113,7 +113,6 @@ def _mc_config(cfg: RunConfig, with_initial: bool = True) -> McConfig:
         m=cfg.m,
         initial=_initial_state(cfg) if with_initial else None,
         scheme=SchemeConfig(cfl_safety=cfg.cfl_safety),
-        threads=cfg.threads,
     )
 
 
@@ -336,7 +335,6 @@ def dispatch(cfg: RunConfig) -> int:
         fh.write(f"command: {cfg.command}\n")
         fh.write("config: config.echo.ini\n")
         fh.write(f"master seed: {cfg.seed}\n")
-        fh.write(f"threads: {cfg.threads}\n")
         fh.write(f"wall time: {elapsed:.3f} s\n")
         if checks:
             for name, ok in checks.items():
@@ -355,7 +353,6 @@ def main(argv=None) -> int:
     parser.add_argument("--config", required=True, help="path to the run configuration")
     parser.add_argument("--seed", type=int, default=None, help="override the master seed")
     parser.add_argument("--out", default=None, help="override the output directory")
-    parser.add_argument("--threads", type=int, default=None, help="override the thread count")
     args = parser.parse_args(argv)
     try:
         text = Path(args.config).read_text(encoding="utf-8")
@@ -364,7 +361,7 @@ def main(argv=None) -> int:
         return 2
     try:
         cfg = parse_config(text)
-        cfg = apply_overrides(cfg, seed=args.seed, out=args.out, threads=args.threads)
+        cfg = apply_overrides(cfg, seed=args.seed, out=args.out)
         return dispatch(cfg)
     except ConfigError as exc:
         where = f" (line {exc.line})" if exc.line else ""

@@ -42,7 +42,6 @@ class RunConfig:
     half_width: float = 1.0
     n_paths: int = 100
     seed: int = 20260815
-    threads: int = 1
     out: str = "out"
     times: tuple = (1.0,)
     points: tuple = (0.0,)
@@ -66,7 +65,6 @@ _FIELD_KIND = {
     "cells": "int",
     "n_paths": "int",
     "seed": "int",
-    "threads": "int",
     "f": "pieces",
     "g": "pieces",
     "times": "floats",
@@ -145,8 +143,6 @@ def _validate(cfg: RunConfig) -> RunConfig:
         bad("height", "need height >= 0 and half_width > 0")
     if cfg.n_paths < 1:
         bad("n_paths", "n_paths must be >= 1")
-    if cfg.threads < 1:
-        bad("threads", "threads must be >= 1")
     if not 0.0 < cfg.cfl_safety <= 1.0:
         bad("cfl_safety", "cfl_safety must lie in (0, 1]")
     if not cfg.times or any(t < 0.0 for t in cfg.times):
@@ -220,13 +216,11 @@ def serialize_config(cfg: RunConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def apply_overrides(cfg: RunConfig, seed=None, out=None, threads=None) -> RunConfig:
+def apply_overrides(cfg: RunConfig, seed=None, out=None) -> RunConfig:
     """Apply command-line overrides, revalidating the result."""
     updates = {}
     if seed is not None:
         updates["seed"] = int(seed)
     if out is not None:
         updates["out"] = str(out)
-    if threads is not None:
-        updates["threads"] = int(threads)
     return _validate(replace(cfg, **updates)) if updates else cfg

@@ -18,8 +18,11 @@ lives in ``H``.
 Reproducibility contract: every sampled object is a pure function of
 ``(grid, seed)`` and the coefficient tables.  Per-path seeds for Monte Carlo
 sweeps are derived as ``mix_seed(master, path_index)``, a fixed 64-bit mixing
-permutation applied to ``master XOR index``, so serial and parallel sweeps
-draw identical paths.
+permutation applied to ``master XOR index``, and every path draws from its
+own generator.  The block functions (:func:`brownian_block`,
+:func:`multiplier_block`, :func:`read_block`) build many paths at once as
+rows of 2-d arrays with the same arithmetic as the one-path calls, so a
+path's bits do not depend on the block it is sampled in.
 """
 from __future__ import annotations
 
@@ -207,13 +210,24 @@ class NoisePath:
         object.__setattr__(self, "seed", int(self.seed) & _MASK64)
 
 
+def brownian_block(grid: TimeGrid, seeds) -> np.ndarray:
+    """Brownian paths on ``grid`` as the rows of a (len(seeds), steps + 1) array.
+
+    Row r draws its increments from its own PCG64 generator seeded with
+    ``seeds[r]``, so each row is a pure function of (grid, seed).
+    """
+    increments = np.empty((len(seeds), grid.steps))
+    for row, seed in zip(increments, seeds):
+        np.random.Generator(np.random.PCG64(int(seed) & _MASK64)).standard_normal(out=row)
+    increments *= np.sqrt(np.diff(grid.nodes))
+    w = np.zeros((len(seeds), grid.nodes.size))
+    np.cumsum(increments, axis=1, out=w[:, 1:])
+    return w
+
+
 def sample_brownian(grid: TimeGrid, seed: int) -> NoisePath:
     """Sample one Brownian path on ``grid``; identical inputs give identical bits."""
-    rng = np.random.Generator(np.random.PCG64(int(seed) & _MASK64))
-    dt = np.diff(grid.nodes)
-    increments = rng.standard_normal(dt.size) * np.sqrt(dt)
-    w = np.concatenate(([0.0], np.cumsum(increments)))
-    return NoisePath(grid=grid, w=w, seed=seed)
+    return NoisePath(grid=grid, w=brownian_block(grid, [seed])[0], seed=seed)
 
 
 def still_path(grid: TimeGrid) -> NoisePath:
@@ -268,16 +282,21 @@ class MultiplierPath:
         return self.grid.horizon
 
 
-def multiplier_path(path: NoisePath, coeffs: CoefficientPair, gamma: float) -> MultiplierPath:
-    """Build the multiplier and clock for homogeneity degree ``gamma`` >= 1."""
+def multiplier_block(
+    w: np.ndarray, grid: TimeGrid, coeffs: CoefficientPair, gamma: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """log h, h and H along each row of Brownian paths ``w`` on ``grid``.
+
+    ``w`` has shape (rows, steps + 1); the three results have its shape.
+    ``gamma`` >= 1 is the homogeneity degree of the clock.
+    """
     if gamma < 1.0:
         raise InvalidInputError("clock exponent gamma must be >= 1")
-    grid = path.grid
     f_vals, g_vals = coeffs.values_on(grid)
     dt = np.diff(grid.nodes)
-    dw = np.diff(path.w)
-    dlog = g_vals * dt + f_vals * dw - 0.5 * f_vals**2 * dt
-    logh = np.concatenate(([0.0], np.cumsum(dlog)))
+    dlog = g_vals * dt + f_vals * np.diff(w, axis=1) - 0.5 * f_vals**2 * dt
+    logh = np.zeros_like(w)
+    np.cumsum(dlog, axis=1, out=logh[:, 1:])
     with np.errstate(over="ignore"):
         h = np.exp(logh)
     if not np.all(h > 0.0):
@@ -288,9 +307,16 @@ def multiplier_path(path: NoisePath, coeffs: CoefficientPair, gamma: float) -> M
         raise InvalidInputError(
             "multiplier overflowed to infinity; shorten the horizon or the drift"
         )
-    H = np.concatenate(([0.0], np.cumsum(h[:-1] ** (gamma - 1.0) * dt)))
+    H = np.zeros_like(w)
+    np.cumsum(h[:, :-1] ** (gamma - 1.0) * dt, axis=1, out=H[:, 1:])
+    return logh, h, H
+
+
+def multiplier_path(path: NoisePath, coeffs: CoefficientPair, gamma: float) -> MultiplierPath:
+    """Build the multiplier and clock for homogeneity degree ``gamma`` >= 1."""
+    logh, h, H = (rows[0] for rows in multiplier_block(path.w[None, :], path.grid, coeffs, gamma))
     return MultiplierPath(
-        grid=grid,
+        grid=path.grid,
         gamma=float(gamma),
         logh=_readonly(logh),
         h=_readonly(h),
@@ -300,26 +326,64 @@ def multiplier_path(path: NoisePath, coeffs: CoefficientPair, gamma: float) -> M
     )
 
 
-def _check_time(clock: MultiplierPath, t) -> np.ndarray:
+def _check_time(horizon: float, t) -> np.ndarray:
     arr = np.asarray(t, dtype=float)
-    slack = _ALIGN_TOL * max(1.0, clock.horizon)
-    if np.any(arr < -slack) or np.any(arr > clock.horizon + slack):
+    slack = _ALIGN_TOL * max(1.0, horizon)
+    if np.any(arr < -slack) or np.any(arr > horizon + slack):
         raise OutOfRangeError(
-            f"time {arr} outside the sampled horizon [0, {clock.horizon}]"
+            f"time {arr} outside the sampled horizon [0, {horizon}]"
         )
-    return np.clip(arr, 0.0, clock.horizon)
+    return np.clip(arr, 0.0, horizon)
+
+
+def locate_times(grid: TimeGrid, times) -> tuple[np.ndarray, np.ndarray]:
+    """Check probe times against the horizon and find the mesh interval of each.
+
+    Returns the times clipped to [0, horizon] and the index j of the last node
+    at or before each, the pair :func:`read_block` takes.
+    """
+    x = _check_time(grid.horizon, times)
+    return x, np.searchsorted(grid.nodes, x, side="right") - 1
+
+
+def read_block(values: np.ndarray, grid: TimeGrid, located) -> np.ndarray:
+    """Rows of node values, linear between nodes, read at the located probe times.
+
+    ``values`` has shape (rows, steps + 1) and ``located`` comes from
+    :func:`locate_times`; the result has shape (rows, len(times)).  The
+    arithmetic is ``np.interp``'s, so each entry has the bits of
+    ``np.interp(t, grid.nodes, row)``: the node value on a node, otherwise
+    ``slope * (t - nodes[j]) + row[j]``, retried from the right node when
+    that gives NaN.
+    """
+    x, j = located
+    nodes = grid.nodes
+    out = values[:, j]
+    inside = np.flatnonzero(x != nodes[j])
+    if inside.size:
+        ji, xi = j[inside], x[inside]
+        lo, hi = values[:, ji], values[:, ji + 1]
+        with np.errstate(all="ignore"):
+            slope = (hi - lo) / (nodes[ji + 1] - nodes[ji])
+            vals = slope * (xi - nodes[ji]) + lo
+            nan = np.isnan(vals)
+            if nan.any():
+                retry = slope * (xi - nodes[ji + 1]) + hi
+                vals = np.where(nan, np.where(np.isnan(retry) & (lo == hi), lo, retry), vals)
+        out[:, inside] = vals
+    return out
 
 
 def interp_h(clock: MultiplierPath, t):
     """Multiplier h(t), linear between grid nodes."""
-    arr = _check_time(clock, t)
+    arr = _check_time(clock.horizon, t)
     out = np.interp(arr, clock.grid.nodes, clock.h)
     return float(out) if np.isscalar(t) or np.ndim(t) == 0 else out
 
 
 def interp_H(clock: MultiplierPath, t):
     """Clock H(t), linear between grid nodes (the exact left-endpoint continuation)."""
-    arr = _check_time(clock, t)
+    arr = _check_time(clock.horizon, t)
     out = np.interp(arr, clock.grid.nodes, clock.H)
     return float(out) if np.isscalar(t) or np.ndim(t) == 0 else out
 

@@ -13,6 +13,7 @@ from spmelab import (
     DeterministicSolution,
     InvalidInputError,
     McConfig,
+    OutOfRangeError,
     SchemeConfig,
     SpatialGrid,
     StochasticFieldSample,
@@ -48,6 +49,7 @@ from spmelab import (
     sweep_paths,
     weak_form_residual,
 )
+from spmelab import analysis
 from spmelab.analysis import TABLE_MARGIN
 
 MASTER = 20260815
@@ -73,8 +75,6 @@ def test_mc_config_validation():
         McConfig(n_paths=1, master_seed=1, grid=grid, coeffs=coeffs, m=2.0)
     with pytest.raises(InvalidInputError):
         McConfig(n_paths=4, master_seed=1, grid=grid, coeffs=coeffs, m=1.0)
-    with pytest.raises(InvalidInputError):
-        McConfig(n_paths=4, master_seed=1, grid=grid, coeffs=coeffs, m=2.0, threads=0)
 
 
 def test_path_clock_is_a_pure_function_of_the_config():
@@ -208,16 +208,19 @@ def test_mc_mean_mass_with_noise_passes_at_three_standard_errors():
     assert len(rep.extras["per_path"]) == 400
 
 
-def test_mc_mean_mass_is_thread_invariant_bitwise():
+def test_mc_mean_mass_is_block_size_invariant_bitwise(monkeypatch):
     box = box_state(line_grid(), 1.0, 1.0)
-    kwargs = dict(
+    cfg = McConfig(
         n_paths=100, master_seed=MASTER, grid=TimeGrid.uniform(0.5, 128),
         coeffs=CoefficientPair.constant(1.0, 0.0), m=2.0, initial=box,
     )
-    serial = mc_mean_mass(McConfig(threads=1, **kwargs), 0.5)
-    threaded = mc_mean_mass(McConfig(threads=4, **kwargs), 0.5)
-    assert serial.estimate == threaded.estimate
-    assert serial.extras["per_path"] == threaded.extras["per_path"]
+    whole = mc_mean_mass(cfg, 0.5)
+    # 129 values per path: one row per block, then 7 rows (100 is no multiple of 7).
+    for rows in (1, 7):
+        monkeypatch.setattr(analysis, "BLOCK_VALUES", rows * 129)
+        blocked = mc_mean_mass(cfg, 0.5)
+        assert blocked.estimate == whole.estimate
+        assert blocked.extras["per_path"] == whole.extras["per_path"]
 
 
 def test_mc_lp_bound_holds_and_validates_p():
@@ -531,3 +534,61 @@ def test_support_portrait_matches_the_scalar_reference_bitwise():
     rep = support_experiment(cfg, mass_check_time=2.0)
     assert np.array_equal(rep.support_radii, np.array(radii))
     assert np.array_equal(rep.decay_medians, np.median(np.array(centre), axis=0))
+
+
+# ---------------------------------------------------------------------------
+# The block clock engine against the per-path calls.
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("rows", [None, 1, 7])
+@pytest.mark.parametrize("gamma", [2.0, 3.0])
+def test_block_clocks_match_the_per_path_reference_bitwise(monkeypatch, gamma, rows):
+    grid = TimeGrid.uniform(1.5, 96)
+    coeffs = CoefficientPair.from_pieces(
+        [(0.0, 1.2), (0.25, 0.0), (0.5, 0.7), (1.25, 0.0)], [(0.0, 0.3), (0.75, -0.5), (1.25, 0.0)]
+    )
+    cfg = McConfig(n_paths=30, master_seed=MASTER, grid=grid, coeffs=coeffs, m=gamma)
+    slack = 1e-9 * 1.5
+    times = [
+        0.0, -0.5 * slack, 0.5 * slack,        # the origin and inside its slack
+        0.25, grid.nodes[7], grid.nodes[95],   # on nodes, breakpoints included
+        0.3, 0.123456789, 1.4999,              # between nodes
+        1.5, 1.5 + 0.5 * slack, 0.5,           # the horizon, inside its slack, and back
+    ]
+    if rows is not None:
+        monkeypatch.setattr(analysis, "BLOCK_VALUES", rows * 97)
+    h, H, logh_end = analysis._clocks(cfg, times)
+    clocks = [path_clock(cfg, i) for i in range(cfg.n_paths)]
+    assert np.array_equal(h, np.array([interp_h(c, times) for c in clocks]))
+    assert np.array_equal(H, np.array([interp_H(c, times) for c in clocks]))
+    assert np.array_equal(logh_end, np.array([c.logh[-1] for c in clocks]))
+    xis = limit_law_statistics(cfg).extras["xis"]
+    assert xis == [float(c.logh[-1]) for c in clocks]
+
+
+@pytest.mark.parametrize("times", [[0.5, 1.0 + 1e-6], [-1e-6], [2.0]])
+def test_block_clocks_reject_out_of_range_times_before_drawing(monkeypatch, times):
+    cfg = McConfig(n_paths=5, master_seed=MASTER, grid=TimeGrid.uniform(1.0, 16),
+                   coeffs=CoefficientPair.constant(1.0, 0.0), m=2.0)
+    with pytest.raises(OutOfRangeError) as per_path:
+        interp_h(path_clock(cfg, 0), times)
+
+    def no_draw(*args):
+        raise AssertionError("a path was drawn before the probe times were checked")
+
+    monkeypatch.setattr(analysis, "brownian_block", no_draw)
+    with pytest.raises(OutOfRangeError) as block:
+        analysis._clocks(cfg, times)
+    assert str(block.value) == str(per_path.value)
+
+
+@pytest.mark.parametrize("g,message", [(800.0, "overflowed to infinity"), (-800.0, "underflowed to zero")])
+def test_block_clocks_fail_like_the_per_path_clock(g, message):
+    cfg = McConfig(n_paths=5, master_seed=MASTER, grid=TimeGrid.uniform(1.0, 16),
+                   coeffs=CoefficientPair.constant(1.0, g), m=2.0)
+    with pytest.raises(InvalidInputError) as per_path:
+        path_clock(cfg, 0)
+    with pytest.raises(InvalidInputError) as block:
+        analysis._clocks(cfg, [1.0])
+    assert message in str(block.value) and str(block.value) == str(per_path.value)

@@ -3,13 +3,14 @@ from __future__ import annotations
 
 import dataclasses
 import filecmp
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from spmelab import BarenblattParams, barenblatt_mass, cli, parse_config
+from spmelab import BarenblattParams, analysis, barenblatt_mass, cli, parse_config
 from spmelab.cli import main
 
 
@@ -223,20 +224,38 @@ def test_seed_override_changes_the_sampled_paths(tmp_path):
     assert echo.seed == 3
 
 
-def test_threaded_rerun_is_byte_identical(tmp_path):
-    body = (
-        "command = mc\nmode = mean_mass\nn_paths = 40\nsteps = 128\n"
-        "horizon = 0.5\nt = 0.5\n"
-    )
-    cfg = write_config(tmp_path, "mc.ini", body + f"out = {tmp_path / 'serial'}\n")
+def _artifacts(outdir) -> dict:
+    """Each artifact's lines as bytes, without the manifest wall time and the echoed out line."""
+    return {
+        path.name: [
+            line for line in path.read_bytes().splitlines(keepends=True)
+            if not line.startswith((b"wall time:", b"out = "))
+        ]
+        for path in sorted(outdir.iterdir())
+    }
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        "command = mc\nmode = mean_mass\nn_paths = 40\nsteps = 128\nhorizon = 0.5\nt = 0.5\n",
+        "command = mc\nmode = limit_law\nf = 0:1, 0.25:0\nn_paths = 40\nsteps = 128\nhorizon = 0.5\n",
+    ],
+    ids=["mean_mass", "limit_law"],
+)
+def test_block_size_rerun_is_byte_identical(tmp_path, monkeypatch, capsys, body):
+    cfg = write_config(tmp_path, "mc.ini", body + f"out = {tmp_path / 'default'}\n")
     assert main(["--config", cfg]) == 0
-    assert main(["--config", cfg, "--out", str(tmp_path / "quad"), "--threads", "4"]) == 0
-    for name in ("per_path.csv", "summary.csv"):
-        assert filecmp.cmp(tmp_path / "serial" / name, tmp_path / "quad" / name, shallow=False)
-    rerun = tmp_path / "rerun"
-    assert main(["--config", cfg, "--out", str(rerun)]) == 0
-    for name in ("per_path.csv", "summary.csv"):
-        assert filecmp.cmp(tmp_path / "serial" / name, rerun / name, shallow=False)
+    want, want_out = _artifacts(tmp_path / "default"), capsys.readouterr().out
+    assert not any(b"threads" in line for lines in want.values() for line in lines)
+    assert "threads" not in want_out
+    # 128 steps give 129 values per path: one row per block, then 7 rows (40 is no multiple of 7).
+    for rows in (1, 7):
+        monkeypatch.setattr(analysis, "BLOCK_VALUES", rows * 129)
+        out = tmp_path / f"rows_{rows}"
+        assert main(["--config", cfg, "--out", str(out)]) == 0
+        assert _artifacts(out) == want
+        assert capsys.readouterr().out == want_out
 
 
 def test_missing_config_file_is_a_usage_error(tmp_path, capsys):
@@ -295,8 +314,10 @@ def test_installed_entry_point_smoke(tmp_path):
         "command = exact\nsolution = barenblatt\ncells = 16\ntimes = 1\n"
         f"out = {tmp_path / 'out'}\n",
     )
+    # The child gets this process's import path, so the test runs without an install.
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in sys.path if p)}
     proc = subprocess.run(
         [sys.executable, "-m", "spmelab.cli", "--config", cfg],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0

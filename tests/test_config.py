@@ -10,6 +10,7 @@ from spmelab import (
     parse_config,
     serialize_config,
 )
+from spmelab.cli import main
 
 
 def test_minimal_config_fills_documented_defaults():
@@ -135,7 +136,6 @@ def test_piece_syntax_errors():
         ("height = -1", "height"),
         ("half_width = 0", "height"),
         ("n_paths = 0", "n_paths"),
-        ("threads = 0", "threads"),
         ("cfl_safety = 1.5", "cfl_safety"),
         ("times = -1", "times"),
         ("times = 2, 1", "times"),
@@ -148,11 +148,30 @@ def test_semantic_validation_reports_the_offending_key(line, key):
 
 def test_apply_overrides_revalidates():
     cfg = parse_config("[run]\ncommand = evolve\n")
-    over = apply_overrides(cfg, seed=7, out="elsewhere", threads=3)
-    assert (over.seed, over.out, over.threads) == (7, "elsewhere", 3)
+    over = apply_overrides(cfg, seed=7, out="elsewhere")
+    assert (over.seed, over.out) == (7, "elsewhere")
     assert apply_overrides(cfg) is cfg
-    with pytest.raises(ConfigError):
-        apply_overrides(cfg, threads=0)
+    with pytest.raises(TypeError):
+        apply_overrides(cfg, threads=3)
+
+
+def test_threads_key_is_rejected_naming_the_key(tmp_path, capsys):
+    path = tmp_path / "threads.ini"
+    path.write_text(f"[run]\ncommand = path\nthreads = 4\nout = {tmp_path / 'out'}\n", encoding="utf-8")
+    assert main(["--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error (line 3)") and "'threads'" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_threads_flag_is_rejected(tmp_path, capsys):
+    path = tmp_path / "path.ini"
+    path.write_text(f"[run]\ncommand = path\nout = {tmp_path / 'out'}\n", encoding="utf-8")
+    with pytest.raises(SystemExit) as exc:
+        main(["--config", str(path), "--threads", "4"])
+    assert exc.value.code == 2
+    assert "--threads" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_serialization_is_canonical_and_stable():

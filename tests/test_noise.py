@@ -26,6 +26,7 @@ from spmelab import (
     sample_brownian,
     still_path,
 )
+from spmelab.noise import brownian_block, locate_times, multiplier_block, read_block
 
 MASTER = 20260815
 
@@ -313,3 +314,58 @@ def test_interp_guards_outside_horizon():
         interp_h(clock, 1.5)
     with pytest.raises(OutOfRangeError):
         interp_H(clock, -0.5)
+
+
+# ---------------------------------------------------------------------------
+# Block arithmetic: rows of paths at once, bit for bit like one path at a time.
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("gamma", [1.0, 2.0, 2.5, 3.0])
+def test_block_rows_match_a_plain_one_path_formula_bitwise(gamma):
+    grid = TimeGrid.uniform(2.0, 80)
+    coeffs = CoefficientPair.from_pieces([(0.0, 0.9), (0.5, 0.0), (1.0, 1.4)], [(0.0, -0.2), (1.5, 0.6)])
+    seeds = [mix_seed(MASTER, i) for i in range(9)]
+    w = brownian_block(grid, seeds)
+    logh, h, H = multiplier_block(w, grid, coeffs, gamma)
+    f_vals, g_vals = coeffs.values_on(grid)
+    dt = np.diff(grid.nodes)
+    for r, seed in enumerate(seeds):
+        rng = np.random.Generator(np.random.PCG64(seed))
+        w_ref = np.concatenate(([0.0], np.cumsum(rng.standard_normal(dt.size) * np.sqrt(dt))))
+        dlog = g_vals * dt + f_vals * np.diff(w_ref) - 0.5 * f_vals**2 * dt
+        logh_ref = np.concatenate(([0.0], np.cumsum(dlog)))
+        h_ref = np.exp(logh_ref)
+        H_ref = np.concatenate(([0.0], np.cumsum(h_ref[:-1] ** (gamma - 1.0) * dt)))
+        for got, want in ((w, w_ref), (logh, logh_ref), (h, h_ref), (H, H_ref)):
+            assert np.array_equal(got[r], want)
+        one = multiplier_path(sample_brownian(grid, seed), coeffs, gamma)
+        assert np.array_equal(one.path.w, w_ref) and np.array_equal(one.H, H_ref)
+
+
+def test_read_block_matches_np_interp_bitwise():
+    grid = TimeGrid(np.array([0.0, 0.1, 0.35, 0.5, 0.9, 1.0]))
+    rng = np.random.default_rng(3)
+    values = np.vstack((
+        rng.uniform(-2.0, 2.0, (4, 6)),
+        np.cumsum(rng.uniform(0.0, 1e300, (2, 6)), axis=1),   # overflows to inf inside
+        [[0.0, 1.0, np.inf, np.inf, np.inf, np.inf]],
+        [[5.0, 5.0, 5.0, -np.inf, -np.inf, 1.0]],
+    ))
+    slack = 1e-9
+    times = np.concatenate((grid.nodes, [-0.5 * slack, 1.0 + 0.5 * slack, 0.05, 0.2, 0.49, 0.7, 0.95, 0.999999]))
+    got = read_block(values, grid, locate_times(grid, times))
+    clipped = np.clip(times, 0.0, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        want = np.array([np.interp(clipped, grid.nodes, row) for row in values])
+    assert got.shape == (values.shape[0], times.size)
+    assert np.array_equal(got, want, equal_nan=True)
+
+
+def test_locate_times_rejects_times_outside_the_horizon():
+    grid = TimeGrid.uniform(1.0, 8)
+    with pytest.raises(OutOfRangeError, match="outside the sampled horizon"):
+        locate_times(grid, [0.5, 1.0 + 1e-6])
+    x, j = locate_times(grid, [0.0, 0.3, 1.0])
+    assert x.tolist() == [0.0, 0.3, 1.0] and j.tolist() == [0, 2, 8]

@@ -375,7 +375,7 @@ def tables_and_queries(draw):
     ts = np.concatenate((times, inside, [table.t_first - 0.5 * slack, table.t_last + 0.5 * slack]))
     rng.shuffle(ts)
     edges = [grid.lo, grid.hi, -grid.hi, grid.hi + 1.0, grid.lo - 1.0]
-    spots = rng.uniform(grid.lo - 1.0 - grid.hi, grid.hi + 1.0, draw(st.integers(0, 8)))
+    spots = rng.uniform(min(grid.lo, -grid.hi) - 1.0, grid.hi + 1.0, draw(st.integers(0, 8)))
     positions = np.concatenate((grid.centers[:: max(1, cells // 5)], grid.faces[:3], edges, spots))
     return table, ts, positions
 
