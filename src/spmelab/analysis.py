@@ -209,6 +209,8 @@ def clock_sweep(cfg: McConfig, times, initials: tuple | None = None) -> ClockSwe
     """
     h, H, logh_end = _clocks(cfg, times)
     max_clock = float(np.max(H))
+    if not math.isfinite(max_clock):
+        raise InvalidInputError("clock overflowed to infinity; shorten the horizon or the drift")
     tables = _reference_tables(cfg, TABLE_MARGIN * max_clock, initials or (cfg.initial,))
     return ClockSweep(h=h, H=H, logh_end=logh_end, max_clock=max_clock, tables=tables)
 

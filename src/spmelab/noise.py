@@ -308,7 +308,8 @@ def multiplier_block(
             "multiplier overflowed to infinity; shorten the horizon or the drift"
         )
     H = np.zeros_like(w)
-    np.cumsum(h[:, :-1] ** (gamma - 1.0) * dt, axis=1, out=H[:, 1:])
+    with np.errstate(over="ignore"):
+        np.cumsum(h[:, :-1] ** (gamma - 1.0) * dt, axis=1, out=H[:, 1:])
     return logh, h, H
 
 

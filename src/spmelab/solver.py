@@ -154,11 +154,52 @@ def barenblatt_state(grid: SpatialGrid, p: BarenblattParams, t0: float) -> Field
     return FieldState(grid=grid, time=t0, values=values)
 
 
+def _bound(peak: float, m: float, safety: float, grid: SpatialGrid) -> float:
+    """The monotonicity bound on dt for a field whose largest value is ``peak``."""
+    denom = 2.0 * grid.dim * m * peak ** (m - 1.0) if peak > 0.0 else 0.0
+    return safety * grid.dx**2 / max(denom, _DENOM_FLOOR)
+
+
 def stable_dt(state: FieldState, m: float, safety: float = 1.0) -> float:
     """Largest admissible explicit step for the current state."""
     peak = float(np.max(state.values)) if state.values.size else 0.0
-    denom = 2.0 * state.grid.dim * m * peak ** (m - 1.0) if peak > 0.0 else 0.0
-    return safety * state.grid.dx**2 / max(denom, _DENOM_FLOOR)
+    return _bound(peak, m, safety, state.grid)
+
+
+def _work(u: np.ndarray) -> tuple:
+    """Buffers for :func:`_advance` on rows shaped like ``u``, with the views it
+    reads: u**m, the face fluxes between two zero columns (the no-flux walls),
+    and the divergence."""
+    rows, cells = u.shape
+    um, padded, div = np.empty_like(u), np.zeros((rows, cells + 1)), np.empty_like(u)
+    return um, um[:, 1:], um[:, :-1], padded[:, 1:-1], padded[:, 1:], padded[:, :-1], div
+
+
+def _advance(u: np.ndarray, m: float, dt: float, grid: SpatialGrid, work: tuple):
+    """Advance every row of ``u`` by one explicit step of length dt, in place.
+
+    The flux is (A * diff(u**m)) / dx and the update u + (dt * div) / volume,
+    in that order, so a row's bits do not depend on the other rows.  Negative
+    values are zeroed; returns the mass that zeroed per row, or None when no
+    value went negative.
+    """
+    um, um_right, um_left, flux, flux_right, flux_left, div = work
+    np.power(u, m, out=um)
+    np.subtract(um_right, um_left, out=flux)
+    np.multiply(grid.face_areas[1:-1], flux, out=flux)
+    np.divide(flux, grid.dx, out=flux)
+    np.subtract(flux_right, flux_left, out=div)
+    np.multiply(dt, div, out=div)
+    np.divide(div, grid.volumes, out=div)
+    np.add(u, div, out=u)
+    if not u.min() < 0.0:
+        return None
+    lost = []
+    for row in u:
+        negative = row < 0.0
+        lost.append(float(-np.dot(row[negative], grid.volumes[negative])) if negative.any() else 0.0)
+        row[negative] = 0.0
+    return lost
 
 
 def step(state: FieldState, m: float, dt: float, safety: float = 1.0) -> FieldState:
@@ -177,24 +218,19 @@ def step(state: FieldState, m: float, dt: float, safety: float = 1.0) -> FieldSt
             f"dt = {dt:.3e} exceeds the stability bound {bound:.3e} "
             f"(safety {safety:g}, dx {state.grid.dx:.3e})"
         )
-    g = state.grid
-    um = state.values**m
-    flux = g.face_areas[1:-1] * np.diff(um) / g.dx
-    divergence = np.zeros(g.cells)
-    divergence[:-1] += flux
-    divergence[1:] -= flux
-    new_values = state.values + dt * divergence / g.volumes
-    clamped = 0.0
-    negative = new_values < 0.0
-    if np.any(negative):
-        clamped = float(-np.dot(new_values[negative], g.volumes[negative]))
-        new_values = np.where(negative, 0.0, new_values)
-    return FieldState(grid=g, time=state.time + dt, values=new_values, clamped_mass=clamped)
+    u = state.values[None, :].copy()
+    lost = _advance(u, m, dt, state.grid, _work(u))
+    mass = lost[0] if lost else 0.0
+    return FieldState(grid=state.grid, time=state.time + dt, values=u[0], clamped_mass=mass)
 
 
 @dataclass(frozen=True, eq=False)
 class SnapshotTable:
-    """States stored at increasing times, with the masses and the (snapshots, cells) values."""
+    """States stored at increasing times, with the masses and the (snapshots, cells) values.
+
+    ``steps``, ``dt_min`` and ``dt_max`` count the explicit steps that built
+    the table and their length range (NaN when no step was taken).
+    """
 
     states: tuple
     m: float
@@ -203,6 +239,9 @@ class SnapshotTable:
     masses: np.ndarray = field(init=False)
     values: np.ndarray = field(init=False)
     clamped_total: float = 0.0
+    steps: int = 0
+    dt_min: float = math.nan
+    dt_max: float = math.nan
 
     def __post_init__(self):
         times = np.array([s.time for s in self.states], dtype=float)
@@ -269,30 +308,53 @@ def _march(initials: tuple, m: float, horizon: float, cfg: SchemeConfig) -> tupl
         if s < t0 - 1e-12 or s > horizon + 1e-12:
             raise InvalidInputError("snapshot times must lie between the initial time and the horizon")
 
+    if m <= 1.0:
+        raise InvalidInputError("the solver handles m > 1")
+    if len({(g.kind, g.lo, g.hi, g.cells, g.dim) for g in (st.grid for st in initials)}) > 1:
+        raise InvalidInputError("paired evolution needs a common grid")
+    grid = initials[0].grid
+
+    u = np.stack([st.values for st in initials])
+    work = _work(u)
     snaps = [[st] for st in initials]
-    states = list(initials)
+    clocks = [st.time for st in initials]
     clamped = [st.clamped_mass for st in initials]
+    lost = None
     steps_taken = 0
+    dt_min, dt_max = math.inf, 0.0
     eps = 1e-12 * max(1.0, abs(horizon))
     safety = cfg.cfl_safety
     for target in targets:
         if target <= t0 + eps:
             continue
-        while states[0].time < target - eps:
-            dt = target - states[0].time
-            for st in states:
-                dt = min(dt, stable_dt(st, m, safety))
-            for i, st in enumerate(states):
-                states[i] = step(st, m, dt, safety=safety)
-                clamped[i] += states[i].clamped_mass
+        while clocks[0] < target - eps:
+            dt = target - clocks[0]
+            for peak in u.max(axis=1).tolist():
+                if not math.isfinite(peak):
+                    raise InvalidInputError("field values must be finite and nonnegative")
+                dt = min(dt, _bound(peak, m, safety, grid))
+            if not dt > 0.0:
+                raise InvalidInputError("dt must be positive")
+            # dt is the least of the rows' bounds, so step's stability check holds for every row.
+            lost = _advance(u, m, dt, grid, work)
+            if lost is not None:
+                clamped = [c + x for c, x in zip(clamped, lost)]
+            clocks = [c + dt for c in clocks]
+            dt_min, dt_max = min(dt_min, dt), max(dt_max, dt)
             steps_taken += 1
             if steps_taken > _MAX_STEPS:
                 raise StabilityError("step budget exhausted before reaching the horizon")
-        for i, st in enumerate(states):
-            snaps[i].append(st)
+        for i, snap in enumerate(snaps):
+            mass = lost[i] if lost else 0.0
+            snap.append(FieldState(grid=snap[0].grid, time=clocks[i], values=u[i], clamped_mass=mass))
+    if not steps_taken:
+        dt_min = dt_max = math.nan
     return tuple(
-        SnapshotTable(states=tuple(snaps[i]), m=m, scheme=cfg, clamped_total=clamped[i])
-        for i in range(len(initials))
+        SnapshotTable(
+            states=tuple(snap), m=m, scheme=cfg, clamped_total=total,
+            steps=steps_taken, dt_min=dt_min, dt_max=dt_max,
+        )
+        for snap, total in zip(snaps, clamped)
     )
 
 

@@ -592,3 +592,19 @@ def test_block_clocks_fail_like_the_per_path_clock(g, message):
     with pytest.raises(InvalidInputError) as block:
         analysis._clocks(cfg, [1.0])
     assert message in str(block.value) and str(block.value) == str(per_path.value)
+
+
+def test_clock_overflow_fails_before_any_table_is_built(monkeypatch):
+    # m = 3 squares h inside the clock: h stays finite while H overflows.
+    cfg = McConfig(n_paths=4, master_seed=MASTER, grid=TimeGrid.uniform(1.0, 256),
+                   coeffs=CoefficientPair.constant(1.0, 400.0), m=3.0,
+                   initial=box_state(line_grid(cells=40), 1.0, 1.0))
+
+    def no_table(*args):
+        raise AssertionError("a table was built for an infinite clock")
+
+    monkeypatch.setattr(analysis, "_reference_tables", no_table)
+    with pytest.raises(InvalidInputError, match="clock overflowed to infinity"):
+        analysis.clock_sweep(cfg, [0.951])
+    h, H, _ = analysis._clocks(cfg, [0.951])
+    assert np.all(np.isfinite(h)) and not np.all(np.isfinite(H))

@@ -321,3 +321,15 @@ def test_installed_entry_point_smoke(tmp_path):
         capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0
+
+
+def test_clock_overflow_exits_with_status_two_and_no_warning(tmp_path, capsys, recwarn):
+    cfg = write_config(
+        tmp_path, "clock.ini",
+        "command = mc\nmode = mean_mass\nm = 3\ng = 0:400\nn_paths = 4\nt = 0.951\n"
+        f"out = {tmp_path / 'out'}\n",
+    )
+    assert main(["--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert "clock overflowed to infinity" in err and "Warning" not in err
+    assert not recwarn.list

@@ -35,6 +35,7 @@ from spmelab import (
     support_radius,
     table_solution,
 )
+from spmelab import solver
 
 
 def line_grid(lo=-6.0, hi=6.0, cells=200) -> SpatialGrid:
@@ -416,3 +417,221 @@ def test_one_out_of_range_time_fails_the_whole_array_read(case, late):
     ):
         with pytest.raises(OutOfRangeError):
             read()
+
+
+# ---------------------------------------------------------------------------
+# The array marching loop against the loop it replaced: one FieldState at a
+# time through the public stable_dt and step.  Equal means equal bytes.
+# ---------------------------------------------------------------------------
+
+
+def _first_update(values, grid, m, dt):
+    """The one-state update as first written: flux, divergence, update, clamp."""
+    um = values**m
+    flux = grid.face_areas[1:-1] * np.diff(um) / grid.dx
+    divergence = np.zeros(grid.cells)
+    divergence[:-1] += flux
+    divergence[1:] -= flux
+    new_values = values + dt * divergence / grid.volumes
+    clamped = 0.0
+    negative = new_values < 0.0
+    if np.any(negative):
+        clamped = float(-np.dot(new_values[negative], grid.volumes[negative]))
+        new_values = np.where(negative, 0.0, new_values)
+    return new_values, clamped
+
+
+def _reference_march(initials, m, horizon, cfg):
+    """The scalar marching loop, one state per ``step`` call; returns the tables and every dt."""
+    t0 = initials[0].time
+    targets = sorted({float(s) for s in cfg.snapshot_times} | {horizon})
+    snaps = [[st] for st in initials]
+    states = list(initials)
+    clamped = [st.clamped_mass for st in initials]
+    dts = []
+    eps = 1e-12 * max(1.0, abs(horizon))
+    for target in targets:
+        if target <= t0 + eps:
+            continue
+        while states[0].time < target - eps:
+            dt = target - states[0].time
+            for st in states:
+                dt = min(dt, stable_dt(st, m, cfg.cfl_safety))
+            for i, st in enumerate(states):
+                states[i] = step(st, m, dt, safety=cfg.cfl_safety)
+                clamped[i] += states[i].clamped_mass
+            dts.append(dt)
+        for i, st in enumerate(states):
+            snaps[i].append(st)
+    tables = tuple(
+        SnapshotTable(states=tuple(s), m=m, scheme=cfg, clamped_total=c) for s, c in zip(snaps, clamped)
+    )
+    return tables, dts
+
+
+def _bits(a) -> bytes:
+    return np.asarray(a, dtype=float).tobytes()
+
+
+def assert_same_tables(got, want, dts):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.values.shape == w.values.shape
+        assert _bits(g.times) == _bits(w.times)
+        assert _bits(g.values) == _bits(w.values)
+        assert _bits(g.masses) == _bits(w.masses)
+        assert _bits(g.clamped_total) == _bits(w.clamped_total)
+        assert _bits([s.clamped_mass for s in g.states]) == _bits([s.clamped_mass for s in w.states])
+        assert (g.steps, g.dt_min, g.dt_max) == (len(dts), min(dts), max(dts))
+
+
+def _initials(grid, m, n_states, t0):
+    """Source-type or box data with n_states different peaks, at time t0."""
+    if grid.kind == "radial":
+        base = barenblatt_state(grid, BarenblattParams(m=m, d=grid.dim, b=1.0), 0.5).values
+    else:
+        base = box_state(grid, 1.0, 1.0).values
+    return tuple(FieldState(grid=grid, time=t0, values=scale * base) for scale in (1.0, 0.6, 1.7)[:n_states])
+
+
+@pytest.mark.parametrize(
+    "kind,dim,m,n_states,t0",
+    [
+        ("cartesian", 1, 2.0, 1, 0.0),
+        ("cartesian", 1, 3.0, 3, 0.25),
+        ("cartesian", 1, 1.5, 2, 0.0),
+        ("radial", 2, 1.5, 2, 0.5),
+        ("radial", 2, 2.0, 1, 0.0),
+        ("radial", 3, 3.0, 2, 1.0),
+        ("radial", 3, 2.0, 3, 0.0),
+    ],
+)
+def test_array_march_equals_the_scalar_loop_bitwise(kind, dim, m, n_states, t0):
+    lo = -4.0 if kind == "cartesian" else 0.0
+    grid = SpatialGrid(kind=kind, lo=lo, hi=4.0, cells=48 if kind == "cartesian" else 32, dim=dim)
+    initials = _initials(grid, m, n_states, t0)
+    horizon = t0 + 1.5
+    schedule = tuple(t0 + np.geomspace(1e-4, 1.5, 160)) + (t0, horizon)
+    cfg = SchemeConfig(cfl_safety=0.4, snapshot_times=schedule)
+    want, dts = _reference_march(initials, m, horizon, cfg)
+    got = evolve_together(initials, m, horizon, cfg)
+    assert_same_tables(got, want, dts)
+    assert len(got[0].times) == 161
+    if n_states == 1:
+        assert_same_tables((evolve(initials[0], m, horizon, cfg),), want, dts)
+    assert len({(t.steps, t.dt_min, t.dt_max) for t in got}) == 1
+
+
+@st.composite
+def march_cases(draw):
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cells = draw(st.integers(8, 24))
+    if draw(st.booleans()):
+        grid = SpatialGrid(kind="radial", lo=0.0, hi=float(rng.uniform(0.5, 4.0)), cells=cells,
+                           dim=int(rng.integers(2, 4)))
+    else:
+        lo = float(rng.uniform(-4.0, 0.0))
+        grid = SpatialGrid(kind="cartesian", lo=lo, hi=lo + float(rng.uniform(0.5, 5.0)), cells=cells)
+    m = draw(st.sampled_from([1.5, 2.0, 2.5, 3.0, float(rng.uniform(1.1, 4.0))]))
+    t0 = float(rng.choice([0.0, rng.uniform(0.0, 2.0)]))
+    initials = tuple(
+        FieldState(grid=grid, time=t0, values=rng.uniform(0.0, 3.0, cells) * (rng.random(cells) < 0.7))
+        for _ in range(draw(st.integers(1, 3)))
+    )
+    cfg = SchemeConfig(cfl_safety=float(rng.uniform(0.05, 1.0)))
+    horizon = t0 + draw(st.integers(1, 60)) * min(stable_dt(s, m, cfg.cfl_safety) for s in initials)
+    snaps = t0 + (horizon - t0) * np.sort(rng.random(draw(st.integers(0, 5))))
+    return initials, m, horizon, SchemeConfig(cfg.cfl_safety, tuple(snaps))
+
+
+@settings(max_examples=60, deadline=None)
+@given(march_cases())
+def test_array_march_equals_the_scalar_loop_on_random_data(case):
+    initials, m, horizon, cfg = case
+    want, dts = _reference_march(initials, m, horizon, cfg)
+    assert_same_tables(evolve_together(initials, m, horizon, cfg), want, dts)
+
+
+@settings(max_examples=60, deadline=None)
+@given(march_cases(), st.floats(0.01, 1.0))
+def test_step_equals_the_first_written_update_bitwise(case, fraction):
+    initials, m, _, cfg = case
+    # Negative zeros next to positive ones: the first update turned them into 0.0.
+    values = initials[0].values
+    values = np.where(values == 0.0, np.where(np.arange(values.size) % 3 == 0, -0.0, 0.0), values)
+    state = FieldState(grid=initials[0].grid, time=0.0, values=values)
+    dt = fraction * stable_dt(state, m, cfg.cfl_safety)
+    want, clamped = _first_update(state.values, state.grid, m, dt)
+    got = step(state, m, dt, safety=cfg.cfl_safety)
+    assert _bits(got.values) == _bits(want)
+    assert got.clamped_mass == clamped == 0.0
+    assert got.time == dt
+
+
+@pytest.mark.parametrize("m", [1.5, 2.0, 3.0])
+def test_advance_clamps_rows_like_the_first_written_update(m):
+    # An over-bound dt makes the update overshoot below zero, which no
+    # bounded step does, so the clamp is reached through the private kernel.
+    grid = SpatialGrid(kind="radial", lo=0.0, hi=3.0, cells=24, dim=3)
+    rng = np.random.default_rng(5)
+    ragged = rng.uniform(0.0, 2.0, grid.cells) * (rng.random(grid.cells) < 0.6)
+    rows = np.stack([ragged, np.full(grid.cells, 0.5)])
+    dt = 40.0 * min(stable_dt(FieldState(grid=grid, time=0.0, values=r), m) for r in rows)
+    u = rows.copy()
+    lost = solver._advance(u, m, dt, grid, solver._work(u))
+    want = [_first_update(r, grid, m, dt) for r in rows]
+    assert lost is not None and lost[0] > 0.0 and lost[1] == 0.0
+    assert _bits(u) == _bits(np.stack([w[0] for w in want]))
+    assert _bits(lost) == _bits([w[1] for w in want])
+
+
+def test_march_errors_match_the_scalar_loop(monkeypatch):
+    grid = line_grid(cells=32)
+    box = box_state(grid, 1.0, 1.0)
+    cfg = SchemeConfig(cfl_safety=0.4)
+
+    def no_step(*args):
+        raise AssertionError("stepped before the checks")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(solver, "_advance", no_step)
+        for call in (lambda: evolve(box, 1.0, 1.0, cfg), lambda: step(box, 1.0, 1e-3),
+                     lambda: evolve_together((box, box), 0.5, 1.0, cfg)):
+            with pytest.raises(InvalidInputError, match="the solver handles m > 1"):
+                call()
+        late = box_state(grid, 1.0, 1.0, time=0.5)
+        with pytest.raises(InvalidInputError, match="common start time"):
+            evolve_together((box, late), 2.0, 1.0, cfg)
+        other = box_state(line_grid(lo=-5.0, cells=32), 1.0, 1.0)
+        with pytest.raises(InvalidInputError, match="common grid"):
+            evolve_together((box, other), 2.0, 1.0, cfg)
+
+    tiny = box_state(SpatialGrid(kind="cartesian", lo=-1e-170, hi=1e-170, cells=8), 1.0, 1.0)
+    for march in (evolve_together, _reference_march):
+        with pytest.raises(InvalidInputError, match="dt must be positive"):
+            march((tiny,), 2.0, 1.0, cfg)
+    huge = FieldState(grid=grid, time=0.0, values=1e200 * box.values)
+    with np.errstate(all="ignore"):
+        for march in (evolve_together, _reference_march):
+            with pytest.raises(InvalidInputError, match="finite and nonnegative"):
+                march((huge,), 2.0, 1.0, cfg)
+    monkeypatch.setattr(solver, "_MAX_STEPS", 5)
+    with pytest.raises(StabilityError, match="step budget exhausted"):
+        evolve(box, 2.0, 1.0, cfg)
+
+
+def test_paired_states_keep_their_own_clocks():
+    # Start times within the common-start tolerance stay apart, as each
+    # state's own time did in the scalar loop.
+    grid = line_grid(cells=24)
+    initials = (box_state(grid, 1.0, 1.0, time=0.3), box_state(grid, 0.5, 1.0, time=0.3 + 2e-13))
+    cfg = SchemeConfig(cfl_safety=0.4, snapshot_times=(0.5, 0.8))
+    want, dts = _reference_march(initials, 2.0, 1.0, cfg)
+    got = evolve_together(initials, 2.0, 1.0, cfg)
+    assert_same_tables(got, want, dts)
+    assert not np.array_equal(got[0].times, got[1].times)
+
+
+def test_tables_built_without_marching_carry_no_step_statistics():
+    table = SnapshotTable(states=(box_state(line_grid(cells=16), 1.0, 1.0),), m=2.0, scheme=SchemeConfig())
+    assert table.steps == 0 and math.isnan(table.dt_min) and math.isnan(table.dt_max)
