@@ -395,6 +395,11 @@ def weak_form_residual(
     - sum (u, phi)(f dw + g dt)| with left-endpoint sums on the clock's own
     mesh; t snaps down to the nearest grid node.  Spatial inner products use
     a fixed Simpson rule over the bump's support.
+
+    The base is evaluated once on a column of clock values against a row of
+    positions.  A base that does not broadcast over s, so that this call
+    raises ValueError or TypeError or returns another shape, is evaluated at
+    one clock value at a time; any other error propagates.
     """
     clock = sample.clock
     nodes = clock.grid.nodes
@@ -409,9 +414,9 @@ def weak_form_residual(
     Hs = clock.H[: k_end + 1]
     try:
         base_vals = np.asarray(sample.base.evaluate(Hs[:, None], xs[None, :]), dtype=float)
-        if base_vals.shape != (k_end + 1, xs.size):
-            raise ValueError
-    except Exception:
+    except (ValueError, TypeError):
+        base_vals = None
+    if base_vals is None or base_vals.shape != (k_end + 1, xs.size):
         base_vals = np.vstack(
             [np.asarray(sample.base.evaluate(float(s), xs), dtype=float) for s in Hs]
         )

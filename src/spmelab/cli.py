@@ -5,8 +5,9 @@ plot-description text file per CSV (column mapping and axis labels, no
 plotting dependency), a canonical config echo, and manifest.txt with the
 version tag, seeds, wall time, and the pass/fail state of every embedded
 check.  Exit status: 0 when all checks pass, 1 when some check fails,
-2 on configuration or runtime errors.  CSV cells use 17 significant digits
-and '\n' line ends, so identical configs give byte-identical artifacts.
+2 on configuration or runtime errors.  CSV integers print in decimal, bools
+as true/false and floats with 17 significant digits, with '\n' line ends, so
+identical configs give byte-identical artifacts.
 """
 from __future__ import annotations
 
@@ -19,13 +20,13 @@ import numpy as np
 
 from . import __version__
 from .analysis import (
+    BLOCK_VALUES,
     McConfig,
     asymptotics_experiment,
     clock_sweep,
     limit_law_statistics,
     mc_lp_bound,
     mc_mean_mass,
-    path_clock,
     support_experiment,
 )
 from .config import RunConfig, apply_overrides, parse_config, serialize_config
@@ -38,7 +39,7 @@ from .exact import (
     linear_pressure_base,
     quadratic_pressure,
 )
-from .noise import CoefficientPair, TimeGrid
+from .noise import CoefficientPair, TimeGrid, brownian_block, mix_seed, multiplier_block
 from .solver import (
     FieldState,
     SchemeConfig,
@@ -50,19 +51,38 @@ from .solver import (
 )
 
 
-def _fmt(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return f"{float(value):.17g}"
+# Rows are rendered and written this many at a time, so the Python objects of
+# a column exist for one chunk only and peak memory does not grow with the file.
+_CHUNK_ROWS = 4096
 
 
-def _write_csv(path: Path, header, rows) -> None:
+def _column(values) -> tuple:
+    """A column's printf format and an array whose ``tolist`` gives its cells."""
+    arr = np.asarray(values)
+    if arr.dtype.kind == "b":
+        return "%s", np.where(arr, "true", "false")
+    if arr.dtype.kind in "iu":
+        return "%d", arr
+    return "%.17g", arr.astype(float, copy=False)
+
+
+def _write_csv(path: Path, header, columns) -> None:
+    """Write equal-length ``columns`` under ``header``, one format per column.
+
+    Bools print as true/false, integers in decimal, and everything else as
+    its float value to 17 significant digits.
+    """
+    formats, arrays = zip(*map(_column, columns))
+    lengths = {arr.shape[0] for arr in arrays}
+    if len(lengths) != 1:
+        raise ValueError("CSV columns must have equal lengths")
+    (rows,) = lengths
+    line = ",".join(formats) + "\n"
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        for start in range(0, rows, _CHUNK_ROWS):
+            cells = [arr[start:start + _CHUNK_ROWS].tolist() for arr in arrays]
+            fh.write("".join(map(line.__mod__, zip(*cells))))
 
 
 def _write_plot_note(csv_path: Path, x: str, y: str, xlabel: str, ylabel: str, title: str) -> None:
@@ -116,16 +136,8 @@ def _mc_config(cfg: RunConfig, with_initial: bool = True) -> McConfig:
     )
 
 
-def _report_rows(report) -> list:
-    return [
-        (
-            report.estimate,
-            report.stderr,
-            report.n,
-            report.target,
-            report.passed,
-        )
-    ]
+def _report_columns(report) -> tuple:
+    return ([report.estimate], [report.stderr], [report.n], [report.target], [report.passed])
 
 
 _SUMMARY_HEADER = ("estimate", "stderr", "n_paths", "target", "passed")
@@ -133,21 +145,20 @@ _SUMMARY_HEADER = ("estimate", "stderr", "n_paths", "target", "passed")
 
 def _run_exact(cfg: RunConfig, outdir: Path) -> dict:
     xs = np.linspace(cfg.grid_lo, cfg.grid_hi, cfg.cells + 1)
-    rows = []
     if cfg.solution == "barenblatt":
         params = BarenblattParams(m=cfg.m, d=cfg.dim, b=cfg.b)
-        for t in cfg.times:
-            rows.extend((t, x, barenblatt(params, t, x)) for x in xs)
+        values = [barenblatt(params, t, x) for t in cfg.times for x in xs]
     elif cfg.solution == "quadratic_pressure":
         params = QuadraticPressureParams(m=cfg.m, d=cfg.dim, q=cfg.q)
-        for t in cfg.times:
-            rows.extend((t, x, quadratic_pressure(params, t, x)) for x in xs)
+        values = [quadratic_pressure(params, t, x) for t in cfg.times for x in xs]
     else:
         base = linear_pressure_base(cfg.m)
-        for t in cfg.times:
-            rows.extend((t, x, float(base.evaluate(t, x))) for x in xs)
+        values = [float(base.evaluate(t, x)) for t in cfg.times for x in xs]
     csv_path = outdir / f"{cfg.solution}.csv"
-    _write_csv(csv_path, ("t", "x", "value"), rows)
+    _write_csv(
+        csv_path, ("t", "x", "value"),
+        (np.repeat(cfg.times, xs.size), np.tile(xs, len(cfg.times)), values),
+    )
     _write_plot_note(
         csv_path, "x", "value", "position", "solution value",
         f"{cfg.solution} profile at the configured times",
@@ -157,15 +168,19 @@ def _run_exact(cfg: RunConfig, outdir: Path) -> dict:
 
 def _run_path(cfg: RunConfig, outdir: Path) -> dict:
     mc = _mc_config(cfg, with_initial=False)
-    for i in range(cfg.n_paths):
-        clock = path_clock(mc, i)
-        rows = zip(clock.grid.nodes, clock.path.w, clock.h, clock.H)
-        csv_path = outdir / f"path_{i:03d}.csv"
-        _write_csv(csv_path, ("t", "w", "h", "H"), rows)
-        _write_plot_note(
-            csv_path, "t", "H", "time", "random clock",
-            "multiplier and clock along one noise path",
-        )
+    # Blocks of paths as in the sweeps' clocks, so memory stays bounded for many paths.
+    rows = max(1, BLOCK_VALUES // (mc.grid.steps + 1))
+    for start in range(0, mc.n_paths, rows):
+        indices = range(start, min(start + rows, mc.n_paths))
+        w = brownian_block(mc.grid, [mix_seed(mc.master_seed, i) for i in indices])
+        _, h, H = multiplier_block(w, mc.grid, mc.coeffs, mc.m)
+        for i, row in zip(indices, zip(w, h, H)):
+            csv_path = outdir / f"path_{i:03d}.csv"
+            _write_csv(csv_path, ("t", "w", "h", "H"), (mc.grid.nodes, *row))
+            _write_plot_note(
+                csv_path, "t", "H", "time", "random clock",
+                "multiplier and clock along one noise path",
+            )
     return {}
 
 
@@ -176,16 +191,13 @@ def _run_evolve(cfg: RunConfig, outdir: Path) -> dict:
     table = evolve(initial, cfg.m, horizon, SchemeConfig(cfg.cfl_safety, snaps))
     for k, state in enumerate(table.states):
         csv_path = outdir / f"snapshot_{k:03d}.csv"
-        _write_csv(
-            csv_path, ("x", "value"),
-            zip(state.grid.centers, state.values),
-        )
+        _write_csv(csv_path, ("x", "value"), (state.grid.centers, state.values))
         _write_plot_note(
             csv_path, "x", "value", "position", "field value",
             f"solution snapshot at t = {state.time:.6g}",
         )
     mass_path = outdir / "mass_log.csv"
-    _write_csv(mass_path, ("t", "mass"), zip(table.times, table.masses))
+    _write_csv(mass_path, ("t", "mass"), (table.times, table.masses))
     _write_plot_note(
         mass_path, "t", "mass", "time", "discrete mass", "mass conservation log",
     )
@@ -198,14 +210,17 @@ def _run_transform(cfg: RunConfig, outdir: Path) -> dict:
     probe_times = [t for t in cfg.times if t > 0.0] or [cfg.horizon]
     sweep = clock_sweep(mc, probe_times)
     values = sweep.h[:, :, None] * eval_on_centers(sweep.tables[0], sweep.table_times, cfg.points)
-    rows = (
-        (i, t, x, v)
-        for i, path in enumerate(values)
-        for t, row in zip(probe_times, path.tolist())
-        for x, v in zip(cfg.points, row)
-    )
+    n_paths, n_times, n_points = values.shape
     csv_path = outdir / "samples.csv"
-    _write_csv(csv_path, ("path", "t", "x", "value"), rows)
+    _write_csv(
+        csv_path, ("path", "t", "x", "value"),
+        (
+            np.repeat(np.arange(n_paths), n_times * n_points),
+            np.tile(np.repeat(probe_times, n_points), n_paths),
+            np.tile(cfg.points, n_paths * n_times),
+            values.reshape(-1),
+        ),
+    )
     _write_plot_note(
         csv_path, "t", "value", "time", "stochastic field",
         "transformed field sampled on the probe schedule",
@@ -228,11 +243,11 @@ def _run_mc(cfg: RunConfig, outdir: Path) -> dict:
         per_path = report.extras["xis"]
         per_header, ylabel = ("path", "log_multiplier"), "log h at the horizon"
     per_csv = outdir / "per_path.csv"
-    _write_csv(per_csv, per_header, list(enumerate(per_path)))
+    _write_csv(per_csv, per_header, (np.arange(len(per_path)), per_path))
     _write_plot_note(per_csv, "path", per_header[1], "path index", ylabel,
                      f"per-path results for mc {cfg.mode}")
     summary_csv = outdir / "summary.csv"
-    _write_csv(summary_csv, _SUMMARY_HEADER, _report_rows(report))
+    _write_csv(summary_csv, _SUMMARY_HEADER, _report_columns(report))
     _write_plot_note(summary_csv, "estimate", "target", "estimate", "target",
                      f"summary for mc {cfg.mode}")
     _echo_report(report)
@@ -246,13 +261,12 @@ def _run_asymptotics(cfg: RunConfig, outdir: Path) -> dict:
     schedules = report.extras["schedules"]
     flags = report.extras["pass_flags"]
     header = ("path",) + tuple(f"err_t{k}" for k in range(len(probe_times))) + ("decreasing",)
-    rows = [(i, *sched, flag) for i, (sched, flag) in enumerate(zip(schedules, flags))]
     per_csv = outdir / "per_path.csv"
-    _write_csv(per_csv, header, rows)
+    _write_csv(per_csv, header, (np.arange(len(flags)), *np.asarray(schedules).T, flags))
     _write_plot_note(per_csv, "path", "err_t0", "path index", "scaled profile error",
                      "clock-scaled error schedules per path")
     summary_csv = outdir / "summary.csv"
-    _write_csv(summary_csv, _SUMMARY_HEADER, _report_rows(report))
+    _write_csv(summary_csv, _SUMMARY_HEADER, _report_columns(report))
     _write_plot_note(summary_csv, "estimate", "target", "passing fraction", "target",
                      "asymptotics experiment summary")
     _echo_report(report)
@@ -267,7 +281,7 @@ def _run_support(cfg: RunConfig, outdir: Path) -> dict:
     per_csv = outdir / "per_path.csv"
     _write_csv(
         per_csv, ("path", "support_radius", "support_bound"),
-        [(i, r, bnd) for i, (r, bnd) in enumerate(zip(report.support_radii, report.support_bounds))],
+        (np.arange(report.support_radii.size), report.support_radii, report.support_bounds),
     )
     _write_plot_note(per_csv, "path", "support_radius", "path index", "support radius",
                      "per-path support radii against the dominating bound")
@@ -279,7 +293,7 @@ def _run_support(cfg: RunConfig, outdir: Path) -> dict:
             "mass_estimate", "mass_target", "mass_ok",
             "center_initial", "center_median", "decay_ok",
         ),
-        [(
+        [[value] for value in (
             report.plateau_median, report.plateau_ok, report.eta_hat, report.bound_ok,
             report.mass_report.estimate, report.mass_report.target, report.mass_report.passed,
             report.center_initial, report.center_median, report.decay_ok,
@@ -288,8 +302,7 @@ def _run_support(cfg: RunConfig, outdir: Path) -> dict:
     _write_plot_note(summary_csv, "plateau_median", "eta_hat", "plateau", "support bound",
                      "bounded-support experiment summary")
     decay_csv = outdir / "decay_table.csv"
-    _write_csv(decay_csv, ("t", "median_center_value"),
-               zip(report.decay_times, report.decay_medians))
+    _write_csv(decay_csv, ("t", "median_center_value"), (report.decay_times, report.decay_medians))
     _write_plot_note(decay_csv, "t", "median_center_value", "time", "median u(t, 0)",
                      "pointwise decay at the origin")
     print(f"provenance: {report.provenance}")

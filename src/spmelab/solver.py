@@ -293,6 +293,24 @@ def evolve_together(
     return _march(initials, m, horizon, cfg)
 
 
+def _check_budget(u: np.ndarray, m: float, safety: float, grid: SpatialGrid, span: float) -> None:
+    """Raise the step-budget error now when marching ``span`` further from ``u``
+    provably needs more than ``_MAX_STEPS - 1`` steps.
+
+    Every step is at most ``_bound`` of the largest row peak.  A peak is at
+    least its row's volume-weighted mean, which never falls (the scheme
+    conserves mass and clamping only adds; the 1e-6 margin covers rounding),
+    and ``_bound`` decreases in the peak, so ``_bound`` of the largest mean
+    caps every step.  The loop calls this after its first step, so an input
+    that fails the loop's own checks there (say by overflowing in that step)
+    keeps failing with their error.
+    """
+    volumes = grid.volumes
+    mean = (1.0 - 1e-6) * float(np.max(u @ volumes)) / float(np.sum(volumes))
+    if span > (_MAX_STEPS - 1) * _bound(mean, m, safety, grid):
+        raise StabilityError("step budget exhausted before reaching the horizon")
+
+
 def _march(initials: tuple, m: float, horizon: float, cfg: SchemeConfig) -> tuple:
     """The one marching loop behind :func:`evolve` and :func:`evolve_together`."""
     if len(initials) < 1:
@@ -335,6 +353,8 @@ def _march(initials: tuple, m: float, horizon: float, cfg: SchemeConfig) -> tupl
                 dt = min(dt, _bound(peak, m, safety, grid))
             if not dt > 0.0:
                 raise InvalidInputError("dt must be positive")
+            if steps_taken == 1:
+                _check_budget(u, m, safety, grid, horizon - clocks[0])
             # dt is the least of the rows' bounds, so step's stability check holds for every row.
             lost = _advance(u, m, dt, grid, work)
             if lost is not None:

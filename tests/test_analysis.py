@@ -608,3 +608,60 @@ def test_clock_overflow_fails_before_any_table_is_built(monkeypatch):
         analysis.clock_sweep(cfg, [0.951])
     h, H, _ = analysis._clocks(cfg, [0.951])
     assert np.all(np.isfinite(h)) and not np.all(np.isfinite(H))
+
+
+def _affine_clock_sample(evaluate):
+    clock = multiplier_path(still_path(TimeGrid.uniform(1.0, 32)), CoefficientPair.constant(0.0, 0.3), gamma=2.0)
+    return StochasticFieldSample(base=DeterministicSolution(evaluate=evaluate), clock=clock)
+
+
+def _ramp(s, x):
+    return 0.5 * np.maximum(np.asarray(s) + np.asarray(x, dtype=float), 0.0)
+
+
+def test_weak_form_residual_evaluates_a_broadcasting_base_once():
+    calls = []
+
+    def evaluate(s, x):
+        calls.append(np.shape(s))
+        return _ramp(s, x)
+
+    phi = Bump(center=1.0, width=0.8)
+    residual = weak_form_residual(_affine_clock_sample(evaluate), 2.0, phi, 1.0)
+    assert calls == [(33, 1)]
+    per_time = weak_form_residual(_affine_clock_sample(lambda s, x: _ramp(float(s), x)), 2.0, phi, 1.0)
+    assert residual == pytest.approx(per_time, rel=1e-12, abs=1e-15)
+
+
+@pytest.mark.parametrize(
+    "evaluate",
+    [
+        lambda s, x: _ramp(float(s), x),
+        lambda s, x: _ramp(s, x) if s >= 0.0 else 0.0 * x,
+        lambda s, x: _ramp(np.ravel(s)[0], x),
+    ],
+    ids=["type_error", "value_error", "wrong_shape"],
+)
+def test_weak_form_residual_falls_back_to_one_clock_value_at_a_time(evaluate):
+    calls = []
+
+    def counted(s, x):
+        calls.append(np.ndim(s))
+        return evaluate(s, x)
+
+    phi = Bump(center=1.0, width=0.8)
+    residual = weak_form_residual(_affine_clock_sample(counted), 2.0, phi, 1.0)
+    assert calls == [2] + [0] * 33
+    assert residual == pytest.approx(weak_form_residual(_affine_clock_sample(_ramp), 2.0, phi, 1.0), rel=1e-12, abs=1e-15)
+
+
+def test_weak_form_residual_propagates_other_base_errors():
+    calls = []
+
+    def evaluate(s, x):
+        calls.append(np.shape(s))
+        raise OutOfRangeError("clock value outside the base's window")
+
+    with pytest.raises(OutOfRangeError, match="outside the base's window"):
+        weak_form_residual(_affine_clock_sample(evaluate), 2.0, Bump(center=1.0, width=0.8), 1.0)
+    assert calls == [(33, 1)]

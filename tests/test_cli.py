@@ -3,12 +3,15 @@ from __future__ import annotations
 
 import dataclasses
 import filecmp
+import math
 import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spmelab import BarenblattParams, analysis, barenblatt_mass, cli, parse_config
 from spmelab.cli import main
@@ -333,3 +336,137 @@ def test_clock_overflow_exits_with_status_two_and_no_warning(tmp_path, capsys, r
     err = capsys.readouterr().err
     assert "clock overflowed to infinity" in err and "Warning" not in err
     assert not recwarn.list
+
+
+def _reference_fmt(value) -> str:
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    return f"{float(value):.17g}"
+
+
+def reference_write_csv(path, header, columns) -> None:
+    """The row-at-a-time writer that formats every cell by its own type."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in zip(*columns):
+            fh.write(",".join(_reference_fmt(v) for v in row) + "\n")
+
+
+_SPECIAL_FLOATS = (
+    0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan, 5e-324, -5e-324,
+    2.2250738585072009e-308, 1e17, 123456789012345678.0, 2.0**63, 1.7976931348623157e308,
+)
+_FLOAT_CELLS = st.one_of(
+    st.integers(0, 2**64 - 1).map(lambda bits: float(np.array(bits, dtype=np.uint64).view(np.float64))),
+    st.sampled_from(_SPECIAL_FLOATS),
+    st.integers(10**17, 2**80).map(float),
+)
+_INT_CELLS = st.one_of(
+    st.integers(-(2**63), 2**63 - 1),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.integers(-128, 127).map(np.int8),
+    st.integers(0, 2**32 - 1).map(np.uint32),
+)
+_BOOL_CELLS = st.one_of(st.booleans(), st.booleans().map(np.bool_))
+
+
+@st.composite
+def csv_columns(draw):
+    rows = draw(st.integers(0, 12))
+    columns = []
+    for _ in range(draw(st.integers(1, 5))):
+        cells = draw(st.sampled_from((_FLOAT_CELLS, _INT_CELLS, _BOOL_CELLS)))
+        column = draw(st.lists(cells, min_size=rows, max_size=rows))
+        if draw(st.booleans()):
+            column = np.asarray(column)
+        elif cells is _FLOAT_CELLS:
+            column = [np.float64(v) if draw(st.booleans()) else v for v in column]
+        columns.append(column)
+    return columns
+
+
+@settings(max_examples=200, deadline=None)
+@given(csv_columns(), st.integers(1, 5))
+def test_columnar_writer_matches_the_per_cell_reference(tmp_path_factory, columns, chunk):
+    out = tmp_path_factory.mktemp("csv")
+    header = tuple(f"c{k}" for k in range(len(columns)))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "_CHUNK_ROWS", chunk)
+        cli._write_csv(out / "columnar.csv", header, columns)
+    reference_write_csv(out / "reference.csv", header, columns)
+    written = (out / "columnar.csv").read_bytes()
+    assert written == (out / "reference.csv").read_bytes()
+    assert written.count(b"\n") == 1 + len(columns[0])
+
+
+def test_columnar_writer_rejects_columns_of_different_lengths(tmp_path):
+    with pytest.raises(ValueError, match="equal lengths"):
+        cli._write_csv(tmp_path / "ragged.csv", ("a", "b"), ([1.0, 2.0], [1.0]))
+
+
+_SUBCOMMANDS = {
+    "exact_barenblatt": "command = exact\nsolution = barenblatt\ntimes = 0.5, 1, 2\n",
+    "exact_quadratic": "command = exact\nsolution = quadratic_pressure\ntimes = 0.01, 0.02\n",
+    "exact_linear": "command = exact\nsolution = linear_pressure\ntimes = 1, 3\n",
+    "path": "command = path\nn_paths = 3\nsteps = 64\nf = 0:1, 0.5:0\n",
+    "evolve_cartesian": "command = evolve\nhorizon = 1\ntimes = 0.25, 0.5\n",
+    "evolve_radial": (
+        "command = evolve\ngrid_kind = radial\ndim = 3\nm = 3\ninitial = barenblatt\nt0 = 0.5\n"
+        "grid_lo = 0\ngrid_hi = 4\ncells = 64\nhorizon = 1\ntimes = 0.75\n"
+    ),
+    "transform": (
+        "command = transform\nn_paths = 6\nsteps = 64\nhorizon = 0.5\n"
+        "times = 0, 0.25, 0.5\npoints = -0.5, 0, 0.5, 3\n"
+    ),
+    "mc_mean_mass": "command = mc\nmode = mean_mass\nn_paths = 50\nsteps = 128\nhorizon = 0.5\nt = 0.5\n",
+    "mc_lp_bound": "command = mc\nmode = lp_bound\nn_paths = 40\nsteps = 128\nhorizon = 0.5\nt = 0.5\np = 2\n",
+    "mc_limit_law": (
+        "command = mc\nmode = limit_law\nf = 0:1, 1:0\ng = 0:0\nhorizon = 2\nsteps = 128\nn_paths = 200\n"
+    ),
+    "asymptotics": (
+        "command = asymptotics\nf = 0:0\ng = 0:0\nhorizon = 8\nsteps = 64\nn_paths = 2\n"
+        "grid_lo = -9\ngrid_hi = 9\ncells = 240\ntimes = 2,4,8\n"
+    ),
+    "support": (
+        "command = support\nf = 0:1\ng = 0:0\nhorizon = 30\nsteps = 600\nn_paths = 30\n"
+        "grid_lo = -24\ngrid_hi = 24\ncells = 320\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("body", list(_SUBCOMMANDS.values()), ids=list(_SUBCOMMANDS))
+def test_every_artifact_matches_the_per_cell_reference_writer(tmp_path, monkeypatch, capsys, body):
+    # Both runs write to one directory, so the echoed out line agrees too.
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, "run.ini", body + f"out = {out}\n")
+    status = main(["--config", cfg])
+    columnar = out.rename(tmp_path / "columnar")
+    stdout = capsys.readouterr().out
+    monkeypatch.setattr(cli, "_write_csv", reference_write_csv)
+    assert main(["--config", cfg]) == status == 0
+    assert capsys.readouterr().out == stdout
+    names = sorted(p.name for p in out.iterdir())
+    assert names == sorted(p.name for p in columnar.iterdir())
+    assert any(name.endswith(".csv") for name in names)
+    for name in names:
+        if name != "manifest.txt":
+            assert filecmp.cmp(columnar / name, out / name, shallow=False), name
+
+
+@pytest.mark.parametrize("rows", [1, 2, 1000])
+def test_path_files_hold_the_one_path_clocks_for_any_block_size(tmp_path, monkeypatch, rows):
+    out = tmp_path / "out"
+    cfg = write_config(
+        tmp_path, "path.ini",
+        f"command = path\nn_paths = 3\nsteps = 64\nf = 0:1, 0.5:0\nout = {out}\n",
+    )
+    monkeypatch.setattr(cli, "BLOCK_VALUES", rows * 65)
+    assert main(["--config", cfg]) == 0
+    mc = cli._mc_config(parse_config((out / "config.echo.ini").read_text()), with_initial=False)
+    for i in range(3):
+        clock = analysis.path_clock(mc, i)
+        want = tmp_path / f"want_{i}.csv"
+        reference_write_csv(want, ("t", "w", "h", "H"), (clock.grid.nodes, clock.path.w, clock.h, clock.H))
+        assert (out / f"path_{i:03d}.csv").read_bytes() == want.read_bytes()

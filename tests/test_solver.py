@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -635,3 +636,35 @@ def test_paired_states_keep_their_own_clocks():
 def test_tables_built_without_marching_carry_no_step_statistics():
     table = SnapshotTable(states=(box_state(line_grid(cells=16), 1.0, 1.0),), m=2.0, scheme=SchemeConfig())
     assert table.steps == 0 and math.isnan(table.dt_min) and math.isnan(table.dt_max)
+
+
+def test_step_budget_fails_fast():
+    # About 2e10 steps would be needed; the budget error comes after the first.
+    grid = SpatialGrid(kind="cartesian", lo=-10.0, hi=10.0, cells=4096)
+    started = time.perf_counter()
+    with pytest.raises(StabilityError, match="step budget exhausted"):
+        evolve(box_state(grid, 1.0, 1.0), 2.0, 1e6, SchemeConfig(cfl_safety=0.9))
+    assert time.perf_counter() - started < 1.0
+
+
+@pytest.mark.parametrize(
+    "kind,dim,m,n_states",
+    [("flat", 1, 2.0, 1), ("cartesian", 1, 2.0, 1), ("cartesian", 1, 3.0, 3), ("radial", 3, 1.5, 2)],
+)
+def test_step_budget_fires_only_where_the_loop_would_exhaust_it(monkeypatch, kind, dim, m, n_states):
+    # A flat field keeps its peak at its mean, where the up-front estimate is tightest.
+    lo = 0.0 if kind == "radial" else -4.0
+    grid = SpatialGrid(kind="radial" if kind == "radial" else "cartesian", lo=lo, hi=4.0, cells=32, dim=dim)
+    if kind == "flat":
+        initials = (FieldState(grid=grid, time=0.0, values=np.full(grid.cells, 0.5)),)
+    else:
+        initials = _initials(grid, m, n_states, 0.0)
+    cfg = SchemeConfig(cfl_safety=0.4, snapshot_times=(0.25, 0.5))
+    want = evolve_together(initials, m, 1.0, cfg)
+    monkeypatch.setattr(solver, "_MAX_STEPS", want[0].steps)
+    got = evolve_together(initials, m, 1.0, cfg)
+    for g, w in zip(got, want):
+        assert _bits(g.values) == _bits(w.values) and g.steps == w.steps
+    monkeypatch.setattr(solver, "_MAX_STEPS", want[0].steps - 1)
+    with pytest.raises(StabilityError, match="step budget exhausted"):
+        evolve_together(initials, m, 1.0, cfg)
