@@ -74,7 +74,6 @@ from .solver import (
     SpatialGrid,
     barenblatt_state,
     box_state,
-    dense_eval,
     dense_values,
     eval_on_centers,
     evolve,
@@ -93,7 +92,6 @@ from .analysis import (
     McConfig,
     McReport,
     SupportReport,
-    asymptotic_error,
     asymptotics_experiment,
     comparison_check,
     limit_law_statistics,
@@ -102,7 +100,6 @@ from .analysis import (
     mc_lp_bound,
     mc_mean_mass,
     path_clock,
-    reference_table,
     support_experiment,
     sweep_paths,
     weak_form_residual,

@@ -18,19 +18,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidInputError, UnsupportedInputError
-from .exact import (
-    BarenblattParams,
-    barenblatt,
-    mass_to_b,
-    stochastic_barenblatt,
-)
+from .exact import BarenblattParams, barenblatt, mass_to_b
 from .noise import (
     CoefficientPair,
     MultiplierPath,
     TimeGrid,
     brownian_block,
-    interp_h,
-    interp_H,
     limit_distribution,
     locate_times,
     mix_seed,
@@ -42,7 +35,6 @@ from .noise import (
 from .solver import (
     FieldState,
     SchemeConfig,
-    SnapshotTable,
     dense_values,
     eval_on_centers,
     evolve_together,
@@ -113,14 +105,15 @@ def sweep_paths(cfg: McConfig, reduce_path) -> list:
     return [reduce_path(path_clock(cfg, i)) for i in range(cfg.n_paths)]
 
 
-def _mean_and_stderr(values) -> tuple[float, float]:
+def _sample_stats(values) -> tuple[float, float, float]:
+    """Mean, its standard error and the sample variance, by compensated sums."""
     n = len(values)
     mean = math.fsum(values) / n
     var = math.fsum((v - mean) ** 2 for v in values) / (n - 1)
-    return mean, math.sqrt(var / n)
+    return mean, math.sqrt(var / n), var
 
 
-def _provenance(cfg: McConfig, **extra) -> dict:
+def _provenance(cfg: McConfig, table=None, **extra) -> dict:
     info = {
         "n_paths": cfg.n_paths,
         "master_seed": cfg.master_seed,
@@ -128,21 +121,18 @@ def _provenance(cfg: McConfig, **extra) -> dict:
         "horizon": cfg.grid.horizon,
         "m": cfg.m,
     }
+    if table is not None:
+        info.update(table_cells=table.grid.cells, table_horizon=table.t_last)
     info.update(extra)
     return info
 
 
-def reference_table(cfg: McConfig, span: float) -> SnapshotTable:
-    """Deterministic solver table covering clock values up to ``span``.
-
-    The table's absolute time axis starts at the initial state's own time,
-    so a clock value s is read at initial.time + s.
-    """
-    return _reference_tables(cfg, span, (cfg.initial,))[0]
-
-
 def _reference_tables(cfg: McConfig, span: float, initials: tuple) -> tuple:
-    """Tables for states sharing one start time, marched together on the one snapshot schedule."""
+    """Tables for states sharing one start time, marched together on the one snapshot schedule.
+
+    Each table's absolute time axis starts at the states' own time, so a
+    clock value s is read at that time + s.
+    """
     if any(st is None for st in initials):
         raise InvalidInputError("this sweep needs deterministic initial data")
     t0 = initials[0].time
@@ -215,6 +205,20 @@ def clock_sweep(cfg: McConfig, times, initials: tuple | None = None) -> ClockSwe
     return ClockSweep(h=h, H=H, logh_end=logh_end, max_clock=max_clock, tables=tables)
 
 
+def _mean_mass_verdict(cfg: McConfig, sweep: ClockSweep, column: int, t: float) -> tuple[list, dict]:
+    """Per-path h(t) * mass(U(H(t))) from one probe column, and the verdict on its mean.
+
+    The verdict holds the estimate, SE, path count, target
+    mass(U(0)) * exp(int_0^t g) and whether |estimate - target| <=
+    max(3 SE, 1e-9 target), keyed as the fields of :class:`McReport`.
+    """
+    per_path = (sweep.h[:, column] * interp_mass(sweep.tables[0], sweep.table_times[:, column])).tolist()
+    estimate, stderr, _ = _sample_stats(per_path)
+    target = cfg.initial.mass * math.exp(cfg.coeffs.integral_g(t))
+    passed = abs(estimate - target) <= max(3.0 * stderr, 1e-9 * abs(target))
+    return per_path, dict(estimate=estimate, stderr=stderr, n=cfg.n_paths, target=target, passed=passed)
+
+
 def mc_mean_mass(cfg: McConfig, t: float) -> McReport:
     """Check E integral(u(t)) = mass(U(0)) * exp(int_0^t g) at 3 standard errors.
 
@@ -224,21 +228,12 @@ def mc_mean_mass(cfg: McConfig, t: float) -> McReport:
     exact to that drift.
     """
     sweep = clock_sweep(cfg, [t])
-    table = sweep.tables[0]
-    per_path = (sweep.h[:, 0] * interp_mass(table, sweep.table_times[:, 0])).tolist()
-    estimate, stderr = _mean_and_stderr(per_path)
-    target = cfg.initial.mass * math.exp(cfg.coeffs.integral_g(t))
-    tolerance = max(3.0 * stderr, 1e-9 * abs(target))
-    passed = abs(estimate - target) <= tolerance
+    per_path, verdict = _mean_mass_verdict(cfg, sweep, 0, t)
     return McReport(
-        estimate=estimate,
-        stderr=stderr,
-        n=cfg.n_paths,
-        target=target,
-        passed=passed,
+        **verdict,
         rule="|estimate - target| <= max(3 SE, 1e-9 target)",
         extras={"max_clock": sweep.max_clock, "t": t, "per_path": per_path},
-        provenance=_provenance(cfg, table_cells=table.grid.cells, table_horizon=table.t_last),
+        provenance=_provenance(cfg, sweep.tables[0]),
     )
 
 
@@ -259,7 +254,7 @@ def mc_lp_bound(cfg: McConfig, p: float, t: float) -> McReport:
         h**p * lp_power_sum(dense_values(table, s), grid, p)
         for h, s in zip(sweep.h[:, 0].tolist(), sweep.table_times[:, 0].tolist())
     ]
-    mean_p, stderr_p = _mean_and_stderr(per_path)
+    mean_p, stderr_p, _ = _sample_stats(per_path)
     lhs = mean_p ** (1.0 / p)
     mp = lp_power_sum(cfg.initial, None, p) ** (1.0 / p)
     rhs = mp * math.exp(cfg.coeffs.integral_g(t) + 0.5 * (p - 1.0) * cfg.coeffs.integral_f2(t))
@@ -273,7 +268,7 @@ def mc_lp_bound(cfg: McConfig, p: float, t: float) -> McReport:
         passed=passed,
         rule="lhs <= rhs * (1 + 3 relative SE)",
         extras={"p": p, "t": t, "initial_lp": mp, "max_clock": sweep.max_clock, "per_path": per_path},
-        provenance=_provenance(cfg, table_cells=grid.cells, table_horizon=table.t_last),
+        provenance=_provenance(cfg, table),
     )
 
 
@@ -291,9 +286,8 @@ def limit_law_statistics(cfg: McConfig) -> McReport:
     if cfg.grid.horizon <= cutoff:
         raise InvalidInputError("the horizon must pass the coefficient cutoff")
     xis = _clocks(cfg, [])[2].tolist()
-    mean, stderr = _mean_and_stderr(xis)
+    mean, stderr, sample_var = _sample_stats(xis)
     n = cfg.n_paths
-    sample_var = math.fsum((v - mean) ** 2 for v in xis) / (n - 1)
     claimed_mean, claimed_var = limit_distribution(cfg.coeffs)
     band_half = 3.0 * claimed_var * math.sqrt(2.0 / (n - 1))
     band = (claimed_var - band_half, claimed_var + band_half)
@@ -496,26 +490,27 @@ def maximum_check(
     return True
 
 
-def asymptotic_error(
-    table: SnapshotTable,
-    clock: MultiplierPath,
-    b: float,
-    t: float,
-    x=0.0,
-) -> float:
-    """Clock-scaled distance H(t)**(beta d) |u(t,x) - noisy source-type profile|.
+def _profile_sweep(cfg: McConfig, probe_times, missing_initial: str) -> tuple:
+    """Checked probe times, the sweep at them, and the source profile of the initial mass.
 
-    The exponent is recomputed here from (m, d) so tests can cross-check it
-    against the profile parameters.
+    ``missing_initial`` is the message raised when ``cfg`` has no initial data.
     """
-    m = table.m
-    d = table.grid.dim
-    beta = 1.0 / ((m - 1.0) * d + 2.0)
-    s = interp_H(clock, t)
-    u = interp_h(clock, t) * float(eval_on_centers(table, table.t_first + s, x))
-    params = BarenblattParams(m=m, d=d, b=b)
-    reference = stochastic_barenblatt(params, clock, t, x)
-    return s ** (beta * d) * abs(u - reference)
+    if cfg.initial is None:
+        raise InvalidInputError(missing_initial)
+    times = [float(t) for t in probe_times]
+    if len(times) < 2 or sorted(times) != times:
+        raise InvalidInputError("probe times must be increasing, at least two")
+    sweep = clock_sweep(cfg, times)
+    d = sweep.tables[0].grid.dim
+    return times, sweep, BarenblattParams(m=cfg.m, d=d, b=mass_to_b(cfg.m, d, cfg.initial.mass))
+
+
+def _decreasing_fraction(rows) -> tuple[list, float, float]:
+    """Per-row strictly-decreasing flags, the passing fraction and its binomial SE."""
+    passes = [all(a > b for a, b in zip(row, row[1:])) for row in rows]
+    fraction = sum(passes) / len(passes)
+    stderr = math.sqrt(fraction * (1.0 - fraction) / len(passes)) if 0 < fraction < 1 else 0.0
+    return passes, fraction, stderr
 
 
 def asymptotics_experiment(
@@ -526,45 +521,38 @@ def asymptotics_experiment(
 ) -> McReport:
     """Fraction of paths whose clock-scaled profile error strictly decreases.
 
-    Per path the schedule is :func:`asymptotic_error` over ``probe_times``
-    with b matched to the initial mass.  With f = 0 every path shares one
-    deterministic clock, so the fraction collapses to 0 or 1 and the recorded
-    schedule is the deterministic decay curve itself.
+    Per path the schedule over ``probe_times`` is
+    H(t)**(beta d) * h(t) * |U(H(t), x0) - profile(H(t), x0; b)|: the distance
+    of u(t, x0) = h(t) U(H(t), x0) to the noisy source-type profile, scaled by
+    the profile's decay rate, with beta = 1 / ((m - 1) d + 2) and b matched to
+    the initial mass.  With f = 0 every path shares one deterministic clock,
+    so the fraction collapses to 0 or 1 and the recorded schedule is the
+    deterministic decay curve itself.
     """
-    if cfg.initial is None:
-        raise InvalidInputError("the asymptotics experiment needs initial data")
-    times = [float(t) for t in probe_times]
-    if len(times) < 2 or sorted(times) != times:
-        raise InvalidInputError("probe times must be increasing, at least two")
-    sweep = clock_sweep(cfg, times)
-    table = sweep.tables[0]
-    m, d = cfg.m, table.grid.dim
-    beta = 1.0 / ((m - 1.0) * d + 2.0)
-    b = mass_to_b(m, d, cfg.initial.mass)
-    params = BarenblattParams(m=m, d=d, b=b)
-    centre = eval_on_centers(table, sweep.table_times, x0).tolist()
+    times, sweep, params = _profile_sweep(cfg, probe_times, "the asymptotics experiment needs initial data")
+    exponent = params.beta * params.d
+    centre = eval_on_centers(sweep.tables[0], sweep.table_times, x0).tolist()
     schedules = [
-        [s ** (beta * d) * h * abs(u - barenblatt(params, s, x0)) for h, s, u in zip(*row)]
+        [s**exponent * h * abs(u - barenblatt(params, s, x0)) for h, s, u in zip(*row)]
         for row in zip(sweep.h.tolist(), sweep.H.tolist(), centre)
     ]
-    passes = [all(a > b_ for a, b_ in zip(e, e[1:])) for e in schedules]
-    fraction = sum(passes) / len(passes)
+    passes, fraction, stderr = _decreasing_fraction(schedules)
     return McReport(
         estimate=fraction,
-        stderr=math.sqrt(fraction * (1.0 - fraction) / len(passes)) if 0 < fraction < 1 else 0.0,
+        stderr=stderr,
         n=cfg.n_paths,
         target=1.0,
         passed=fraction >= min_fraction,
         rule=f"fraction of strictly decreasing scaled-error schedules >= {min_fraction:g}",
         extras={
-            "b": b,
+            "b": params.b,
             "probe_times": times,
             "first_schedule": schedules[0],
             "max_clock": sweep.max_clock,
             "schedules": schedules,
             "pass_flags": passes,
         },
-        provenance=_provenance(cfg, table_cells=table.grid.cells, table_horizon=table.t_last),
+        provenance=_provenance(cfg, sweep.tables[0]),
     )
 
 
@@ -584,32 +572,20 @@ def limit_profile_check(
     """
     if not cfg.coeffs.compactly_supported:
         raise UnsupportedInputError("the attractor check needs compactly supported coefficients")
-    if cfg.initial is None:
-        raise InvalidInputError("the attractor check needs initial data")
-    times = [float(t) for t in probe_times]
-    if len(times) < 2 or sorted(times) != times:
-        raise InvalidInputError("probe times must be increasing, at least two")
-    sweep = clock_sweep(cfg, times)
-    table = sweep.tables[0]
-    m, d = cfg.m, table.grid.dim
-    b = mass_to_b(m, d, cfg.initial.mass)
-    params = BarenblattParams(m=m, d=d, b=b)
-    u_paths = (sweep.h * eval_on_centers(table, sweep.table_times, x0)).tolist()
+    times, sweep, params = _profile_sweep(cfg, probe_times, "the attractor check needs initial data")
+    m = cfg.m
+    u_paths = (sweep.h * eval_on_centers(sweep.tables[0], sweep.table_times, x0)).tolist()
     xis = sweep.logh_end.tolist()
-    passes = []
-    for xi, row in zip(xis, u_paths):
-        errors = [
-            abs(u - math.exp(xi) * barenblatt(params, math.exp((m - 1.0) * xi) * t, x0))
-            for t, u in zip(times, row)
-        ]
-        passes.append(all(a > b_ for a, b_ in zip(errors, errors[1:])))
-    fraction = sum(passes) / len(passes)
-    xi_mean, xi_stderr = _mean_and_stderr(xis)
-    xi_var = math.fsum((v - xi_mean) ** 2 for v in xis) / (len(xis) - 1)
+    distances = [
+        [abs(u - math.exp(xi) * barenblatt(params, math.exp((m - 1.0) * xi) * t, x0)) for t, u in zip(times, row)]
+        for xi, row in zip(xis, u_paths)
+    ]
+    passes, fraction, stderr = _decreasing_fraction(distances)
+    xi_mean, xi_stderr, xi_var = _sample_stats(xis)
     claimed_mean, claimed_var = limit_distribution(cfg.coeffs)
     return McReport(
         estimate=fraction,
-        stderr=math.sqrt(fraction * (1.0 - fraction) / len(passes)) if 0 < fraction < 1 else 0.0,
+        stderr=stderr,
         n=cfg.n_paths,
         target=1.0,
         passed=fraction >= 0.95,
@@ -620,12 +596,12 @@ def limit_profile_check(
             "xi_var": xi_var,
             "claimed_mean": claimed_mean,
             "claimed_var": claimed_var,
-            "b": b,
+            "b": params.b,
             "probe_times": times,
             "pass_flags": passes,
             "xis": xis,
         },
-        provenance=_provenance(cfg, table_cells=table.grid.cells, table_horizon=table.t_last),
+        provenance=_provenance(cfg, sweep.tables[0]),
     )
 
 
@@ -710,16 +686,9 @@ def support_experiment(
     plateau = np.median((H_end - H_half) / H_half)
     plateau_ok = bool(plateau <= plateau_tol)
 
-    mass0 = cfg.initial.mass
-    per_path_mass = (sweep.h[:, 2] * interp_mass(table, sweep.table_times[:, 2])).tolist()
-    estimate, stderr = _mean_and_stderr(per_path_mass)
-    target = mass0 * math.exp(cfg.coeffs.integral_g(mass_check_time))
+    _, verdict = _mean_mass_verdict(cfg, sweep, 2, mass_check_time)
     mass_report = McReport(
-        estimate=estimate,
-        stderr=stderr,
-        n=cfg.n_paths,
-        target=target,
-        passed=abs(estimate - target) <= max(3.0 * stderr, 1e-9 * abs(target)),
+        **verdict,
         rule=f"mean mass at t = {mass_check_time:g} within 3 SE",
         extras={"t": mass_check_time},
         provenance=_provenance(cfg),
@@ -731,7 +700,7 @@ def support_experiment(
     center_median = float(decay_medians[-1])
     decay_ok = bool(center_median <= decay_factor * center_initial)
 
-    naive_mass = mass0 * math.fsum(h_end) / cfg.n_paths
+    naive_mass = cfg.initial.mass * math.fsum(h_end) / cfg.n_paths
 
     return SupportReport(
         plateau_ok=plateau_ok,
@@ -748,10 +717,5 @@ def support_experiment(
         decay_times=decay_times,
         decay_medians=decay_medians,
         naive_mass_at_horizon=naive_mass,
-        provenance=_provenance(
-            cfg,
-            table_cells=table.grid.cells,
-            table_horizon=table.t_last,
-            b_dominating=b_dom,
-        ),
+        provenance=_provenance(cfg, table, b_dominating=b_dom),
     )

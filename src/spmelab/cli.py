@@ -5,9 +5,10 @@ plot-description text file per CSV (column mapping and axis labels, no
 plotting dependency), a canonical config echo, and manifest.txt with the
 version tag, seeds, wall time, and the pass/fail state of every embedded
 check.  Exit status: 0 when all checks pass, 1 when some check fails,
-2 on configuration or runtime errors.  CSV integers print in decimal, bools
-as true/false and floats with 17 significant digits, with '\n' line ends, so
-identical configs give byte-identical artifacts.
+2 on configuration or runtime errors, artifacts that cannot be written
+included.  CSV integers print in decimal, bools as true/false and floats
+with 17 significant digits, with '\n' line ends, so identical configs give
+byte-identical artifacts.
 """
 from __future__ import annotations
 
@@ -124,23 +125,41 @@ def _initial_state(cfg: RunConfig):
     raise ConfigError("initial must be box, barenblatt, or csv:PATH", key="initial")
 
 
-def _mc_config(cfg: RunConfig, with_initial: bool = True) -> McConfig:
+def _mc_config(cfg: RunConfig) -> McConfig:
     return McConfig(
         n_paths=cfg.n_paths,
         master_seed=cfg.seed,
         grid=TimeGrid.uniform(cfg.horizon, cfg.steps),
         coeffs=CoefficientPair.from_pieces(cfg.f, cfg.g),
         m=cfg.m,
-        initial=_initial_state(cfg) if with_initial else None,
+        initial=_initial_state(cfg),
         scheme=SchemeConfig(cfl_safety=cfg.cfl_safety),
     )
 
 
-def _report_columns(report) -> tuple:
-    return ([report.estimate], [report.stderr], [report.n], [report.target], [report.passed])
+def _write_report(outdir: Path, report, per_header, per_columns, per_note, summary_note) -> dict:
+    """Write per_path.csv and summary.csv with plot notes, echo the report, return its check.
 
-
-_SUMMARY_HEADER = ("estimate", "stderr", "n_paths", "target", "passed")
+    ``per_columns`` follow the path index column; ``per_note`` is the per-path
+    plot's (y-label, title) and ``summary_note`` the summary plot's
+    (x-label, title).
+    """
+    per_csv = outdir / "per_path.csv"
+    _write_csv(per_csv, per_header, (np.arange(report.n), *per_columns))
+    _write_plot_note(per_csv, "path", per_header[1], "path index", *per_note)
+    summary_csv = outdir / "summary.csv"
+    _write_csv(
+        summary_csv, ("estimate", "stderr", "n_paths", "target", "passed"),
+        ([report.estimate], [report.stderr], [report.n], [report.target], [report.passed]),
+    )
+    _write_plot_note(summary_csv, "estimate", "target", summary_note[0], "target", summary_note[1])
+    print(
+        f"estimate={report.estimate:.6g} stderr={report.stderr:.3g} "
+        f"target={report.target:.6g} passed={report.passed}"
+    )
+    print(f"rule: {report.rule}")
+    print(f"provenance: {report.provenance}")
+    return {"passed": report.passed}
 
 
 def _run_exact(cfg: RunConfig, outdir: Path) -> dict:
@@ -167,16 +186,17 @@ def _run_exact(cfg: RunConfig, outdir: Path) -> dict:
 
 
 def _run_path(cfg: RunConfig, outdir: Path) -> dict:
-    mc = _mc_config(cfg, with_initial=False)
+    grid = TimeGrid.uniform(cfg.horizon, cfg.steps)
+    coeffs = CoefficientPair.from_pieces(cfg.f, cfg.g)
     # Blocks of paths as in the sweeps' clocks, so memory stays bounded for many paths.
-    rows = max(1, BLOCK_VALUES // (mc.grid.steps + 1))
-    for start in range(0, mc.n_paths, rows):
-        indices = range(start, min(start + rows, mc.n_paths))
-        w = brownian_block(mc.grid, [mix_seed(mc.master_seed, i) for i in indices])
-        _, h, H = multiplier_block(w, mc.grid, mc.coeffs, mc.m)
+    rows = max(1, BLOCK_VALUES // (grid.steps + 1))
+    for start in range(0, cfg.n_paths, rows):
+        indices = range(start, min(start + rows, cfg.n_paths))
+        w = brownian_block(grid, [mix_seed(cfg.seed, i) for i in indices])
+        _, h, H = multiplier_block(w, grid, coeffs, cfg.m)
         for i, row in zip(indices, zip(w, h, H)):
             csv_path = outdir / f"path_{i:03d}.csv"
-            _write_csv(csv_path, ("t", "w", "h", "H"), (mc.grid.nodes, *row))
+            _write_csv(csv_path, ("t", "w", "h", "H"), (grid.nodes, *row))
             _write_plot_note(
                 csv_path, "t", "H", "time", "random clock",
                 "multiplier and clock along one noise path",
@@ -233,44 +253,31 @@ def _run_mc(cfg: RunConfig, outdir: Path) -> dict:
     if cfg.mode == "mean_mass":
         report = mc_mean_mass(mc, cfg.t)
         per_path = report.extras["per_path"]
-        per_header, ylabel = ("path", "mass"), "path mass estimate"
+        column, ylabel = "mass", "path mass estimate"
     elif cfg.mode == "lp_bound":
         report = mc_lp_bound(mc, cfg.p, cfg.t)
         per_path = report.extras["per_path"]
-        per_header, ylabel = ("path", "power_sum"), "path Lp power sum"
+        column, ylabel = "power_sum", "path Lp power sum"
     else:
         report = limit_law_statistics(mc)
         per_path = report.extras["xis"]
-        per_header, ylabel = ("path", "log_multiplier"), "log h at the horizon"
-    per_csv = outdir / "per_path.csv"
-    _write_csv(per_csv, per_header, (np.arange(len(per_path)), per_path))
-    _write_plot_note(per_csv, "path", per_header[1], "path index", ylabel,
-                     f"per-path results for mc {cfg.mode}")
-    summary_csv = outdir / "summary.csv"
-    _write_csv(summary_csv, _SUMMARY_HEADER, _report_columns(report))
-    _write_plot_note(summary_csv, "estimate", "target", "estimate", "target",
-                     f"summary for mc {cfg.mode}")
-    _echo_report(report)
-    return {"passed": report.passed}
+        column, ylabel = "log_multiplier", "log h at the horizon"
+    return _write_report(
+        outdir, report, ("path", column), (per_path,),
+        (ylabel, f"per-path results for mc {cfg.mode}"), ("estimate", f"summary for mc {cfg.mode}"),
+    )
 
 
 def _run_asymptotics(cfg: RunConfig, outdir: Path) -> dict:
     mc = _mc_config(cfg)
     probe_times = [t for t in cfg.times if t > 0.0]
     report = asymptotics_experiment(mc, probe_times, x0=cfg.points[0])
-    schedules = report.extras["schedules"]
-    flags = report.extras["pass_flags"]
     header = ("path",) + tuple(f"err_t{k}" for k in range(len(probe_times))) + ("decreasing",)
-    per_csv = outdir / "per_path.csv"
-    _write_csv(per_csv, header, (np.arange(len(flags)), *np.asarray(schedules).T, flags))
-    _write_plot_note(per_csv, "path", "err_t0", "path index", "scaled profile error",
-                     "clock-scaled error schedules per path")
-    summary_csv = outdir / "summary.csv"
-    _write_csv(summary_csv, _SUMMARY_HEADER, _report_columns(report))
-    _write_plot_note(summary_csv, "estimate", "target", "passing fraction", "target",
-                     "asymptotics experiment summary")
-    _echo_report(report)
-    return {"passed": report.passed}
+    return _write_report(
+        outdir, report, header, (*np.asarray(report.extras["schedules"]).T, report.extras["pass_flags"]),
+        ("scaled profile error", "clock-scaled error schedules per path"),
+        ("passing fraction", "asymptotics experiment summary"),
+    )
 
 
 def _run_support(cfg: RunConfig, outdir: Path) -> dict:
@@ -312,15 +319,6 @@ def _run_support(cfg: RunConfig, outdir: Path) -> dict:
         "mean_mass": report.mass_report.passed,
         "decay": report.decay_ok,
     }
-
-
-def _echo_report(report) -> None:
-    print(
-        f"estimate={report.estimate:.6g} stderr={report.stderr:.3g} "
-        f"target={report.target:.6g} passed={report.passed}"
-    )
-    print(f"rule: {report.rule}")
-    print(f"provenance: {report.provenance}")
 
 
 _RUNNERS = {
@@ -382,6 +380,9 @@ def main(argv=None) -> int:
         return 2
     except SpmeError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        print(f"error: cannot write artifacts: {exc}", file=sys.stderr)
         return 2
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidInputError, OutOfRangeError, StabilityError
-from .exact import BarenblattParams, barenblatt, sphere_area
+from .exact import BarenblattParams, _radius2, barenblatt, sphere_area
 from .timechange import DeterministicSolution, TimeInterval
 
 _DENOM_FLOOR = 1e-12
@@ -452,22 +452,23 @@ def eval_on_centers(table: SnapshotTable, t, positions) -> np.ndarray:
     return out.reshape(np.shape(t) + shape)
 
 
-def dense_eval(table: SnapshotTable, t: float, x) -> float:
-    """Scalar probe of the stored solution at (t, x)."""
-    point = np.asarray(x, dtype=float)
-    radius = math.sqrt(float(np.sum(point * point))) if point.ndim else abs(float(point))
-    return float(eval_on_centers(table, t, radius))
-
-
 def table_solution(table: SnapshotTable) -> DeterministicSolution:
-    """Wrap a snapshot table as a deterministic base for the time change."""
+    """Wrap a snapshot table as a deterministic base for the time change.
+
+    Points follow :mod:`spmelab.exact`: on a 1-d table, signed coordinates of
+    any shape; on a radial table of dimension d > 1, a signed scalar radius
+    or an array whose last axis of length d holds one point per row.  A
+    scalar time and a scalar point give a float; otherwise the shape is
+    ``shape(s)`` followed by the shape of the points (without that last axis).
+    """
+    dim = table.grid.dim
 
     def evaluate(s, x):
-        arr = np.asarray(x, dtype=float)
-        if arr.ndim <= 1 and table.grid.dim == 1:
-            out = eval_on_centers(table, s, arr)
-            return float(out) if arr.ndim == 0 else out
-        return dense_eval(table, s, x)
+        points = np.asarray(x, dtype=float)
+        if dim > 1 and points.ndim:
+            points = np.sqrt(_radius2(points, dim))
+        out = eval_on_centers(table, s, points)
+        return float(out) if out.ndim == 0 else out
 
     return DeterministicSolution(
         evaluate=evaluate,

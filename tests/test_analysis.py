@@ -14,20 +14,17 @@ from spmelab import (
     InvalidInputError,
     McConfig,
     OutOfRangeError,
-    SchemeConfig,
     SpatialGrid,
     StochasticFieldSample,
     TimeGrid,
     TimeInterval,
     UnsupportedInputError,
-    asymptotic_error,
     asymptotics_experiment,
     barenblatt,
     barenblatt_state,
     box_state,
     comparison_check,
     eval_on_centers,
-    evolve,
     interp_H,
     interp_h,
     interp_mass,
@@ -41,7 +38,6 @@ from spmelab import (
     mc_mean_mass,
     multiplier_path,
     path_clock,
-    reference_table,
     sample_brownian,
     still_path,
     support_experiment,
@@ -166,21 +162,23 @@ def test_weak_form_residual_input_checks():
         weak_form_residual(sample, 2.0, phi, 1.0, n_quad=100)
 
 
-def test_reference_table_covers_the_requested_span():
+def test_clock_sweep_table_covers_the_largest_clock_value():
     box = box_state(line_grid(), 1.0, 1.0)
     cfg = McConfig(
-        n_paths=2, master_seed=MASTER, grid=TimeGrid.uniform(1.0, 32),
-        coeffs=CoefficientPair.constant(0.0, 0.0), m=2.0, initial=box,
+        n_paths=4, master_seed=MASTER, grid=TimeGrid.uniform(1.0, 32),
+        coeffs=CoefficientPair.constant(1.0, 0.0), m=2.0, initial=box,
     )
-    table = reference_table(cfg, 2.0)
-    assert table.t_last == pytest.approx(2.0)
+    sweep = analysis.clock_sweep(cfg, [0.5, 1.0])
+    (table,) = sweep.tables
+    assert sweep.max_clock == float(np.max(sweep.H)) > 0.0
     assert table.t_first == 0.0
+    assert table.t_last == TABLE_MARGIN * sweep.max_clock
     bare = McConfig(
-        n_paths=2, master_seed=MASTER, grid=TimeGrid.uniform(1.0, 32),
-        coeffs=CoefficientPair.constant(0.0, 0.0), m=2.0,
+        n_paths=4, master_seed=MASTER, grid=TimeGrid.uniform(1.0, 32),
+        coeffs=CoefficientPair.constant(1.0, 0.0), m=2.0,
     )
-    with pytest.raises(InvalidInputError):
-        reference_table(bare, 2.0)
+    with pytest.raises(InvalidInputError, match="needs deterministic initial data"):
+        analysis.clock_sweep(bare, [1.0])
 
 
 def test_mc_mean_mass_is_exact_without_noise():
@@ -359,20 +357,20 @@ def test_asymptotics_experiment_deterministic_decay():
         asymptotics_experiment(bare, (2.0, 4.0))
 
 
-def test_asymptotic_error_decreases_on_the_still_clock():
+def test_asymptotics_schedule_decreases_on_the_still_clock():
     grid = SpatialGrid(kind="cartesian", lo=-9.0, hi=9.0, cells=240)
     box = box_state(grid, 1.0, 1.0)
-    table = evolve(
-        box, 2.0, 8.5,
-        SchemeConfig(cfl_safety=0.4, snapshot_times=tuple(np.geomspace(1e-3, 8.4, 60))),
+    cfg = McConfig(
+        n_paths=2, master_seed=MASTER, grid=TimeGrid.uniform(8.0, 64),
+        coeffs=CoefficientPair.constant(0.0, 0.0), m=2.0, initial=box,
     )
-    clock = multiplier_path(
-        still_path(TimeGrid.uniform(8.0, 64)), CoefficientPair.constant(0.0, 0.0), gamma=2.0
-    )
-    b = mass_to_b(2.0, 1, box.mass)
-    errors = [asymptotic_error(table, clock, b, t) for t in (2.0, 4.0, 8.0)]
+    rep = asymptotics_experiment(cfg, (2.0, 4.0, 8.0))
+    assert rep.extras["b"] == mass_to_b(2.0, 1, box.mass)
+    errors = rep.extras["first_schedule"]
     assert all(e > 0.0 for e in errors)
     assert errors[0] > errors[1] > errors[2]
+    # f = g = 0: every path rides the one still clock.
+    assert rep.extras["schedules"] == [errors, errors]
 
 
 def test_limit_profile_check_mostly_attracts():
@@ -466,7 +464,28 @@ def test_support_experiment_validation():
 def scalar_reference(cfg, times):
     clocks = [path_clock(cfg, i) for i in range(cfg.n_paths)]
     span = max(interp_H(c, t) for c in clocks for t in times)
-    return clocks, reference_table(cfg, TABLE_MARGIN * span)
+    return clocks, analysis._reference_tables(cfg, TABLE_MARGIN * span, (cfg.initial,))[0]
+
+
+def sample_stats(values):
+    """Mean, standard error and sample variance, written out once more."""
+    mean = math.fsum(values) / len(values)
+    var = math.fsum((v - mean) ** 2 for v in values) / (len(values) - 1)
+    return mean, math.sqrt(var / len(values)), var
+
+
+def passing_fraction(flags):
+    """Fraction of passing paths and its binomial standard error (0 at 0 and 1)."""
+    fraction = sum(flags) / len(flags)
+    return fraction, math.sqrt(fraction * (1.0 - fraction) / len(flags)) if 0 < fraction < 1 else 0.0
+
+
+def mean_mass_verdict(cfg, clocks, table, t):
+    """(estimate, SE, target, passed) of the mean-mass check at time t."""
+    masses = [interp_h(c, t) * interp_mass(table, table.t_first + interp_H(c, t)) for c in clocks]
+    mean, stderr, _ = sample_stats(masses)
+    target = cfg.initial.mass * math.exp(cfg.coeffs.integral_g(t))
+    return mean, stderr, target, abs(mean - target) <= max(3.0 * stderr, 1e-9 * abs(target))
 
 
 def test_mc_mean_mass_matches_the_scalar_reference_bitwise():
@@ -476,7 +495,9 @@ def test_mc_mean_mass_matches_the_scalar_reference_bitwise():
     )
     clocks, table = scalar_reference(cfg, [0.5])
     want = [interp_h(c, 0.5) * interp_mass(table, 0.0 + interp_H(c, 0.5)) for c in clocks]
-    assert mc_mean_mass(cfg, 0.5).extras["per_path"] == want
+    rep = mc_mean_mass(cfg, 0.5)
+    assert rep.extras["per_path"] == want
+    assert (rep.estimate, rep.stderr, rep.target, rep.passed) == mean_mass_verdict(cfg, clocks, table, 0.5)
 
 
 def test_mc_lp_bound_matches_the_scalar_reference_bitwise():
@@ -511,7 +532,47 @@ def test_asymptotics_schedules_match_the_scalar_reference_bitwise():
         ]
         for c in clocks
     ]
-    assert asymptotics_experiment(cfg, times, x0=x0).extras["schedules"] == want
+    rep = asymptotics_experiment(cfg, times, x0=x0)
+    assert rep.extras["schedules"] == want
+    flags = [e[0] > e[1] > e[2] for e in want]
+    assert rep.extras["pass_flags"] == flags
+    assert (rep.estimate, rep.stderr) == passing_fraction(flags)
+
+
+def test_limit_profile_check_matches_the_scalar_reference_bitwise():
+    coeffs = CoefficientPair.from_pieces([(0.0, 1.0), (0.5, 0.0)], [(0.0, 0.2), (0.5, 0.0)])
+    cfg = McConfig(
+        n_paths=16, master_seed=MASTER, grid=TimeGrid.uniform(4.0, 64),
+        coeffs=coeffs, m=2.0, initial=box_state(line_grid(-9.0, 9.0, 120), 1.0, 1.0),
+    )
+    times, x0 = [0.5, 1.0, 2.0], 1.0
+    clocks, table = scalar_reference(cfg, times)
+    params = BarenblattParams(m=2.0, d=1, b=mass_to_b(2.0, 1, cfg.initial.mass))
+    xis = [float(c.logh[-1]) for c in clocks]
+    flags = []
+    for c, xi in zip(clocks, xis):
+        e = [
+            abs(
+                interp_h(c, t) * float(eval_on_centers(table, 0.0 + interp_H(c, t), x0))
+                - math.exp(xi) * barenblatt(params, math.exp((2.0 - 1.0) * xi) * t, x0)
+            )
+            for t in times
+        ]
+        flags.append(e[0] > e[1] > e[2])
+    rep = limit_profile_check(cfg, times, x0=x0)
+    assert rep.extras["pass_flags"] == flags
+    assert (rep.estimate, rep.stderr) == passing_fraction(flags)
+    assert 0.0 < rep.estimate < 1.0
+    x = rep.extras
+    assert (x["xi_mean"], x["xi_stderr"], x["xi_var"]) == sample_stats(xis)
+
+
+def test_limit_law_statistics_match_the_scalar_reference_bitwise():
+    coeffs = CoefficientPair.from_pieces([(0.0, 1.0), (1.0, 0.0)], [(0.0, 0.0)])
+    cfg = McConfig(n_paths=50, master_seed=MASTER, grid=TimeGrid.uniform(2.0, 64), coeffs=coeffs, m=2.0)
+    xis = [float(path_clock(cfg, i).logh[-1]) for i in range(cfg.n_paths)]
+    rep = limit_law_statistics(cfg)
+    assert (rep.estimate, rep.stderr, rep.extras["sample_var"]) == sample_stats(xis)
 
 
 def test_support_portrait_matches_the_scalar_reference_bitwise():
@@ -534,6 +595,8 @@ def test_support_portrait_matches_the_scalar_reference_bitwise():
     rep = support_experiment(cfg, mass_check_time=2.0)
     assert np.array_equal(rep.support_radii, np.array(radii))
     assert np.array_equal(rep.decay_medians, np.median(np.array(centre), axis=0))
+    mass = rep.mass_report
+    assert (mass.estimate, mass.stderr, mass.target, mass.passed) == mean_mass_verdict(cfg, clocks, table, 2.0)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spmelab import BarenblattParams, analysis, barenblatt_mass, cli, parse_config
+from spmelab import (
+    BarenblattParams,
+    CoefficientPair,
+    McConfig,
+    TimeGrid,
+    analysis,
+    barenblatt_mass,
+    cli,
+    parse_config,
+)
 from spmelab.cli import main
 
 
@@ -273,6 +282,19 @@ def test_config_errors_report_the_line(tmp_path, capsys):
     assert "line 3" in err and "bogus" in err
 
 
+def test_unwritable_output_exits_with_status_two_in_one_line(tmp_path, capsys):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("a regular file", encoding="utf-8")
+    cfg = write_config(
+        tmp_path, "exact.ini",
+        f"command = exact\nsolution = barenblatt\ntimes = 1\nout = {blocker / 'out'}\n",
+    )
+    assert main(["--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write artifacts: ") and str(blocker) in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_runtime_errors_exit_with_status_two(tmp_path, capsys):
     cfg = write_config(
         tmp_path, "bad_time.ini",
@@ -455,6 +477,20 @@ def test_every_artifact_matches_the_per_cell_reference_writer(tmp_path, monkeypa
             assert filecmp.cmp(columnar / name, out / name, shallow=False), name
 
 
+def assert_path_files_hold_the_one_path_clocks(tmp_path, out, n_paths):
+    run = parse_config((out / "config.echo.ini").read_text())
+    # path_clock reads the seed, grid, coefficients and m; McConfig's two-path floor is for sweeps.
+    mc = McConfig(
+        n_paths=max(n_paths, 2), master_seed=run.seed, grid=TimeGrid.uniform(run.horizon, run.steps),
+        coeffs=CoefficientPair.from_pieces(run.f, run.g), m=run.m,
+    )
+    for i in range(n_paths):
+        clock = analysis.path_clock(mc, i)
+        want = tmp_path / f"want_{i}.csv"
+        reference_write_csv(want, ("t", "w", "h", "H"), (clock.grid.nodes, clock.path.w, clock.h, clock.H))
+        assert (out / f"path_{i:03d}.csv").read_bytes() == want.read_bytes()
+
+
 @pytest.mark.parametrize("rows", [1, 2, 1000])
 def test_path_files_hold_the_one_path_clocks_for_any_block_size(tmp_path, monkeypatch, rows):
     out = tmp_path / "out"
@@ -464,9 +500,15 @@ def test_path_files_hold_the_one_path_clocks_for_any_block_size(tmp_path, monkey
     )
     monkeypatch.setattr(cli, "BLOCK_VALUES", rows * 65)
     assert main(["--config", cfg]) == 0
-    mc = cli._mc_config(parse_config((out / "config.echo.ini").read_text()), with_initial=False)
-    for i in range(3):
-        clock = analysis.path_clock(mc, i)
-        want = tmp_path / f"want_{i}.csv"
-        reference_write_csv(want, ("t", "w", "h", "H"), (clock.grid.nodes, clock.path.w, clock.h, clock.H))
-        assert (out / f"path_{i:03d}.csv").read_bytes() == want.read_bytes()
+    assert_path_files_hold_the_one_path_clocks(tmp_path, out, 3)
+
+
+def test_path_with_one_path_writes_its_clock(tmp_path):
+    out = tmp_path / "out"
+    cfg = write_config(
+        tmp_path, "path.ini",
+        f"command = path\nn_paths = 1\nsteps = 64\nf = 0:1, 0.5:0\nout = {out}\n",
+    )
+    assert main(["--config", cfg]) == 0
+    assert sorted(p.name for p in out.glob("path_*.csv")) == ["path_000.csv"]
+    assert_path_files_hold_the_one_path_clocks(tmp_path, out, 1)

@@ -22,7 +22,6 @@ from spmelab import (
     barenblatt_mass,
     barenblatt_state,
     box_state,
-    dense_eval,
     dense_values,
     eval_on_centers,
     evolve,
@@ -201,7 +200,7 @@ def test_self_similar_profile_convergence_on_a_wide_box():
     assert order >= 0.8
 
 
-def test_dense_eval_matches_snapshots_and_interpolates():
+def test_table_reads_match_snapshots_and_interpolate():
     p = BarenblattParams(m=2.0, d=1, b=1.0)
     grid = SpatialGrid(kind="cartesian", lo=-9.0, hi=9.0, cells=200)
     snaps = tuple(np.linspace(1.05, 2.0, 20))
@@ -217,7 +216,7 @@ def test_dense_eval_matches_snapshots_and_interpolates():
     for a, b in zip(table.times[:-1], table.times[1:]):
         tm = 0.5 * (a + b)
         exact = barenblatt(p, tm, grid.centers[::10])
-        probe = np.array([dense_eval(table, tm, float(x)) for x in grid.centers[::10]])
+        probe = eval_on_centers(table, tm, grid.centers[::10])
         mid_err = max(mid_err, float(np.max(np.abs(probe - exact))))
     assert mid_err <= 2.0 * snap_err
     with pytest.raises(OutOfRangeError):
@@ -241,9 +240,37 @@ def test_table_solution_wraps_the_table():
     base = table_solution(table)
     assert base.interval.contains(0.5)
     assert not base.interval.contains(1.5)
-    assert base.evaluate(0.5, 0.0) == pytest.approx(dense_eval(table, 0.5, 0.0), rel=1e-14)
+    value = base.evaluate(0.5, 0.0)
+    assert type(value) is float and value == float(eval_on_centers(table, 0.5, 0.0))
     out = base.evaluate(0.5, np.array([-0.5, 0.5]))
     assert out.shape == (2,)
+
+
+def test_table_solution_reads_every_point_shape():
+    line = evolve(box_state(line_grid(cells=64), 1.0, 1.0), 2.0, 1.0, SchemeConfig(0.4, (0.5,)))
+    base = table_solution(line)
+    for x in (-1.25, [-1.0, 0.0, 1.0], [[-1.0, 0.0, 1.0]], [[-2.0], [0.5]]):
+        got = base.evaluate(0.5, x)
+        want = eval_on_centers(line, 0.5, np.asarray(x, dtype=float))
+        assert np.shape(got) == np.shape(x)
+        assert np.array_equal(got, want)
+    assert type(base.evaluate(0.5, -1.25)) is float
+    # Points whose radius is exact in floating point: (1.5, 2) and (1, 2, 2) and their halves.
+    for d, point, radius in ((2, [1.5, 2.0], 2.5), (3, [1.0, 2.0, 2.0], 3.0)):
+        grid = SpatialGrid(kind="radial", lo=0.0, hi=4.0, cells=48, dim=d)
+        table = evolve(box_state(grid, 1.0, 2.0), 2.0, 0.5, SchemeConfig(0.4, (0.25,)))
+        base = table_solution(table)
+        value = base.evaluate(0.25, -radius)
+        assert type(value) is float and value == float(eval_on_centers(table, 0.25, radius))
+        value = base.evaluate(0.25, point)
+        assert type(value) is float and value == float(eval_on_centers(table, 0.25, radius))
+        points = np.array([point, np.multiply(point, -0.5), np.zeros(d)])
+        got = base.evaluate(0.25, points)
+        assert got.shape == (3,)
+        assert np.array_equal(got, eval_on_centers(table, 0.25, [radius, 0.5 * radius, 0.0]))
+        assert np.array_equal(base.evaluate(0.25, points[None]), got[None])
+        with pytest.raises(InvalidInputError):
+            base.evaluate(0.25, np.zeros((3, d + 1)))
 
 
 def test_radial_solver_tracks_the_closed_form():
