@@ -91,7 +91,6 @@ from .analysis import (
     Bump,
     McConfig,
     McReport,
-    SupportReport,
     asymptotics_experiment,
     comparison_check,
     limit_law_statistics,

@@ -82,7 +82,7 @@ class McConfig:
 
 @dataclass(frozen=True, eq=False)
 class McReport:
-    """Outcome of one Monte Carlo check."""
+    """Outcome of one check; ``stderr`` is the standard error its rule uses, 0.0 for none."""
 
     estimate: float
     stderr: float
@@ -92,6 +92,9 @@ class McReport:
     rule: str
     extras: dict
     provenance: dict
+
+    def __bool__(self):
+        raise TypeError("an McReport has no truth value; read its .passed")
 
 
 def path_clock(cfg: McConfig, index: int) -> MultiplierPath:
@@ -111,6 +114,14 @@ def _sample_stats(values) -> tuple[float, float, float]:
     mean = math.fsum(values) / n
     var = math.fsum((v - mean) ** 2 for v in values) / (n - 1)
     return mean, math.sqrt(var / n), var
+
+
+def _report(cfg: McConfig, estimate, target, passed, rule, extras, provenance) -> McReport:
+    """The report of a check whose rule uses no standard error."""
+    return McReport(
+        estimate=estimate, stderr=0.0, n=cfg.n_paths, target=target, passed=passed,
+        rule=rule, extras=extras, provenance=provenance,
+    )
 
 
 def _provenance(cfg: McConfig, table=None, **extra) -> dict:
@@ -168,6 +179,21 @@ class ClockSweep:
         return self.tables[0].t_first + self.H
 
 
+def _clock_blocks(grid: TimeGrid, coeffs: CoefficientPair, m: float, seed: int, n_paths: int, take) -> None:
+    """Call ``take(start, w, logh, h, H)`` per block of paths; row r is path ``start + r``.
+
+    Each block's arrays are released as the next block's replace them, so
+    memory stays bounded for any number of paths.  Releasing them before the
+    next draw would let malloc hand the heap top back to the OS, and every
+    block would then fault its pages in again.
+    """
+    rows = max(1, BLOCK_VALUES // (grid.steps + 1))
+    for start in range(0, n_paths, rows):
+        w = brownian_block(grid, [mix_seed(seed, i) for i in range(start, min(start + rows, n_paths))])
+        logh, h, H = multiplier_block(w, grid, coeffs, m)
+        take(start, w, logh, h, H)
+
+
 def _clocks(cfg: McConfig, times) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """h and H of every path at the 1-d ``times``, and log h at the horizon.
 
@@ -180,14 +206,14 @@ def _clocks(cfg: McConfig, times) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     located = locate_times(grid, times)
     h, H = np.empty((n, located[0].size)), np.empty((n, located[0].size))
     logh_end = np.empty(n)
-    rows = max(1, BLOCK_VALUES // (grid.steps + 1))
-    for start in range(0, n, rows):
-        block = slice(start, min(start + rows, n))
-        seeds = [mix_seed(cfg.master_seed, i) for i in range(block.start, block.stop)]
-        logh, h_rows, H_rows = multiplier_block(brownian_block(grid, seeds), grid, cfg.coeffs, cfg.m)
+
+    def take(start, w, logh, h_rows, H_rows):
+        block = slice(start, start + w.shape[0])
         h[block] = read_block(h_rows, grid, located)
         H[block] = read_block(H_rows, grid, located)
         logh_end[block] = logh[:, -1]
+
+    _clock_blocks(grid, cfg.coeffs, cfg.m, cfg.master_seed, n, take)
     return h, H, logh_end
 
 
@@ -280,15 +306,13 @@ def limit_law_statistics(cfg: McConfig) -> McReport:
     against the 3-sigma chi-square band around the law's variance int f^2,
     which the extras also record as ``integral_f2``.
     """
-    if not cfg.coeffs.compactly_supported:
-        raise UnsupportedInputError("the limit law needs compactly supported coefficients")
+    claimed_mean, claimed_var = limit_distribution(cfg.coeffs)
     cutoff = float(cfg.coeffs.breaks[-1])
     if cfg.grid.horizon <= cutoff:
         raise InvalidInputError("the horizon must pass the coefficient cutoff")
     xis = _clocks(cfg, [])[2].tolist()
     mean, stderr, sample_var = _sample_stats(xis)
     n = cfg.n_paths
-    claimed_mean, claimed_var = limit_distribution(cfg.coeffs)
     band_half = 3.0 * claimed_var * math.sqrt(2.0 / (n - 1))
     band = (claimed_var - band_half, claimed_var + band_half)
     mean_ok = abs(mean - claimed_mean) <= 3.0 * stderr
@@ -436,13 +460,14 @@ def comparison_check(
     initial_high: FieldState,
     probes,
     tol: float = 1e-9,
-) -> bool:
-    """True when the two transformed solutions stay ordered at every probe.
+) -> McReport:
+    """Whether the two transformed solutions stay ordered at every probe.
 
     ``initial_low <= initial_high`` pointwise is required; both evolve with
     the same scheme and ride the same clock realisation per path, so the
     transform preserves the discrete comparison principle exactly and ``tol``
-    only absorbs rounding.
+    only absorbs rounding.  The estimate is the least slack
+    high + tol max(1, |high|) - low over probes and paths.
     """
     if initial_low.grid is not initial_high.grid and not (
         initial_low.grid.cells == initial_high.grid.cells
@@ -456,13 +481,15 @@ def comparison_check(
         raise InvalidInputError("initial ordering violated: expected low <= high")
     sweep = clock_sweep(cfg, [float(t) for t, _ in probes], (initial_low, initial_high))
     table_low, table_high = sweep.tables
+    slack = math.inf
     for k, (_, x) in enumerate(probes):
         h, s = sweep.h[:, k], sweep.table_times[:, k]
         u_low = h * eval_on_centers(table_low, s, float(x))
         u_high = h * eval_on_centers(table_high, s, float(x))
-        if np.any(u_low > u_high + tol * np.maximum(1.0, np.abs(u_high))):
-            return False
-    return True
+        slack = min(slack, float(np.min(u_high + tol * np.maximum(1.0, np.abs(u_high)) - u_low)))
+    rule = f"low <= high + tol max(1, |high|) at every probe and path, tol = {tol:g}"
+    extras = {"max_clock": sweep.max_clock}
+    return _report(cfg, slack, 0.0, slack >= 0.0, rule, extras, _provenance(cfg, table_low))
 
 
 def maximum_check(
@@ -470,24 +497,28 @@ def maximum_check(
     bound: float,
     probes,
     tol: float = 1e-9,
-) -> bool:
-    """True when 0 <= u(t, x) <= bound * h(t) holds at every probe.
+) -> McReport:
+    """Whether 0 <= u(t, x) <= bound * h(t) holds at every probe.
 
     ``bound`` must dominate the initial data; the deterministic solution then
     never exceeds it (discrete maximum principle), so the noisy field is
-    capped by bound * h exactly up to rounding.
+    capped by bound * h exactly up to rounding.  The estimate is the least
+    slack, u + tol or bound h + tol max(1, bound h) - u, over probes and paths.
     """
     if cfg.initial is None:
         raise InvalidInputError("maximum check needs initial data")
     if float(np.max(cfg.initial.values)) > bound:
         raise InvalidInputError("the bound must dominate the initial data")
     sweep = clock_sweep(cfg, [float(t) for t, _ in probes])
+    slack = math.inf
     for k, (_, x) in enumerate(probes):
         h = sweep.h[:, k]
         u = h * eval_on_centers(sweep.tables[0], sweep.table_times[:, k], float(x))
-        if np.any((u < -tol) | (u > bound * h + tol * np.maximum(1.0, bound * h))):
-            return False
-    return True
+        cap = bound * h + tol * np.maximum(1.0, bound * h)
+        slack = min(slack, float(np.min(u + tol)), float(np.min(cap - u)))
+    rule = f"-tol <= u <= bound h + tol max(1, bound h) at every probe and path, bound = {bound:g}, tol = {tol:g}"
+    extras = {"max_clock": sweep.max_clock}
+    return _report(cfg, slack, 0.0, slack >= 0.0, rule, extras, _provenance(cfg, sweep.tables[0]))
 
 
 def _profile_sweep(cfg: McConfig, probe_times, missing_initial: str) -> tuple:
@@ -570,8 +601,7 @@ def limit_profile_check(
     estimate is the passing fraction; the extras carry the xi statistics next
     to the mean and variance of its limit law.
     """
-    if not cfg.coeffs.compactly_supported:
-        raise UnsupportedInputError("the attractor check needs compactly supported coefficients")
+    claimed_mean, claimed_var = limit_distribution(cfg.coeffs)
     times, sweep, params = _profile_sweep(cfg, probe_times, "the attractor check needs initial data")
     m = cfg.m
     u_paths = (sweep.h * eval_on_centers(sweep.tables[0], sweep.table_times, x0)).tolist()
@@ -582,7 +612,6 @@ def limit_profile_check(
     ]
     passes, fraction, stderr = _decreasing_fraction(distances)
     xi_mean, xi_stderr, xi_var = _sample_stats(xis)
-    claimed_mean, claimed_var = limit_distribution(cfg.coeffs)
     return McReport(
         estimate=fraction,
         stderr=stderr,
@@ -605,49 +634,22 @@ def limit_profile_check(
     )
 
 
-@dataclass(frozen=True, eq=False)
-class SupportReport:
-    """Aggregated outcome of the bounded-support experiment.
-
-    ``eta_hat`` is the finite-horizon stand-in for a uniform support bound:
-    the largest support radius any path reached by the horizon.  The decay
-    table lists the median of u(t, 0) over paths at a fixed schedule of
-    times, so the flattening of the clock and the pointwise decay can be
-    read side by side.
-    """
-
-    plateau_ok: bool
-    plateau_median: float
-    eta_hat: float
-    bound_ok: bool
-    domain_ok: bool
-    support_radii: np.ndarray
-    support_bounds: np.ndarray
-    mass_report: McReport
-    decay_ok: bool
-    center_initial: float
-    center_median: float
-    decay_times: np.ndarray
-    decay_medians: np.ndarray
-    naive_mass_at_horizon: float
-    provenance: dict
-
-
 def support_experiment(
     cfg: McConfig,
     plateau_tol: float = 0.01,
     mass_check_time: float = 2.0,
     decay_factor: float = 0.1,
-) -> SupportReport:
+) -> dict:
     """Finite-horizon portrait of the m = 2 example with compact initial data.
 
-    Per path it measures the clock plateau (relative increment of H between
-    half and full horizon), the largest support radius of the noisy field
-    against the dominating-envelope radius, and the final center value.  The
-    mean-mass identity is tested at ``mass_check_time``, where the lognormal
-    multiplier still admits a calibrated 3-standard-error test at this sample
-    size; the naive sample mean at the full horizon is recorded purely as a
-    diagnostic because it carries no statistical power there.
+    One report per check, with one provenance: ``plateau`` (median relative
+    increment of H from half to full horizon), ``support_bound`` (eta_hat,
+    the largest support radius reached, each path's under its envelope
+    radius), ``domain`` (the field at the box edge, which must stay 0 or the
+    zero-flux walls fake a support bound), ``mean_mass`` (at
+    ``mass_check_time``, where a 3-SE test is still calibrated; the naive
+    mean at the horizon, which has no power, is a diagnostic) and ``decay``
+    (median of u(T, 0), with the medians on a time schedule in the extras).
     """
     if cfg.m != 2.0:
         raise UnsupportedInputError("the bounded-support experiment is specific to m = 2")
@@ -677,45 +679,45 @@ def support_experiment(
     first_after = np.searchsorted(table.times, sweep.table_times[:, 1], side="left")
     radii = snap_radii[np.minimum(first_after, snap_radii.size - 1)]
     bounds = prefactor * (1.0 + H_end) ** beta
-    bound_ok = bool(np.all(radii <= bounds))
-    # Domain-truncation guard: compact support must never touch the box edge,
-    # otherwise zero-flux walls would fake a support bound.
     last = table.states[-1].values
-    domain_ok = bool(last[-1] == 0.0 and (table.grid.kind == "radial" or last[0] == 0.0))
+    edges = last[-1:] if table.grid.kind == "radial" else last[[0, -1]]
+    edge = float(np.max(np.abs(edges)))
 
-    plateau = np.median((H_end - H_half) / H_half)
-    plateau_ok = bool(plateau <= plateau_tol)
+    plateau = float(np.median((H_end - H_half) / H_half))
 
     _, verdict = _mean_mass_verdict(cfg, sweep, 2, mass_check_time)
-    mass_report = McReport(
-        **verdict,
-        rule=f"mean mass at t = {mass_check_time:g} within 3 SE",
-        extras={"t": mass_check_time},
-        provenance=_provenance(cfg),
-    )
+    naive_mass = cfg.initial.mass * math.fsum(h_end) / cfg.n_paths
 
     center_initial = float(eval_on_centers(table, table.t_first, 0.0))
     center_by_time = sweep.h[:, 3:] * eval_on_centers(table, sweep.table_times[:, 3:], 0.0)
     decay_medians = np.median(center_by_time, axis=0)
     center_median = float(decay_medians[-1])
-    decay_ok = bool(center_median <= decay_factor * center_initial)
+    decay_target = decay_factor * center_initial
 
-    naive_mass = cfg.initial.mass * math.fsum(h_end) / cfg.n_paths
-
-    return SupportReport(
-        plateau_ok=plateau_ok,
-        plateau_median=float(plateau),
-        eta_hat=float(np.max(radii)),
-        bound_ok=bound_ok,
-        domain_ok=domain_ok,
-        support_radii=radii,
-        support_bounds=bounds,
-        mass_report=mass_report,
-        decay_ok=decay_ok,
-        center_initial=center_initial,
-        center_median=center_median,
-        decay_times=decay_times,
-        decay_medians=decay_medians,
-        naive_mass_at_horizon=naive_mass,
-        provenance=_provenance(cfg, table, b_dominating=b_dom),
-    )
+    provenance = _provenance(cfg, table, b_dominating=b_dom)
+    return {
+        "plateau": _report(
+            cfg, plateau, plateau_tol, plateau <= plateau_tol,
+            f"median of (H(T) - H(T/2)) / H(T/2) <= {plateau_tol:g}", {}, provenance,
+        ),
+        "support_bound": _report(
+            cfg, float(np.max(radii)), float(np.max(bounds)), bool(np.all(radii <= bounds)),
+            "support radius <= sqrt(2 m b / ((m - 1) beta)) (1 + H(T))^beta on every path",
+            {"support_radii": radii, "support_bounds": bounds}, provenance,
+        ),
+        "domain": _report(
+            cfg, edge, 0.0, edge == 0.0, "field at the box edge of the last snapshot == 0", {}, provenance
+        ),
+        "mean_mass": McReport(
+            **verdict,
+            rule=f"mean mass at t = {mass_check_time:g} within 3 SE",
+            extras={"t": mass_check_time, "naive_mass_at_horizon": naive_mass},
+            provenance=provenance,
+        ),
+        "decay": _report(
+            cfg, center_median, decay_target, center_median <= decay_target,
+            f"median u(T, 0) <= {decay_factor:g} u(0, 0)",
+            {"decay_times": decay_times, "decay_medians": decay_medians, "center_initial": center_initial},
+            provenance,
+        ),
+    }

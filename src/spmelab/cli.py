@@ -21,8 +21,8 @@ import numpy as np
 
 from . import __version__
 from .analysis import (
-    BLOCK_VALUES,
     McConfig,
+    _clock_blocks,
     asymptotics_experiment,
     clock_sweep,
     limit_law_statistics,
@@ -40,7 +40,7 @@ from .exact import (
     linear_pressure_base,
     quadratic_pressure,
 )
-from .noise import CoefficientPair, TimeGrid, brownian_block, mix_seed, multiplier_block
+from .noise import CoefficientPair, TimeGrid
 from .solver import (
     FieldState,
     SchemeConfig,
@@ -187,20 +187,17 @@ def _run_exact(cfg: RunConfig, outdir: Path) -> dict:
 
 def _run_path(cfg: RunConfig, outdir: Path) -> dict:
     grid = TimeGrid.uniform(cfg.horizon, cfg.steps)
-    coeffs = CoefficientPair.from_pieces(cfg.f, cfg.g)
-    # Blocks of paths as in the sweeps' clocks, so memory stays bounded for many paths.
-    rows = max(1, BLOCK_VALUES // (grid.steps + 1))
-    for start in range(0, cfg.n_paths, rows):
-        indices = range(start, min(start + rows, cfg.n_paths))
-        w = brownian_block(grid, [mix_seed(cfg.seed, i) for i in indices])
-        _, h, H = multiplier_block(w, grid, coeffs, cfg.m)
-        for i, row in zip(indices, zip(w, h, H)):
+
+    def write(start, w, logh, h, H):
+        for i, row in enumerate(zip(w, h, H), start):
             csv_path = outdir / f"path_{i:03d}.csv"
             _write_csv(csv_path, ("t", "w", "h", "H"), (grid.nodes, *row))
             _write_plot_note(
                 csv_path, "t", "H", "time", "random clock",
                 "multiplier and clock along one noise path",
             )
+
+    _clock_blocks(grid, CoefficientPair.from_pieces(cfg.f, cfg.g), cfg.m, cfg.seed, cfg.n_paths, write)
     return {}
 
 
@@ -281,14 +278,14 @@ def _run_asymptotics(cfg: RunConfig, outdir: Path) -> dict:
 
 
 def _run_support(cfg: RunConfig, outdir: Path) -> dict:
-    mc = _mc_config(cfg)
-    report = support_experiment(
-        mc, plateau_tol=cfg.plateau_tol, mass_check_time=cfg.mass_check_time
+    reports = support_experiment(
+        _mc_config(cfg), plateau_tol=cfg.plateau_tol, mass_check_time=cfg.mass_check_time
     )
+    plateau, bound, mass, decay = (reports[k] for k in ("plateau", "support_bound", "mean_mass", "decay"))
     per_csv = outdir / "per_path.csv"
     _write_csv(
         per_csv, ("path", "support_radius", "support_bound"),
-        (np.arange(report.support_radii.size), report.support_radii, report.support_bounds),
+        (np.arange(bound.n), bound.extras["support_radii"], bound.extras["support_bounds"]),
     )
     _write_plot_note(per_csv, "path", "support_radius", "path index", "support radius",
                      "per-path support radii against the dominating bound")
@@ -301,24 +298,21 @@ def _run_support(cfg: RunConfig, outdir: Path) -> dict:
             "center_initial", "center_median", "decay_ok",
         ),
         [[value] for value in (
-            report.plateau_median, report.plateau_ok, report.eta_hat, report.bound_ok,
-            report.mass_report.estimate, report.mass_report.target, report.mass_report.passed,
-            report.center_initial, report.center_median, report.decay_ok,
+            plateau.estimate, plateau.passed, bound.estimate, bound.passed,
+            mass.estimate, mass.target, mass.passed,
+            decay.extras["center_initial"], decay.estimate, decay.passed,
         )],
     )
     _write_plot_note(summary_csv, "plateau_median", "eta_hat", "plateau", "support bound",
                      "bounded-support experiment summary")
     decay_csv = outdir / "decay_table.csv"
-    _write_csv(decay_csv, ("t", "median_center_value"), (report.decay_times, report.decay_medians))
+    _write_csv(
+        decay_csv, ("t", "median_center_value"), (decay.extras["decay_times"], decay.extras["decay_medians"])
+    )
     _write_plot_note(decay_csv, "t", "median_center_value", "time", "median u(t, 0)",
                      "pointwise decay at the origin")
-    print(f"provenance: {report.provenance}")
-    return {
-        "plateau": report.plateau_ok,
-        "support_bound": report.bound_ok,
-        "mean_mass": report.mass_report.passed,
-        "decay": report.decay_ok,
-    }
+    print(f"provenance: {bound.provenance}")
+    return {name: rep.passed for name, rep in reports.items()}
 
 
 _RUNNERS = {

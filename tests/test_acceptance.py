@@ -323,21 +323,17 @@ def test_criterion_09_scaled_profile_attraction():
 def test_criterion_10_bounded_support_portrait():
     started = time.perf_counter()
     cfg = sized_box_config(CoefficientPair.constant(1.0, 0.0), 1000, 50.0, 1000)
-    rep = support_experiment(cfg)
+    reps = support_experiment(cfg)
     elapsed = time.perf_counter() - started
-    ok = (
-        rep.plateau_ok
-        and rep.bound_ok
-        and rep.domain_ok
-        and rep.mass_report.passed
-        and rep.decay_ok
-    )
+    assert list(reps) == ["plateau", "support_bound", "domain", "mean_mass", "decay"]
+    ok = all(rep.passed for rep in reps.values())
+    plateau, bound, mass, decay = (reps[k] for k in ("plateau", "support_bound", "mean_mass", "decay"))
     line = record_criterion(
         10, ok,
-        f"clock plateau {rep.plateau_median:.2%} (tol 1%), largest support radius "
-        f"{rep.eta_hat:.2f} under the envelope bound, mean mass "
-        f"{rep.mass_report.estimate:.3f} vs {rep.mass_report.target:.3f} at 3 SE, "
-        f"median center value {rep.center_median:.1e} <= 10% of {rep.center_initial:.2f} "
+        f"clock plateau {plateau.estimate:.2%} (tol 1%), largest support radius "
+        f"{bound.estimate:.2f} under the envelope bound, mean mass "
+        f"{mass.estimate:.3f} vs {mass.target:.3f} at 3 SE, "
+        f"median center value {decay.estimate:.1e} <= 10% of {decay.extras['center_initial']:.2f} "
         f"({elapsed:.0f}s)",
     )
     assert ok, line
@@ -350,13 +346,13 @@ def test_criterion_11_order_preservation_and_weak_form():
         coeffs=CoefficientPair.constant(1.0, 0.0), m=2.0,
     )
     probes = [(t, x) for t in (0.25, 0.5, 1.0) for x in (-1.5, -0.5, 0.0, 0.5, 1.5)]
-    comp_ok = comparison_check(cfg, box_state(grid_x, 0.5, 0.8), box_state(grid_x, 1.0, 1.2), probes)
+    comp = comparison_check(cfg, box_state(grid_x, 0.5, 0.8), box_state(grid_x, 1.0, 1.2), probes)
     capped = McConfig(
         n_paths=100, master_seed=MASTER, grid=TimeGrid.uniform(1.0, 128),
         coeffs=CoefficientPair.constant(1.0, 0.0), m=2.0,
         initial=box_state(grid_x, 1.0, 1.2),
     )
-    max_ok = maximum_check(capped, 1.0, probes)
+    cap = maximum_check(capped, 1.0, probes)
 
     p = BarenblattParams(m=2.0, d=1, b=1.0)
     base = DeterministicSolution(
@@ -378,10 +374,10 @@ def test_criterion_11_order_preservation_and_weak_form():
             )
         rms.append(math.sqrt(math.fsum(v * v for v in vals) / len(vals)))
     slope = -float(np.polyfit(np.log(steps_list), np.log(rms), 1)[0])
-    ok = comp_ok and max_ok and slope >= 0.4
+    ok = comp.passed and cap.passed and slope >= 0.4
     line = record_criterion(
         11, ok,
-        f"ordering kept at {len(probes)} probes x 100 paths: {comp_ok}; cap kept: {max_ok}; "
+        f"ordering kept at {len(probes)} probes x 100 paths: {comp.passed}; cap kept: {cap.passed}; "
         f"weak-form RMS slope {slope:.2f} under mesh refinement (floor 0.4)",
     )
     assert ok, line

@@ -290,10 +290,14 @@ def test_comparison_check_keeps_ordered_data_ordered():
         coeffs=CoefficientPair.constant(1.0, 0.0), m=2.0,
     )
     probes = [(0.25, 0.0), (0.5, 0.5), (0.5, -1.0)]
-    assert comparison_check(cfg, low, high, probes)
+    rep = comparison_check(cfg, low, high, probes)
+    assert rep.passed and rep.estimate >= 0.0
+    assert (rep.stderr, rep.n, rep.target) == (0.0, 4, 0.0)
     # Identical states tie at every probe, so a negative tolerance that
-    # demands a strict gap must report a violation.
-    assert not comparison_check(cfg, high, high, probes, tol=-1.0)
+    # demands a strict gap of max(1, |high|) must report a violation.
+    tied = comparison_check(cfg, high, high, probes, tol=-1.0)
+    assert not tied.passed
+    assert tied.estimate <= -1.0
 
 
 def test_comparison_check_validation():
@@ -320,9 +324,14 @@ def test_maximum_check_caps_the_field():
         coeffs=CoefficientPair.constant(1.0, 0.0), m=2.0, initial=high,
     )
     probes = [(0.25, 0.0), (0.5, 0.5), (0.5, -1.0)]
-    assert maximum_check(cfg, 1.0, probes)
-    assert maximum_check(cfg, 5.0, probes)
-    assert not maximum_check(cfg, 1.0, probes, tol=-1.0)
+    rep = maximum_check(cfg, 1.0, probes)
+    assert rep.passed and rep.estimate >= 0.0
+    assert (rep.stderr, rep.n, rep.target) == (0.0, 4, 0.0)
+    loose = maximum_check(cfg, 5.0, probes)
+    assert loose.passed and loose.estimate > rep.estimate
+    tight = maximum_check(cfg, 1.0, probes, tol=-1.0)
+    assert not tight.passed
+    assert tight.estimate < 0.0
     with pytest.raises(InvalidInputError):
         maximum_check(cfg, 0.5, probes)
     bare = McConfig(
@@ -331,6 +340,21 @@ def test_maximum_check_caps_the_field():
     )
     with pytest.raises(InvalidInputError):
         maximum_check(bare, 1.0, probes)
+
+
+def test_a_report_has_no_truth_value():
+    grid = line_grid()
+    cfg = McConfig(
+        n_paths=2, master_seed=MASTER, grid=TimeGrid.uniform(0.5, 32),
+        coeffs=CoefficientPair.constant(1.0, 0.0), m=2.0, initial=box_state(grid, 1.0, 1.2),
+    )
+    rep = maximum_check(cfg, 1.0, [(0.5, 0.0)], tol=-1.0)
+    assert not rep.passed
+    # A leftover truth test would read a failed check as a pass.
+    with pytest.raises(TypeError, match=r"\.passed"):
+        assert rep
+    with pytest.raises(TypeError, match=r"\.passed"):
+        bool(rep)
 
 
 def test_asymptotics_experiment_deterministic_decay():
@@ -414,17 +438,25 @@ def test_support_experiment_with_persistent_noise():
         n_paths=60, master_seed=MASTER, grid=grid_t, coeffs=coeffs, m=m,
         initial=box_state(grid, height, spread),
     )
-    rep = support_experiment(cfg)
-    assert rep.plateau_ok and rep.plateau_median <= 0.01
-    assert rep.bound_ok
-    assert np.all(rep.support_radii <= rep.support_bounds)
-    assert rep.domain_ok
-    assert rep.mass_report.passed
-    assert rep.decay_ok
-    assert rep.center_median <= 0.1 * rep.center_initial
+    reps = support_experiment(cfg)
+    assert list(reps) == ["plateau", "support_bound", "domain", "mean_mass", "decay"]
+    assert all(rep.passed for rep in reps.values())
+    plateau, bound, domain, mass, decay = reps.values()
+    assert plateau.estimate <= plateau.target == 0.01
+    radii, bounds = bound.extras["support_radii"], bound.extras["support_bounds"]
+    assert np.all(radii <= bounds)
+    assert (bound.estimate, bound.target) == (np.max(radii), np.max(bounds))
+    assert (domain.estimate, domain.target) == (0.0, 0.0)
+    assert decay.estimate <= decay.target == 0.1 * decay.extras["center_initial"]
+    assert decay.estimate == decay.extras["decay_medians"][-1]
+    assert all(rep.stderr == 0.0 for rep in (plateau, bound, domain, decay))
+    assert mass.stderr > 0.0
+    assert all(rep.provenance is plateau.provenance for rep in reps.values())
+    spread_hat = support_radius(cfg.initial)
+    assert plateau.provenance["b_dominating"] == pytest.approx(1.0 + beta / 4.0 * spread_hat**2)
     # The naive horizon-time mass average has no statistical power left; it
     # lands well below the conserved mean and is recorded as a diagnostic.
-    assert rep.naive_mass_at_horizon < cfg.initial.mass
+    assert mass.extras["naive_mass_at_horizon"] < cfg.initial.mass
 
 
 def test_support_experiment_noise_free_control_shows_no_plateau():
@@ -434,9 +466,11 @@ def test_support_experiment_noise_free_control_shows_no_plateau():
         coeffs=CoefficientPair.constant(0.0, 0.0), m=2.0,
         initial=box_state(grid, 1.0, 1.0),
     )
-    rep = support_experiment(cfg)
-    assert not rep.plateau_ok
-    assert not rep.decay_ok
+    reps = support_experiment(cfg)
+    assert not reps["plateau"].passed
+    assert reps["plateau"].estimate > reps["plateau"].target
+    assert not reps["decay"].passed
+    assert reps["decay"].estimate > reps["decay"].target
 
 
 def test_support_experiment_validation():
@@ -592,10 +626,19 @@ def test_support_portrait_matches_the_scalar_reference_bitwise():
         [interp_h(c, t) * float(eval_on_centers(table, 0.0 + interp_H(c, t), 0.0)) for t in decay_times]
         for c in clocks
     ]
-    rep = support_experiment(cfg, mass_check_time=2.0)
-    assert np.array_equal(rep.support_radii, np.array(radii))
-    assert np.array_equal(rep.decay_medians, np.median(np.array(centre), axis=0))
-    mass = rep.mass_report
+    plateaus = [
+        (interp_H(c, horizon) - interp_H(c, 0.5 * horizon)) / interp_H(c, 0.5 * horizon) for c in clocks
+    ]
+    last = table.states[-1].values
+    reps = support_experiment(cfg, mass_check_time=2.0)
+    assert reps["plateau"].estimate == np.median(plateaus)
+    assert np.array_equal(reps["support_bound"].extras["support_radii"], np.array(radii))
+    assert reps["support_bound"].estimate == max(radii)
+    assert reps["domain"].estimate == max(abs(last[0]), abs(last[-1]))
+    assert reps["domain"].passed == (last[0] == 0.0 and last[-1] == 0.0)
+    decay = reps["decay"]
+    assert np.array_equal(decay.extras["decay_medians"], np.median(np.array(centre), axis=0))
+    mass = reps["mean_mass"]
     assert (mass.estimate, mass.stderr, mass.target, mass.passed) == mean_mass_verdict(cfg, clocks, table, 2.0)
 
 

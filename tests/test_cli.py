@@ -205,7 +205,7 @@ def test_asymptotics_run(tmp_path):
     assert per.shape == (2, 5)
 
 
-def test_support_run_passes_all_four_checks(tmp_path):
+def test_support_run_passes_all_five_checks(tmp_path):
     cfg = write_config(
         tmp_path, "support.ini",
         "command = support\nf = 0:1\ng = 0:0\nhorizon = 30\nsteps = 600\n"
@@ -214,11 +214,26 @@ def test_support_run_passes_all_four_checks(tmp_path):
     )
     assert main(["--config", cfg]) == 0
     manifest = (tmp_path / "out" / "manifest.txt").read_text()
-    for name in ("plateau", "support_bound", "mean_mass", "decay"):
-        assert f"check {name}: pass" in manifest
+    checks = [line for line in manifest.splitlines() if line.startswith("check ")]
+    assert checks == [
+        f"check {name}: pass" for name in ("plateau", "support_bound", "domain", "mean_mass", "decay")
+    ]
     decay = read_csv(tmp_path / "out" / "decay_table.csv")
     assert decay.shape == (4, 2)
     assert decay[-1, 1] < decay[0, 1]
+
+
+def test_support_run_whose_field_reaches_the_box_edge_fails(tmp_path):
+    # The support outgrows [-3, 3], so the zero-flux walls would fake a support bound.
+    cfg = write_config(
+        tmp_path, "support.ini",
+        "command = support\nf = 0:1\ng = 0:0\nhorizon = 30\nsteps = 600\n"
+        "n_paths = 30\ngrid_lo = -3\ngrid_hi = 3\ncells = 64\n"
+        f"out = {tmp_path / 'out'}\n",
+    )
+    assert main(["--config", cfg]) == 1
+    manifest = (tmp_path / "out" / "manifest.txt").read_text()
+    assert "check domain: FAIL\n" in manifest
 
 
 def test_seed_override_changes_the_sampled_paths(tmp_path):
@@ -498,7 +513,7 @@ def test_path_files_hold_the_one_path_clocks_for_any_block_size(tmp_path, monkey
         tmp_path, "path.ini",
         f"command = path\nn_paths = 3\nsteps = 64\nf = 0:1, 0.5:0\nout = {out}\n",
     )
-    monkeypatch.setattr(cli, "BLOCK_VALUES", rows * 65)
+    monkeypatch.setattr(analysis, "BLOCK_VALUES", rows * 65)
     assert main(["--config", cfg]) == 0
     assert_path_files_hold_the_one_path_clocks(tmp_path, out, 3)
 
