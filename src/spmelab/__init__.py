@@ -45,7 +45,6 @@ from .timechange import (
     check_homogeneity,
     forward_transform,
     inverse_transform,
-    require_shared_clock,
 )
 from .exact import (
     BarenblattParams,
@@ -82,8 +81,6 @@ from .solver import (
     interp_mass,
     lp_power_sum,
     residual,
-    stable_dt,
-    step,
     support_radius,
     table_solution,
 )

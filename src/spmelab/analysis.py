@@ -13,7 +13,7 @@ the block size.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,16 +53,28 @@ N_SNAPSHOTS = 160
 # least one), so each block array holds about BLOCK_VALUES float64 values.
 BLOCK_VALUES = 65536
 
+# The profile checks pass when at least MIN_FRACTION of the paths decrease
+# strictly; the support portrait's decay check asks for median u(T, 0) <=
+# DECAY_FACTOR u(0, 0).
+MIN_FRACTION = 0.95
+DECAY_FACTOR = 0.1
+
+# The order checks absorb rounding with ORDER_TOL * max(1, |value|).
+ORDER_TOL = 1e-9
+
+# Simpson nodes over the test function's support in the weak-form residual.
+N_QUAD = 513
+
 
 @dataclass(frozen=True, eq=False)
 class McConfig:
     """Inputs shared by the Monte Carlo sweeps.
 
     ``initial`` carries the deterministic initial data (and its spatial grid);
-    sweeps that only touch the multiplier may leave it None.  ``scheme``
-    controls the reference solver runs; snapshot instants are chosen
-    internally, ``N_SNAPSHOTS`` of them geometrically spaced up to the largest
-    clock value realised by the sampled paths times ``TABLE_MARGIN``.
+    sweeps that only touch the multiplier may leave it None.  ``cfl_safety``
+    is the safety factor of the reference solver runs; snapshot instants are
+    chosen internally, ``N_SNAPSHOTS`` of them geometrically spaced up to the
+    largest clock value realised by the sampled paths times ``TABLE_MARGIN``.
     """
 
     n_paths: int
@@ -71,13 +83,15 @@ class McConfig:
     coeffs: CoefficientPair
     m: float
     initial: FieldState | None = None
-    scheme: SchemeConfig = field(default_factory=SchemeConfig)
+    cfl_safety: float = 0.4
 
     def __post_init__(self):
         if self.n_paths < 2:
             raise InvalidInputError("Monte Carlo sweeps need at least 2 paths")
         if self.m <= 1.0:
             raise InvalidInputError("the noisy equation is posed for m > 1")
+        if not 0.0 < self.cfl_safety <= 1.0:
+            raise InvalidInputError("cfl_safety must lie in (0, 1]")
 
 
 @dataclass(frozen=True, eq=False)
@@ -153,7 +167,7 @@ def _reference_tables(cfg: McConfig, span: float, initials: tuple) -> tuple:
     else:
         first = max(1e-4 * t_end, 1e-6)
         snaps = np.geomspace(first, t_end, N_SNAPSHOTS)
-    scheme = SchemeConfig(cfl_safety=cfg.scheme.cfl_safety, snapshot_times=tuple(snaps))
+    scheme = SchemeConfig(cfl_safety=cfg.cfl_safety, snapshot_times=tuple(snaps))
     return evolve_together(initials, cfg.m, t_end, scheme)
 
 
@@ -221,8 +235,11 @@ def clock_sweep(cfg: McConfig, times, initials: tuple | None = None) -> ClockSwe
     """Sample the clock of every path at ``times``, then solve once for the largest value.
 
     The solve starts from ``initials`` (states sharing one start time), by
-    default from ``cfg.initial`` alone.
+    default from ``cfg.initial`` alone.  An empty ``times`` is rejected before
+    any path is drawn.
     """
+    if not len(times):
+        raise InvalidInputError("a clock sweep needs at least one probe time")
     h, H, logh_end = _clocks(cfg, times)
     max_clock = float(np.max(H))
     if not math.isfinite(max_clock):
@@ -282,7 +299,7 @@ def mc_lp_bound(cfg: McConfig, p: float, t: float) -> McReport:
     ]
     mean_p, stderr_p, _ = _sample_stats(per_path)
     lhs = mean_p ** (1.0 / p)
-    mp = lp_power_sum(cfg.initial, None, p) ** (1.0 / p)
+    mp = lp_power_sum(cfg.initial.values, cfg.initial.grid, p) ** (1.0 / p)
     rhs = mp * math.exp(cfg.coeffs.integral_g(t) + 0.5 * (p - 1.0) * cfg.coeffs.integral_f2(t))
     rel_stderr = stderr_p / mean_p if mean_p > 0.0 else 0.0
     passed = lhs <= rhs * (1.0 + 3.0 * rel_stderr)
@@ -304,7 +321,7 @@ def limit_law_statistics(cfg: McConfig) -> McReport:
     The mean is tested at 3 standard errors against int g - 1/2 int f^2 from
     :func:`spmelab.noise.limit_distribution`; the sample variance is tested
     against the 3-sigma chi-square band around the law's variance int f^2,
-    which the extras also record as ``integral_f2``.
+    which the extras record as ``claimed_var``.
     """
     claimed_mean, claimed_var = limit_distribution(cfg.coeffs)
     cutoff = float(cfg.coeffs.breaks[-1])
@@ -330,7 +347,6 @@ def limit_law_statistics(cfg: McConfig) -> McReport:
             "var_band": band,
             "mean_ok": mean_ok,
             "var_ok": var_ok,
-            "integral_f2": cfg.coeffs.integral_f2(cutoff),
             "xis": xis,
         },
         provenance=_provenance(cfg),
@@ -391,8 +407,7 @@ class Bump:
 
 
 def _simpson(a: float, b: float, n: int) -> tuple[np.ndarray, np.ndarray]:
-    if n < 3 or n % 2 == 0:
-        raise InvalidInputError("Simpson rule needs an odd node count >= 3")
+    """Nodes and weights of the composite Simpson rule with an odd node count n."""
     xs = np.linspace(a, b, n)
     w = np.ones(n)
     w[1:-1:2] = 4.0
@@ -405,14 +420,13 @@ def weak_form_residual(
     m: float,
     phi: Bump,
     t: float,
-    n_quad: int = 513,
 ) -> float:
     """Defect of the discrete weak formulation at time t.
 
     Computes |(u, phi)(t) - (u, phi)(0) - sum (u^m, lap phi) dt
     - sum (u, phi)(f dw + g dt)| with left-endpoint sums on the clock's own
     mesh; t snaps down to the nearest grid node.  Spatial inner products use
-    a fixed Simpson rule over the bump's support.
+    a fixed Simpson rule with ``N_QUAD`` nodes over the bump's support.
 
     The base is evaluated once on a column of clock values against a row of
     positions.  A base that does not broadcast over s, so that this call
@@ -425,7 +439,7 @@ def weak_form_residual(
         raise InvalidInputError("query time outside the clock horizon")
     k_end = int(np.searchsorted(nodes, t * (1.0 + 1e-12), side="right")) - 1
     k_end = max(k_end, 0)
-    xs, wts = _simpson(phi.lo, phi.hi, n_quad)
+    xs, wts = _simpson(phi.lo, phi.hi, N_QUAD)
     phiv = phi(xs) * wts
     lapv = phi.laplacian(xs) * wts
     hs = clock.h[: k_end + 1]
@@ -459,15 +473,14 @@ def comparison_check(
     initial_low: FieldState,
     initial_high: FieldState,
     probes,
-    tol: float = 1e-9,
 ) -> McReport:
     """Whether the two transformed solutions stay ordered at every probe.
 
     ``initial_low <= initial_high`` pointwise is required; both evolve with
     the same scheme and ride the same clock realisation per path, so the
-    transform preserves the discrete comparison principle exactly and ``tol``
-    only absorbs rounding.  The estimate is the least slack
-    high + tol max(1, |high|) - low over probes and paths.
+    transform preserves the discrete comparison principle exactly and
+    ``tol = ORDER_TOL`` only absorbs rounding.  The estimate is the least
+    slack high + tol max(1, |high|) - low over probes and paths.
     """
     if initial_low.grid is not initial_high.grid and not (
         initial_low.grid.cells == initial_high.grid.cells
@@ -486,8 +499,8 @@ def comparison_check(
         h, s = sweep.h[:, k], sweep.table_times[:, k]
         u_low = h * eval_on_centers(table_low, s, float(x))
         u_high = h * eval_on_centers(table_high, s, float(x))
-        slack = min(slack, float(np.min(u_high + tol * np.maximum(1.0, np.abs(u_high)) - u_low)))
-    rule = f"low <= high + tol max(1, |high|) at every probe and path, tol = {tol:g}"
+        slack = min(slack, float(np.min(u_high + ORDER_TOL * np.maximum(1.0, np.abs(u_high)) - u_low)))
+    rule = f"low <= high + tol max(1, |high|) at every probe and path, tol = {ORDER_TOL:g}"
     extras = {"max_clock": sweep.max_clock}
     return _report(cfg, slack, 0.0, slack >= 0.0, rule, extras, _provenance(cfg, table_low))
 
@@ -496,14 +509,14 @@ def maximum_check(
     cfg: McConfig,
     bound: float,
     probes,
-    tol: float = 1e-9,
 ) -> McReport:
     """Whether 0 <= u(t, x) <= bound * h(t) holds at every probe.
 
     ``bound`` must dominate the initial data; the deterministic solution then
     never exceeds it (discrete maximum principle), so the noisy field is
-    capped by bound * h exactly up to rounding.  The estimate is the least
-    slack, u + tol or bound h + tol max(1, bound h) - u, over probes and paths.
+    capped by bound * h exactly up to rounding, which ``tol = ORDER_TOL``
+    absorbs.  The estimate is the least slack, u + tol or
+    bound h + tol max(1, bound h) - u, over probes and paths.
     """
     if cfg.initial is None:
         raise InvalidInputError("maximum check needs initial data")
@@ -514,9 +527,9 @@ def maximum_check(
     for k, (_, x) in enumerate(probes):
         h = sweep.h[:, k]
         u = h * eval_on_centers(sweep.tables[0], sweep.table_times[:, k], float(x))
-        cap = bound * h + tol * np.maximum(1.0, bound * h)
-        slack = min(slack, float(np.min(u + tol)), float(np.min(cap - u)))
-    rule = f"-tol <= u <= bound h + tol max(1, bound h) at every probe and path, bound = {bound:g}, tol = {tol:g}"
+        cap = bound * h + ORDER_TOL * np.maximum(1.0, bound * h)
+        slack = min(slack, float(np.min(u + ORDER_TOL)), float(np.min(cap - u)))
+    rule = f"-tol <= u <= bound h + tol max(1, bound h) at every probe and path, bound = {bound:g}, tol = {ORDER_TOL:g}"
     extras = {"max_clock": sweep.max_clock}
     return _report(cfg, slack, 0.0, slack >= 0.0, rule, extras, _provenance(cfg, sweep.tables[0]))
 
@@ -548,7 +561,6 @@ def asymptotics_experiment(
     cfg: McConfig,
     probe_times,
     x0: float = 0.0,
-    min_fraction: float = 0.95,
 ) -> McReport:
     """Fraction of paths whose clock-scaled profile error strictly decreases.
 
@@ -573,8 +585,8 @@ def asymptotics_experiment(
         stderr=stderr,
         n=cfg.n_paths,
         target=1.0,
-        passed=fraction >= min_fraction,
-        rule=f"fraction of strictly decreasing scaled-error schedules >= {min_fraction:g}",
+        passed=fraction >= MIN_FRACTION,
+        rule=f"fraction of strictly decreasing scaled-error schedules >= {MIN_FRACTION:g}",
         extras={
             "b": params.b,
             "probe_times": times,
@@ -617,8 +629,8 @@ def limit_profile_check(
         stderr=stderr,
         n=cfg.n_paths,
         target=1.0,
-        passed=fraction >= 0.95,
-        rule="fraction of paths with strictly decreasing comparator distance >= 0.95",
+        passed=fraction >= MIN_FRACTION,
+        rule=f"fraction of paths with strictly decreasing comparator distance >= {MIN_FRACTION:g}",
         extras={
             "xi_mean": xi_mean,
             "xi_stderr": xi_stderr,
@@ -638,7 +650,6 @@ def support_experiment(
     cfg: McConfig,
     plateau_tol: float = 0.01,
     mass_check_time: float = 2.0,
-    decay_factor: float = 0.1,
 ) -> dict:
     """Finite-horizon portrait of the m = 2 example with compact initial data.
 
@@ -692,7 +703,7 @@ def support_experiment(
     center_by_time = sweep.h[:, 3:] * eval_on_centers(table, sweep.table_times[:, 3:], 0.0)
     decay_medians = np.median(center_by_time, axis=0)
     center_median = float(decay_medians[-1])
-    decay_target = decay_factor * center_initial
+    decay_target = DECAY_FACTOR * center_initial
 
     provenance = _provenance(cfg, table, b_dominating=b_dom)
     return {
@@ -716,7 +727,7 @@ def support_experiment(
         ),
         "decay": _report(
             cfg, center_median, decay_target, center_median <= decay_target,
-            f"median u(T, 0) <= {decay_factor:g} u(0, 0)",
+            f"median u(T, 0) <= {DECAY_FACTOR:g} u(0, 0)",
             {"decay_times": decay_times, "decay_medians": decay_medians, "center_initial": center_initial},
             provenance,
         ),

@@ -133,7 +133,7 @@ def _mc_config(cfg: RunConfig) -> McConfig:
         coeffs=CoefficientPair.from_pieces(cfg.f, cfg.g),
         m=cfg.m,
         initial=_initial_state(cfg),
-        scheme=SchemeConfig(cfl_safety=cfg.cfl_safety),
+        cfl_safety=cfg.cfl_safety,
     )
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BlowUpError, InvalidInputError
-from .noise import MultiplierPath, interp_h, interp_H, multiplier_path
+from .noise import CoefficientPair, MultiplierPath, interp_h, interp_H, multiplier_path
 from .timechange import DeterministicSolution, TimeInterval
 
 
@@ -104,11 +104,12 @@ def mass_to_b(m: float, d: int, mass: float) -> float:
     return (mass / _unit_mass(m, d)) ** (2.0 * beta * (m - 1.0))
 
 
-def _adaptive_midpoint(fn, a: float, b: float, tol: float, max_depth: int = 48) -> float:
+def _adaptive_midpoint(fn, a: float, b: float, tol: float) -> float:
     """Adaptive midpoint quadrature with one Richardson correction.
 
     The open rule never evaluates the endpoints, which tolerates the
-    square-root behaviour of the integrand at the free boundary.
+    square-root behaviour of the integrand at the free boundary.  Intervals
+    are halved at most 48 times.
     """
 
     def recurse(lo, hi, whole, tol, depth):
@@ -122,7 +123,7 @@ def _adaptive_midpoint(fn, a: float, b: float, tol: float, max_depth: int = 48) 
         )
 
     whole = fn(0.5 * (a + b)) * (b - a)
-    return recurse(a, b, whole, tol, max_depth)
+    return recurse(a, b, whole, tol, 48)
 
 
 def barenblatt_mass_quadrature(p: BarenblattParams, t: float = 1.0, rel_tol: float = 1e-9) -> float:
@@ -309,8 +310,6 @@ def pressure_commutation_check(
     if clock.gamma != m:
         raise InvalidInputError("the velocity clock must use gamma = m")
     src = clock.coeffs
-    from .noise import CoefficientPair  # local import avoids a cycle at module load
-
     pressure_coeffs = CoefficientPair(
         breaks=src.breaks.copy(),
         f_values=(m - 1.0) * src.f_values,

@@ -160,12 +160,6 @@ def _bound(peak: float, m: float, safety: float, grid: SpatialGrid) -> float:
     return safety * grid.dx**2 / max(denom, _DENOM_FLOOR)
 
 
-def stable_dt(state: FieldState, m: float, safety: float = 1.0) -> float:
-    """Largest admissible explicit step for the current state."""
-    peak = float(np.max(state.values)) if state.values.size else 0.0
-    return _bound(peak, m, safety, state.grid)
-
-
 def _work(u: np.ndarray) -> tuple:
     """Buffers for :func:`_advance` on rows shaped like ``u``, with the views it
     reads: u**m, the face fluxes between two zero columns (the no-flux walls),
@@ -200,28 +194,6 @@ def _advance(u: np.ndarray, m: float, dt: float, grid: SpatialGrid, work: tuple)
         lost.append(float(-np.dot(row[negative], grid.volumes[negative])) if negative.any() else 0.0)
         row[negative] = 0.0
     return lost
-
-
-def step(state: FieldState, m: float, dt: float, safety: float = 1.0) -> FieldState:
-    """One explicit conservative update of length dt.
-
-    Raises :class:`StabilityError` when dt exceeds the monotonicity bound for
-    the given safety factor.
-    """
-    if m <= 1.0:
-        raise InvalidInputError("the solver handles m > 1")
-    if dt <= 0.0:
-        raise InvalidInputError("dt must be positive")
-    bound = stable_dt(state, m, safety)
-    if dt > bound * (1.0 + 1e-9):
-        raise StabilityError(
-            f"dt = {dt:.3e} exceeds the stability bound {bound:.3e} "
-            f"(safety {safety:g}, dx {state.grid.dx:.3e})"
-        )
-    u = state.values[None, :].copy()
-    lost = _advance(u, m, dt, state.grid, _work(u))
-    mass = lost[0] if lost else 0.0
-    return FieldState(grid=state.grid, time=state.time + dt, values=u[0], clamped_mass=mass)
 
 
 @dataclass(frozen=True, eq=False)
@@ -355,7 +327,7 @@ def _march(initials: tuple, m: float, horizon: float, cfg: SchemeConfig) -> tupl
                 raise InvalidInputError("dt must be positive")
             if steps_taken == 1:
                 _check_budget(u, m, safety, grid, horizon - clocks[0])
-            # dt is the least of the rows' bounds, so step's stability check holds for every row.
+            # dt is the least of the rows' bounds, so the update is monotone for every row.
             lost = _advance(u, m, dt, grid, work)
             if lost is not None:
                 clamped = [c + x for c, x in zip(clamped, lost)]
@@ -477,23 +449,17 @@ def table_solution(table: SnapshotTable) -> DeterministicSolution:
     )
 
 
-def support_radius(state: FieldState, threshold: float = 0.0) -> float:
-    """Largest |cell center| whose value exceeds the threshold (0 when none does)."""
-    mask = state.values > threshold
+def support_radius(state: FieldState) -> float:
+    """Largest |cell center| where the field is positive (0 when it is nowhere)."""
+    mask = state.values > 0.0
     if not np.any(mask):
         return 0.0
     return float(np.max(np.abs(state.grid.centers[mask])))
 
 
-def lp_power_sum(state_or_values, grid: SpatialGrid | None, p: float) -> float:
-    """Discrete integral of u**p (volume-weighted power sum)."""
-    if isinstance(state_or_values, FieldState):
-        values, grid = state_or_values.values, state_or_values.grid
-    else:
-        values = np.asarray(state_or_values, dtype=float)
-        if grid is None:
-            raise InvalidInputError("values need a grid")
-    return float(np.dot(values**p, grid.volumes))
+def lp_power_sum(values, grid: SpatialGrid, p: float) -> float:
+    """Discrete integral of u**p (volume-weighted power sum) of cell values on the grid."""
+    return float(np.dot(np.asarray(values, dtype=float) ** p, grid.volumes))
 
 
 def residual(evaluator, m: float, t: float, x, dt: float, dx: float) -> float:

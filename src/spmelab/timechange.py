@@ -88,12 +88,6 @@ class StochasticFieldSample:
         return forward_transform(self.base, self.clock, t, x)
 
 
-def require_shared_clock(a: StochasticFieldSample, b: StochasticFieldSample) -> None:
-    """Reject any pairing of samples built on different clock realisations."""
-    if a.clock is not b.clock:
-        raise InvalidInputError("samples must share one clock realisation")
-
-
 def inverse_transform(sample: StochasticFieldSample, s: float, x):
     """Recover the deterministic base value U(s, x) from one noisy realisation."""
     t = inverse_clock(sample.clock, s)

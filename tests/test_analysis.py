@@ -71,6 +71,10 @@ def test_mc_config_validation():
         McConfig(n_paths=1, master_seed=1, grid=grid, coeffs=coeffs, m=2.0)
     with pytest.raises(InvalidInputError):
         McConfig(n_paths=4, master_seed=1, grid=grid, coeffs=coeffs, m=1.0)
+    for safety in (0.0, 1.5):
+        with pytest.raises(InvalidInputError, match=r"cfl_safety must lie in \(0, 1\]"):
+            McConfig(n_paths=4, master_seed=1, grid=grid, coeffs=coeffs, m=2.0, cfl_safety=safety)
+    assert McConfig(n_paths=4, master_seed=1, grid=grid, coeffs=coeffs, m=2.0, cfl_safety=1.0).cfl_safety == 1.0
 
 
 def test_path_clock_is_a_pure_function_of_the_config():
@@ -158,8 +162,6 @@ def test_weak_form_residual_input_checks():
         weak_form_residual(sample, 2.0, phi, -0.5)
     with pytest.raises(InvalidInputError):
         weak_form_residual(sample, 2.0, phi, 1.5)
-    with pytest.raises(InvalidInputError):
-        weak_form_residual(sample, 2.0, phi, 1.0, n_quad=100)
 
 
 def test_clock_sweep_table_covers_the_largest_clock_value():
@@ -246,12 +248,13 @@ def test_limit_law_statistics_reports_the_variance_mismatch():
     assert rep.target == pytest.approx(-0.5)
     # By the Ito isometry the sample variance tracks int f^2 (here 1) within
     # its own 3-sigma chi-square fluctuation band ...
-    true_var = rep.extras["integral_f2"]
+    true_var = coeffs.integral_f2(float(coeffs.breaks[-1]))
     band = 3.0 * true_var * math.sqrt(2.0 / (cfg.n_paths - 1))
     assert abs(rep.extras["sample_var"] - true_var) <= band
     # ... and the report compares it with that same variance, so the check
     # passes.
     assert rep.extras["claimed_var"] == true_var == pytest.approx(1.0)
+    assert "integral_f2" not in rep.extras
     assert rep.extras["var_ok"]
     assert rep.passed
 
@@ -281,7 +284,7 @@ def test_limit_law_statistics_validation():
         limit_law_statistics(short)
 
 
-def test_comparison_check_keeps_ordered_data_ordered():
+def test_comparison_check_keeps_ordered_data_ordered(monkeypatch):
     grid = line_grid()
     low = box_state(grid, 0.5, 0.8)
     high = box_state(grid, 1.0, 1.2)
@@ -293,11 +296,14 @@ def test_comparison_check_keeps_ordered_data_ordered():
     rep = comparison_check(cfg, low, high, probes)
     assert rep.passed and rep.estimate >= 0.0
     assert (rep.stderr, rep.n, rep.target) == (0.0, 4, 0.0)
+    assert rep.rule.endswith("tol = 1e-09")
     # Identical states tie at every probe, so a negative tolerance that
     # demands a strict gap of max(1, |high|) must report a violation.
-    tied = comparison_check(cfg, high, high, probes, tol=-1.0)
+    monkeypatch.setattr(analysis, "ORDER_TOL", -1.0)
+    tied = comparison_check(cfg, high, high, probes)
     assert not tied.passed
     assert tied.estimate <= -1.0
+    assert tied.rule.endswith("tol = -1")
 
 
 def test_comparison_check_validation():
@@ -316,7 +322,7 @@ def test_comparison_check_validation():
         comparison_check(cfg, box_state(grid, 1.0, 1.0), box_state(grid, 0.5, 1.0), probes)
 
 
-def test_maximum_check_caps_the_field():
+def test_maximum_check_caps_the_field(monkeypatch):
     grid = line_grid()
     high = box_state(grid, 1.0, 1.2)
     cfg = McConfig(
@@ -327,13 +333,16 @@ def test_maximum_check_caps_the_field():
     rep = maximum_check(cfg, 1.0, probes)
     assert rep.passed and rep.estimate >= 0.0
     assert (rep.stderr, rep.n, rep.target) == (0.0, 4, 0.0)
+    assert rep.rule.endswith("bound = 1, tol = 1e-09")
     loose = maximum_check(cfg, 5.0, probes)
     assert loose.passed and loose.estimate > rep.estimate
-    tight = maximum_check(cfg, 1.0, probes, tol=-1.0)
-    assert not tight.passed
-    assert tight.estimate < 0.0
     with pytest.raises(InvalidInputError):
         maximum_check(cfg, 0.5, probes)
+    monkeypatch.setattr(analysis, "ORDER_TOL", -1.0)
+    tight = maximum_check(cfg, 1.0, probes)
+    assert not tight.passed
+    assert tight.estimate < 0.0
+    assert tight.rule.endswith("tol = -1")
     bare = McConfig(
         n_paths=4, master_seed=MASTER, grid=TimeGrid.uniform(0.5, 64),
         coeffs=CoefficientPair.constant(1.0, 0.0), m=2.0,
@@ -342,13 +351,32 @@ def test_maximum_check_caps_the_field():
         maximum_check(bare, 1.0, probes)
 
 
-def test_a_report_has_no_truth_value():
+def test_order_checks_reject_an_empty_probe_list_before_drawing_paths(monkeypatch):
+    grid = line_grid()
+    low, high = box_state(grid, 0.5, 0.8), box_state(grid, 1.0, 1.2)
+    cfg = McConfig(
+        n_paths=4, master_seed=MASTER, grid=TimeGrid.uniform(0.5, 64),
+        coeffs=CoefficientPair.constant(1.0, 0.0), m=2.0, initial=high,
+    )
+
+    def no_draw(*args):
+        raise AssertionError("drew paths before checking the probe list")
+
+    monkeypatch.setattr(analysis, "_clock_blocks", no_draw)
+    with pytest.raises(InvalidInputError, match="at least one probe time"):
+        comparison_check(cfg, low, high, [])
+    with pytest.raises(InvalidInputError, match="at least one probe time"):
+        maximum_check(cfg, 1.0, [])
+
+
+def test_a_report_has_no_truth_value(monkeypatch):
     grid = line_grid()
     cfg = McConfig(
         n_paths=2, master_seed=MASTER, grid=TimeGrid.uniform(0.5, 32),
         coeffs=CoefficientPair.constant(1.0, 0.0), m=2.0, initial=box_state(grid, 1.0, 1.2),
     )
-    rep = maximum_check(cfg, 1.0, [(0.5, 0.0)], tol=-1.0)
+    monkeypatch.setattr(analysis, "ORDER_TOL", -1.0)
+    rep = maximum_check(cfg, 1.0, [(0.5, 0.0)])
     assert not rep.passed
     # A leftover truth test would read a failed check as a pass.
     with pytest.raises(TypeError, match=r"\.passed"):

@@ -1,5 +1,8 @@
-"""The names the package exports, spelled out so that any change shows in a diff."""
+"""The names the package exports and the options they take, spelled out so that any change shows in a diff."""
 from __future__ import annotations
+
+import dataclasses
+import inspect
 
 import spmelab
 
@@ -72,14 +75,11 @@ PUBLIC_NAMES = [
     "quadratic_pressure",
     "quadratic_pressure_solution",
     "refine_brownian",
-    "require_shared_clock",
     "residual",
     "sample_brownian",
     "self_similar",
     "serialize_config",
     "sphere_area",
-    "stable_dt",
-    "step",
     "still_path",
     "stochastic_barenblatt",
     "support_experiment",
@@ -97,3 +97,38 @@ def test_public_names_are_the_listed_ones():
         if not name.startswith("_") and getattr(value, "__module__", "").startswith("spmelab.")
     )
     assert exported == sorted(PUBLIC_NAMES)
+
+
+# Every exported function that has parameters with defaults, and their names in order.
+DEFAULTED_PARAMETERS = {
+    "apply_overrides": ["seed", "out"],
+    "asymptotics_experiment": ["x0"],
+    "barenblatt_mass_quadrature": ["t", "rel_tol"],
+    "box_state": ["time"],
+    "check_homogeneity": ["fields", "lambdas", "m", "tol"],
+    "field_from": ["time"],
+    "limit_profile_check": ["x0"],
+    "support_experiment": ["plateau_tol", "mass_check_time"],
+}
+
+CONFIG_FIELDS = {
+    "McConfig": ["n_paths", "master_seed", "grid", "coeffs", "m", "initial", "cfl_safety"],
+    "SchemeConfig": ["cfl_safety", "snapshot_times"],
+}
+
+
+def test_defaulted_parameters_are_the_listed_ones():
+    found = {}
+    for name in PUBLIC_NAMES:
+        value = getattr(spmelab, name)
+        if inspect.isfunction(value):
+            params = inspect.signature(value).parameters.values()
+            defaulted = [p.name for p in params if p.default is not inspect.Parameter.empty]
+            if defaulted:
+                found[name] = defaulted
+    assert found == DEFAULTED_PARAMETERS
+
+
+def test_config_fields_are_the_listed_ones():
+    fields = {name: [f.name for f in dataclasses.fields(getattr(spmelab, name))] for name in CONFIG_FIELDS}
+    assert fields == CONFIG_FIELDS

@@ -30,8 +30,6 @@ from spmelab import (
     interp_mass,
     lp_power_sum,
     residual,
-    stable_dt,
-    step,
     support_radius,
     table_solution,
 )
@@ -40,6 +38,18 @@ from spmelab import solver
 
 def line_grid(lo=-6.0, hi=6.0, cells=200) -> SpatialGrid:
     return SpatialGrid(kind="cartesian", lo=lo, hi=hi, cells=cells)
+
+
+def _kernel_step(state, m, safety=0.4):
+    """One step of the marching kernel from ``state`` at its own bound.
+
+    Returns the new state and the kernel's clamp record (None when no value
+    went negative).
+    """
+    u = state.values[None, :].copy()
+    dt = solver._bound(float(np.max(u)), m, safety, state.grid)
+    lost = solver._advance(u, m, dt, state.grid, solver._work(u))
+    return FieldState(grid=state.grid, time=state.time + dt, values=u[0]), lost
 
 
 def test_spatial_grid_validation():
@@ -76,42 +86,41 @@ def test_field_state_validation():
 def test_constant_field_is_a_fixed_point():
     grid = line_grid(cells=32)
     state = field_from(grid, lambda x: np.full_like(x, 0.7))
-    dt = stable_dt(state, 2.0, 0.4)
-    after = step(state, 2.0, dt, safety=0.4)
+    after, lost = _kernel_step(state, 2.0)
     assert np.array_equal(after.values, state.values)
-    assert after.time == pytest.approx(dt)
+    assert lost is None
 
 
 def test_step_conserves_mass_and_never_clamps():
     grid = line_grid()
     state = box_state(grid, 1.0, 1.0)
     for _ in range(200):
-        dt = stable_dt(state, 2.0, 0.4)
-        new = step(state, 2.0, dt, safety=0.4)
+        new, lost = _kernel_step(state, 2.0)
         assert abs(new.mass - state.mass) <= 1e-13 * max(1.0, state.mass)
-        assert new.clamped_mass == 0.0
+        assert lost is None
         state = new
 
 
 def test_step_rejects_oversized_dt():
+    # The loop crops a step that would pass the bound: one and a half bounds
+    # take two steps, the first exactly the bound (a box keeps its peak).
     grid = line_grid()
     state = box_state(grid, 1.0, 1.0)
-    bound = stable_dt(state, 2.0, 0.4)
-    with pytest.raises(StabilityError):
-        step(state, 2.0, 2.0 * bound, safety=0.4)
-    with pytest.raises(InvalidInputError):
-        step(state, 1.0, bound)
-    with pytest.raises(InvalidInputError):
-        step(state, 2.0, 0.0)
+    bound = 0.4 * grid.dx**2 / (2.0 * 1 * 2.0 * 1.0)
+    table = evolve(state, 2.0, 1.5 * bound, SchemeConfig(cfl_safety=0.4))
+    assert (table.steps, table.dt_max) == (2, bound)
+    assert table.dt_min == pytest.approx(0.5 * bound, rel=1e-12)
 
 
 def test_stable_dt_formula_and_zero_state_guard():
     grid = line_grid(cells=100)
     state = box_state(grid, 2.0, 1.0)
     expected = 0.4 * grid.dx**2 / (2.0 * 1 * 3.0 * 2.0**2)
-    assert stable_dt(state, 3.0, 0.4) == pytest.approx(expected, rel=1e-12)
+    table = evolve(state, 3.0, expected, SchemeConfig(cfl_safety=0.4))
+    assert (table.steps, table.dt_max) == (1, expected)
     zero = field_from(grid, np.zeros_like)
-    assert stable_dt(zero, 2.0, 0.4) > 1.0
+    table = evolve(zero, 2.0, 1.0, SchemeConfig(cfl_safety=0.4))
+    assert (table.steps, table.dt_max) == (1, 1.0)
 
 
 def test_zero_initial_data_stays_zero():
@@ -151,10 +160,8 @@ def test_lp_power_sums_are_non_increasing():
         SchemeConfig(cfl_safety=0.4, snapshot_times=tuple(np.linspace(0.2, 1.8, 9))),
     )
     for p in (2.0, 3.0):
-        sums = [lp_power_sum(st, None, p) for st in table.states]
+        sums = [lp_power_sum(st.values, grid, p) for st in table.states]
         assert all(a >= b - 1e-12 for a, b in zip(sums, sums[1:]))
-    with pytest.raises(InvalidInputError):
-        lp_power_sum(np.ones(8), None, 2.0)
 
 
 def test_box_support_grows_monotonically_with_cube_root_slope():
@@ -177,8 +184,7 @@ def test_finite_propagation_one_cell_per_step():
     state = box_state(grid, 1.0, 1.0)
     for _ in range(120):
         before = support_radius(state)
-        dt = stable_dt(state, 2.0, 0.4)
-        state = step(state, 2.0, dt, safety=0.4)
+        state, _ = _kernel_step(state, 2.0)
         after = support_radius(state)
         assert after <= before + grid.dx * (1.0 + 1e-9)
 
@@ -326,9 +332,11 @@ def test_evolve_together_validation():
 
 
 def test_support_radius_threshold_monotone():
+    # Hats of narrowing width: the radius is the largest |center| inside each.
     grid = line_grid(cells=64)
-    state = field_from(grid, lambda x: np.maximum(1.0 - np.abs(x), 0.0))
-    radii = [support_radius(state, thr) for thr in (0.0, 0.25, 0.5, 0.9)]
+    widths = (1.0, 0.75, 0.5, 0.1)
+    radii = [support_radius(field_from(grid, lambda x, w=w: np.maximum(w - np.abs(x), 0.0))) for w in widths]
+    assert radii == [float(np.max(np.abs(grid.centers[np.abs(grid.centers) < w]))) for w in widths]
     assert all(a >= b for a, b in zip(radii, radii[1:]))
     assert support_radius(field_from(grid, np.zeros_like)) == 0.0
 
@@ -449,7 +457,8 @@ def test_one_out_of_range_time_fails_the_whole_array_read(case, late):
 
 # ---------------------------------------------------------------------------
 # The array marching loop against the loop it replaced: one FieldState at a
-# time through the public stable_dt and step.  Equal means equal bytes.
+# time through the update and the bound as first written.  Equal means equal
+# bytes.
 # ---------------------------------------------------------------------------
 
 
@@ -469,8 +478,15 @@ def _first_update(values, grid, m, dt):
     return new_values, clamped
 
 
+def _first_bound(values, grid, m, safety):
+    """The monotonicity bound on dt as first written, floored for a zero field."""
+    peak = float(np.max(values))
+    denom = 2.0 * grid.dim * m * peak ** (m - 1.0) if peak > 0.0 else 0.0
+    return safety * grid.dx**2 / max(denom, 1e-12)
+
+
 def _reference_march(initials, m, horizon, cfg):
-    """The scalar marching loop, one state per ``step`` call; returns the tables and every dt."""
+    """The scalar marching loop, one state per update; returns the tables and every dt."""
     t0 = initials[0].time
     targets = sorted({float(s) for s in cfg.snapshot_times} | {horizon})
     snaps = [[st] for st in initials]
@@ -484,10 +500,13 @@ def _reference_march(initials, m, horizon, cfg):
         while states[0].time < target - eps:
             dt = target - states[0].time
             for st in states:
-                dt = min(dt, stable_dt(st, m, cfg.cfl_safety))
+                dt = min(dt, _first_bound(st.values, st.grid, m, cfg.cfl_safety))
+            if not dt > 0.0:
+                raise InvalidInputError("dt must be positive")
             for i, st in enumerate(states):
-                states[i] = step(st, m, dt, safety=cfg.cfl_safety)
-                clamped[i] += states[i].clamped_mass
+                values, lost = _first_update(st.values, st.grid, m, dt)
+                states[i] = FieldState(grid=st.grid, time=st.time + dt, values=values, clamped_mass=lost)
+                clamped[i] += lost
             dts.append(dt)
         for i, st in enumerate(states):
             snaps[i].append(st)
@@ -567,7 +586,7 @@ def march_cases(draw):
         for _ in range(draw(st.integers(1, 3)))
     )
     cfg = SchemeConfig(cfl_safety=float(rng.uniform(0.05, 1.0)))
-    horizon = t0 + draw(st.integers(1, 60)) * min(stable_dt(s, m, cfg.cfl_safety) for s in initials)
+    horizon = t0 + draw(st.integers(1, 60)) * min(_first_bound(s.values, grid, m, cfg.cfl_safety) for s in initials)
     snaps = t0 + (horizon - t0) * np.sort(rng.random(draw(st.integers(0, 5))))
     return initials, m, horizon, SchemeConfig(cfg.cfl_safety, tuple(snaps))
 
@@ -587,13 +606,13 @@ def test_step_equals_the_first_written_update_bitwise(case, fraction):
     # Negative zeros next to positive ones: the first update turned them into 0.0.
     values = initials[0].values
     values = np.where(values == 0.0, np.where(np.arange(values.size) % 3 == 0, -0.0, 0.0), values)
-    state = FieldState(grid=initials[0].grid, time=0.0, values=values)
-    dt = fraction * stable_dt(state, m, cfg.cfl_safety)
-    want, clamped = _first_update(state.values, state.grid, m, dt)
-    got = step(state, m, dt, safety=cfg.cfl_safety)
-    assert _bits(got.values) == _bits(want)
-    assert got.clamped_mass == clamped == 0.0
-    assert got.time == dt
+    grid = initials[0].grid
+    dt = fraction * _first_bound(values, grid, m, cfg.cfl_safety)
+    want, clamped = _first_update(values, grid, m, dt)
+    u = values[None, :].copy()
+    lost = solver._advance(u, m, dt, grid, solver._work(u))
+    assert _bits(u[0]) == _bits(want)
+    assert lost is None and clamped == 0.0
 
 
 @pytest.mark.parametrize("m", [1.5, 2.0, 3.0])
@@ -604,7 +623,7 @@ def test_advance_clamps_rows_like_the_first_written_update(m):
     rng = np.random.default_rng(5)
     ragged = rng.uniform(0.0, 2.0, grid.cells) * (rng.random(grid.cells) < 0.6)
     rows = np.stack([ragged, np.full(grid.cells, 0.5)])
-    dt = 40.0 * min(stable_dt(FieldState(grid=grid, time=0.0, values=r), m) for r in rows)
+    dt = 40.0 * min(_first_bound(r, grid, m, 1.0) for r in rows)
     u = rows.copy()
     lost = solver._advance(u, m, dt, grid, solver._work(u))
     want = [_first_update(r, grid, m, dt) for r in rows]
@@ -623,8 +642,7 @@ def test_march_errors_match_the_scalar_loop(monkeypatch):
 
     with monkeypatch.context() as patch:
         patch.setattr(solver, "_advance", no_step)
-        for call in (lambda: evolve(box, 1.0, 1.0, cfg), lambda: step(box, 1.0, 1e-3),
-                     lambda: evolve_together((box, box), 0.5, 1.0, cfg)):
+        for call in (lambda: evolve(box, 1.0, 1.0, cfg), lambda: evolve_together((box, box), 0.5, 1.0, cfg)):
             with pytest.raises(InvalidInputError, match="the solver handles m > 1"):
                 call()
         late = box_state(grid, 1.0, 1.0, time=0.5)

@@ -26,7 +26,6 @@ from spmelab import (
     multiplier_path,
     quadratic_pressure_solution,
     QuadraticPressureParams,
-    require_shared_clock,
     sample_brownian,
     still_path,
 )
@@ -124,19 +123,6 @@ def test_shared_clock_preserves_pointwise_order_exactly():
     for t in (0.25, 0.5, 1.0):
         for x in np.linspace(-3.0, 3.0, 41):
             assert forward_transform(low, clock, t, x) <= forward_transform(high, clock, t, x)
-
-
-def test_samples_must_share_one_clock_realisation():
-    base = barenblatt_solution(base_params())
-    grid = TimeGrid.uniform(1.0, 32)
-    coeffs = CoefficientPair.constant(1.0, 0.0)
-    clock_a = multiplier_path(sample_brownian(grid, 1), coeffs, gamma=2.0)
-    clock_b = multiplier_path(sample_brownian(grid, 2), coeffs, gamma=2.0)
-    sample_a = StochasticFieldSample(base=base, clock=clock_a)
-    sample_b = StochasticFieldSample(base=base, clock=clock_b)
-    require_shared_clock(sample_a, StochasticFieldSample(base=base, clock=clock_a))
-    with pytest.raises(InvalidInputError):
-        require_shared_clock(sample_a, sample_b)
 
 
 def test_blow_up_error_carries_the_hitting_time():
