@@ -35,6 +35,7 @@ from .noise import (
 from .solver import (
     FieldState,
     SchemeConfig,
+    _grid_key,
     dense_values,
     eval_on_centers,
     evolve_together,
@@ -482,11 +483,7 @@ def comparison_check(
     ``tol = ORDER_TOL`` only absorbs rounding.  The estimate is the least
     slack high + tol max(1, |high|) - low over probes and paths.
     """
-    if initial_low.grid is not initial_high.grid and not (
-        initial_low.grid.cells == initial_high.grid.cells
-        and initial_low.grid.lo == initial_high.grid.lo
-        and initial_low.grid.hi == initial_high.grid.hi
-    ):
+    if _grid_key(initial_low.grid) != _grid_key(initial_high.grid):
         raise InvalidInputError("both initial states must share one grid")
     if initial_low.time != initial_high.time:
         raise InvalidInputError("both initial states must share one start time")

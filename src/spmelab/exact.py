@@ -134,9 +134,17 @@ def barenblatt_mass_quadrature(p: BarenblattParams, t: float = 1.0, rel_tol: flo
     """
     r_max = p.support_radius(t)
     area = sphere_area(p.d)
+    # barenblatt(p, t, r) in scalar arithmetic, with its operation order.  The
+    # powers of t go through numpy as there: its array power can differ from
+    # the scalar one in the last bit.
+    ts = np.asarray(t, dtype=float)
+    scale, height = float(ts ** (2.0 * p.beta)), float(ts ** (-p.alpha))
+    spread = (p.m - 1.0) / (2.0 * p.m) * p.beta
+    power = 1.0 / (p.m - 1.0)
 
     def integrand(r: float) -> float:
-        return area * r ** (p.d - 1) * barenblatt(p, t, r)
+        arg = p.b - spread * (r * r) / scale
+        return area * r ** (p.d - 1) * (height * max(arg, 0.0) ** power)
 
     coarse = sum(
         integrand(r) for r in np.linspace(r_max / 128.0, r_max * (1 - 1.0 / 128.0), 64)

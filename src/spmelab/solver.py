@@ -24,6 +24,7 @@ from .timechange import DeterministicSolution, TimeInterval
 
 _DENOM_FLOOR = 1e-12
 _MAX_STEPS = 50_000_000
+_WINDOW_PAD = 32
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,6 +87,11 @@ class SpatialGrid:
     @property
     def face_areas(self) -> np.ndarray:
         return self._areas
+
+
+def _grid_key(grid: SpatialGrid) -> tuple:
+    """(kind, lo, hi, cells, dim): grids with equal keys are the same mesh."""
+    return (grid.kind, grid.lo, grid.hi, grid.cells, grid.dim)
 
 
 @dataclass(frozen=True)
@@ -154,44 +160,63 @@ def barenblatt_state(grid: SpatialGrid, p: BarenblattParams, t0: float) -> Field
     return FieldState(grid=grid, time=t0, values=values)
 
 
-def _bound(peak: float, m: float, safety: float, grid: SpatialGrid) -> float:
-    """The monotonicity bound on dt for a field whose largest value is ``peak``."""
-    denom = 2.0 * grid.dim * m * peak ** (m - 1.0) if peak > 0.0 else 0.0
-    return safety * grid.dx**2 / max(denom, _DENOM_FLOOR)
+def _bound(peak: float, m: float, scale: float, rate: float) -> float:
+    """The monotonicity bound on dt for a field whose largest value is ``peak``,
+    with ``scale = safety * dx**2`` and ``rate = 2 * dim * m``."""
+    denom = rate * peak ** (m - 1.0) if peak > 0.0 else 0.0
+    return scale / max(denom, _DENOM_FLOOR)
+
+
+def _window(u: np.ndarray) -> tuple:
+    """The columns [lo, hi) that the next ``_WINDOW_PAD`` steps can change.
+
+    A column is live when some row holds anything but +0.0 there (a -0.0
+    counts, so its sign evolves as on the whole box).  The stencil spreads
+    the live set by at most one cell per step, so the live columns widened
+    by ``_WINDOW_PAD`` on either side keep +0.0 just outside the window, and
+    the window's edge faces carry exactly the zero flux of the whole box.
+    """
+    live = np.flatnonzero(np.bitwise_or.reduce(u.view(np.int64), 0))
+    first, last = (int(live[0]), int(live[-1])) if live.size else (0, 0)
+    return max(first - _WINDOW_PAD, 0), min(last + _WINDOW_PAD + 1, u.shape[1])
 
 
 def _work(u: np.ndarray) -> tuple:
     """Buffers for :func:`_advance` on rows shaped like ``u``, with the views it
-    reads: u**m, the face fluxes between two zero columns (the no-flux walls),
-    and the divergence."""
+    reads: u**m, the face fluxes between two zero columns (the no-flux walls
+    or the window's edges), and the divergence."""
     rows, cells = u.shape
     um, padded, div = np.empty_like(u), np.zeros((rows, cells + 1)), np.empty_like(u)
     return um, um[:, 1:], um[:, :-1], padded[:, 1:-1], padded[:, 1:], padded[:, :-1], div
 
 
-def _advance(u: np.ndarray, m: float, dt: float, grid: SpatialGrid, work: tuple):
+def _advance(u: np.ndarray, m: float, dt: float, dx: float, areas, volumes: np.ndarray, work: tuple):
     """Advance every row of ``u`` by one explicit step of length dt, in place.
 
-    The flux is (A * diff(u**m)) / dx and the update u + (dt * div) / volume,
-    in that order, so a row's bits do not depend on the other rows.  Negative
-    values are zeroed; returns the mass that zeroed per row, or None when no
-    value went negative.
+    ``u`` holds whole columns of the field, ``volumes`` their cell volumes and
+    ``areas`` the faces between them (None on a cartesian grid, whose faces
+    all have area 1; multiplying by 1.0 is exact).  The flux is
+    (A * diff(u**m)) / dx and the update u + (dt * div) / volume, in that
+    order, so a row's bits do not depend on the other rows.  Negative values
+    are zeroed; returns the mass that zeroed per row, or None when no value
+    went negative.
     """
     um, um_right, um_left, flux, flux_right, flux_left, div = work
     np.power(u, m, out=um)
     np.subtract(um_right, um_left, out=flux)
-    np.multiply(grid.face_areas[1:-1], flux, out=flux)
-    np.divide(flux, grid.dx, out=flux)
+    if areas is not None:
+        np.multiply(areas, flux, out=flux)
+    np.divide(flux, dx, out=flux)
     np.subtract(flux_right, flux_left, out=div)
     np.multiply(dt, div, out=div)
-    np.divide(div, grid.volumes, out=div)
+    np.divide(div, volumes, out=div)
     np.add(u, div, out=u)
-    if not u.min() < 0.0:
+    if not np.minimum.reduce(u, None) < 0.0:
         return None
     lost = []
     for row in u:
         negative = row < 0.0
-        lost.append(float(-np.dot(row[negative], grid.volumes[negative])) if negative.any() else 0.0)
+        lost.append(float(-np.dot(row[negative], volumes[negative])) if negative.any() else 0.0)
         row[negative] = 0.0
     return lost
 
@@ -201,7 +226,9 @@ class SnapshotTable:
     """States stored at increasing times, with the masses and the (snapshots, cells) values.
 
     ``steps``, ``dt_min`` and ``dt_max`` count the explicit steps that built
-    the table and their length range (NaN when no step was taken).
+    the table and their length range (NaN when no step was taken);
+    ``cell_steps`` sums the cells each step advanced, at most
+    ``cells * steps``, since a step advances only a window around the support.
     """
 
     states: tuple
@@ -214,6 +241,7 @@ class SnapshotTable:
     steps: int = 0
     dt_min: float = math.nan
     dt_max: float = math.nan
+    cell_steps: int = 0
 
     def __post_init__(self):
         times = np.array([s.time for s in self.states], dtype=float)
@@ -265,7 +293,7 @@ def evolve_together(
     return _march(initials, m, horizon, cfg)
 
 
-def _check_budget(u: np.ndarray, m: float, safety: float, grid: SpatialGrid, span: float) -> None:
+def _check_budget(u: np.ndarray, m: float, scale: float, rate: float, grid: SpatialGrid, span: float) -> None:
     """Raise the step-budget error now when marching ``span`` further from ``u``
     provably needs more than ``_MAX_STEPS - 1`` steps.
 
@@ -279,7 +307,7 @@ def _check_budget(u: np.ndarray, m: float, safety: float, grid: SpatialGrid, spa
     """
     volumes = grid.volumes
     mean = (1.0 - 1e-6) * float(np.max(u @ volumes)) / float(np.sum(volumes))
-    if span > (_MAX_STEPS - 1) * _bound(mean, m, safety, grid):
+    if span > (_MAX_STEPS - 1) * _bound(mean, m, scale, rate):
         raise StabilityError("step budget exhausted before reaching the horizon")
 
 
@@ -300,40 +328,49 @@ def _march(initials: tuple, m: float, horizon: float, cfg: SchemeConfig) -> tupl
 
     if m <= 1.0:
         raise InvalidInputError("the solver handles m > 1")
-    if len({(g.kind, g.lo, g.hi, g.cells, g.dim) for g in (st.grid for st in initials)}) > 1:
+    if len({_grid_key(st.grid) for st in initials}) > 1:
         raise InvalidInputError("paired evolution needs a common grid")
     grid = initials[0].grid
 
     u = np.stack([st.values for st in initials])
-    work = _work(u)
     snaps = [[st] for st in initials]
     clocks = [st.time for st in initials]
     clamped = [st.clamped_mass for st in initials]
     lost = None
-    steps_taken = 0
+    steps_taken = cell_steps = 0
     dt_min, dt_max = math.inf, 0.0
     eps = 1e-12 * max(1.0, abs(horizon))
-    safety = cfg.cfl_safety
+    dx = grid.dx
+    scale, rate = cfg.cfl_safety * dx**2, 2.0 * grid.dim * m
+    areas = None if grid.kind == "cartesian" else grid.face_areas
     for target in targets:
         if target <= t0 + eps:
             continue
         while clocks[0] < target - eps:
+            if steps_taken % _WINDOW_PAD == 0:
+                # Outside the window every value stays +0.0 for the next
+                # _WINDOW_PAD steps, so marching the window alone keeps every bit.
+                lo, hi = _window(u)
+                window, volumes = u[:, lo:hi], grid.volumes[lo:hi]
+                inner = None if areas is None else areas[lo + 1 : hi]
+                work = _work(window)
             dt = target - clocks[0]
-            for peak in u.max(axis=1).tolist():
+            for peak in np.maximum.reduce(window, 1).tolist():
                 if not math.isfinite(peak):
                     raise InvalidInputError("field values must be finite and nonnegative")
-                dt = min(dt, _bound(peak, m, safety, grid))
+                dt = min(dt, _bound(peak, m, scale, rate))
             if not dt > 0.0:
                 raise InvalidInputError("dt must be positive")
             if steps_taken == 1:
-                _check_budget(u, m, safety, grid, horizon - clocks[0])
+                _check_budget(u, m, scale, rate, grid, horizon - clocks[0])
             # dt is the least of the rows' bounds, so the update is monotone for every row.
-            lost = _advance(u, m, dt, grid, work)
+            lost = _advance(window, m, dt, dx, inner, volumes, work)
             if lost is not None:
                 clamped = [c + x for c, x in zip(clamped, lost)]
             clocks = [c + dt for c in clocks]
             dt_min, dt_max = min(dt_min, dt), max(dt_max, dt)
             steps_taken += 1
+            cell_steps += hi - lo
             if steps_taken > _MAX_STEPS:
                 raise StabilityError("step budget exhausted before reaching the horizon")
         for i, snap in enumerate(snaps):
@@ -344,7 +381,7 @@ def _march(initials: tuple, m: float, horizon: float, cfg: SchemeConfig) -> tupl
     return tuple(
         SnapshotTable(
             states=tuple(snap), m=m, scheme=cfg, clamped_total=total,
-            steps=steps_taken, dt_min=dt_min, dt_max=dt_max,
+            steps=steps_taken, dt_min=dt_min, dt_max=dt_max, cell_steps=cell_steps,
         )
         for snap, total in zip(snaps, clamped)
     )

@@ -322,6 +322,23 @@ def test_comparison_check_validation():
         comparison_check(cfg, box_state(grid, 1.0, 1.0), box_state(grid, 0.5, 1.0), probes)
 
 
+def test_comparison_check_rejects_a_mismatched_grid_before_drawing_paths(monkeypatch):
+    cfg = McConfig(
+        n_paths=2, master_seed=MASTER, grid=TimeGrid.uniform(0.5, 32),
+        coeffs=CoefficientPair.constant(0.0, 0.0), m=2.0,
+    )
+
+    def no_draw(*args):
+        raise AssertionError("drew paths before checking the grids")
+
+    monkeypatch.setattr(analysis, "_clock_blocks", no_draw)
+    plane, ball = (SpatialGrid(kind="radial", lo=0.0, hi=3.0, cells=16, dim=d) for d in (2, 3))
+    segment = SpatialGrid(kind="cartesian", lo=0.0, hi=3.0, cells=16)
+    for low, high in ((plane, ball), (segment, plane)):
+        with pytest.raises(InvalidInputError, match="both initial states must share one grid"):
+            comparison_check(cfg, box_state(low, 0.5, 1.0), box_state(high, 1.0, 1.0), [(0.25, 0.0)])
+
+
 def test_maximum_check_caps_the_field(monkeypatch):
     grid = line_grid()
     high = box_state(grid, 1.0, 1.2)

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from spmelab import exact
 from spmelab import (
     BarenblattParams,
     BlowUpError,
@@ -109,6 +110,21 @@ def test_mass_quadrature_across_dimensions():
         closed = barenblatt_mass(p)
         quad = barenblatt_mass_quadrature(p)
         assert abs(quad - closed) <= 1e-6 * closed
+
+
+@pytest.mark.parametrize("m,d,b,t", [(2.0, 1, 1.0, 1.0), (3.0, 1, 0.5, 2.0), (2.0, 2, 4.0, 5), (2.5, 3, 1.0, 0.3)])
+def test_mass_quadrature_integrates_the_profile_bitwise(m, d, b, t):
+    # The scalar integrand keeps barenblatt's operation order, so the
+    # quadrature equals the one that calls the profile point by point.
+    p = BarenblattParams(m=m, d=d, b=b)
+    r_max = p.support_radius(t)
+
+    def integrand(r):
+        return sphere_area(d) * r ** (d - 1) * barenblatt(p, t, r)
+
+    coarse = sum(integrand(r) for r in np.linspace(r_max / 128.0, r_max * (1 - 1.0 / 128.0), 64)) * (r_max / 64.0)
+    want = exact._adaptive_midpoint(integrand, 0.0, r_max, 1e-6 * max(abs(coarse), 1e-300))
+    assert barenblatt_mass_quadrature(p, t=t, rel_tol=1e-6).hex() == want.hex()
 
 
 def test_mass_to_b_round_trip_and_power_law():

@@ -40,16 +40,26 @@ def line_grid(lo=-6.0, hi=6.0, cells=200) -> SpatialGrid:
     return SpatialGrid(kind="cartesian", lo=lo, hi=hi, cells=cells)
 
 
+def _advance_box(u, m, dt, grid):
+    """One step of the marching kernel on the whole box, in place, with the
+    face areas the loop passes: none on a cartesian grid, the inner faces on
+    a radial one.  Returns the kernel's clamp record."""
+    areas = None if grid.kind == "cartesian" else grid.face_areas[1:-1]
+    return solver._advance(u, m, dt, grid.dx, areas, grid.volumes, solver._work(u))
+
+
 def _kernel_step(state, m, safety=0.4):
     """One step of the marching kernel from ``state`` at its own bound.
 
     Returns the new state and the kernel's clamp record (None when no value
     went negative).
     """
+    grid = state.grid
     u = state.values[None, :].copy()
-    dt = solver._bound(float(np.max(u)), m, safety, state.grid)
-    lost = solver._advance(u, m, dt, state.grid, solver._work(u))
-    return FieldState(grid=state.grid, time=state.time + dt, values=u[0]), lost
+    dt = solver._bound(float(np.max(u)), m, safety * grid.dx**2, 2.0 * grid.dim * m)
+    assert dt == _first_bound(state.values, grid, m, safety)
+    lost = _advance_box(u, m, dt, grid)
+    return FieldState(grid=grid, time=state.time + dt, values=u[0]), lost
 
 
 def test_spatial_grid_validation():
@@ -530,6 +540,7 @@ def assert_same_tables(got, want, dts):
         assert _bits(g.clamped_total) == _bits(w.clamped_total)
         assert _bits([s.clamped_mass for s in g.states]) == _bits([s.clamped_mass for s in w.states])
         assert (g.steps, g.dt_min, g.dt_max) == (len(dts), min(dts), max(dts))
+        assert 0 < g.cell_steps <= g.grid.cells * g.steps
 
 
 def _initials(grid, m, n_states, t0):
@@ -610,7 +621,7 @@ def test_step_equals_the_first_written_update_bitwise(case, fraction):
     dt = fraction * _first_bound(values, grid, m, cfg.cfl_safety)
     want, clamped = _first_update(values, grid, m, dt)
     u = values[None, :].copy()
-    lost = solver._advance(u, m, dt, grid, solver._work(u))
+    lost = _advance_box(u, m, dt, grid)
     assert _bits(u[0]) == _bits(want)
     assert lost is None and clamped == 0.0
 
@@ -625,7 +636,7 @@ def test_advance_clamps_rows_like_the_first_written_update(m):
     rows = np.stack([ragged, np.full(grid.cells, 0.5)])
     dt = 40.0 * min(_first_bound(r, grid, m, 1.0) for r in rows)
     u = rows.copy()
-    lost = solver._advance(u, m, dt, grid, solver._work(u))
+    lost = _advance_box(u, m, dt, grid)
     want = [_first_update(r, grid, m, dt) for r in rows]
     assert lost is not None and lost[0] > 0.0 and lost[1] == 0.0
     assert _bits(u) == _bits(np.stack([w[0] for w in want]))
@@ -681,6 +692,7 @@ def test_paired_states_keep_their_own_clocks():
 def test_tables_built_without_marching_carry_no_step_statistics():
     table = SnapshotTable(states=(box_state(line_grid(cells=16), 1.0, 1.0),), m=2.0, scheme=SchemeConfig())
     assert table.steps == 0 and math.isnan(table.dt_min) and math.isnan(table.dt_max)
+    assert table.cell_steps == 0
 
 
 def test_step_budget_fails_fast():
@@ -713,3 +725,92 @@ def test_step_budget_fires_only_where_the_loop_would_exhaust_it(monkeypatch, kin
     monkeypatch.setattr(solver, "_MAX_STEPS", want[0].steps - 1)
     with pytest.raises(StabilityError, match="step budget exhausted"):
         evolve_together(initials, m, 1.0, cfg)
+
+
+# ---------------------------------------------------------------------------
+# Windowed marching: each step advances only the live columns and a margin of
+# solver._WINDOW_PAD cells, recomputed every _WINDOW_PAD steps.  The field
+# outside stays exactly +0.0, so every table keeps the bits of the whole-box
+# march that the scalar reference loop spells out.
+# ---------------------------------------------------------------------------
+
+
+def _bump(grid, center, half_width, height=1.0):
+    return np.where(np.abs(grid.centers - center) <= half_width, height, 0.0)
+
+
+def _window_case(case):
+    """Initial states, m and horizon of one windowed-march case, and whether
+    the live columns stay clear of both walls (so the window stays narrow)."""
+    if case == "narrow":
+        # Just above m = 1 the scheme is nearly the heat equation: the live set
+        # spreads one cell per step with values far above underflow, so a
+        # margin one cell short of the recompute interval changes bits.  (At
+        # m = 1.1 the outermost u**m already underflows and hides it.)
+        grid = SpatialGrid(kind="cartesian", lo=-12.0, hi=12.0, cells=480)
+        values = _bump(grid, 0.5, 0.3)
+        # Negative zeros away from the support take the whole-box update's sign.
+        values[::7] = np.where(values[::7] == 0.0, -0.0, values[::7])
+        return (FieldState(grid=grid, time=0.0, values=values),), 1.01, 0.07, True
+    if case == "far_apart":
+        grid = SpatialGrid(kind="cartesian", lo=-12.0, hi=12.0, cells=480)
+        rows = (_bump(grid, -8.0, 0.4), _bump(grid, 7.0, 0.25, 2.0))
+        return tuple(FieldState(grid=grid, time=0.5, values=v) for v in rows), 2.0, 0.6, True
+    if case == "annulus":
+        grid = SpatialGrid(kind="radial", lo=0.0, hi=8.0, cells=320, dim=3)
+        values = np.where((grid.centers > 4.0) & (grid.centers < 4.5), 1.5, 0.0)
+        return (FieldState(grid=grid, time=0.0, values=values),), 1.5, 0.02, True
+    grid = SpatialGrid(kind="cartesian", lo=-6.0, hi=6.0, cells=160)
+    return (FieldState(grid=grid, time=0.0, values=_bump(grid, 5.2, 0.6)),), 2.0, 2.0, False
+
+
+@pytest.mark.parametrize("case", ["narrow", "far_apart", "annulus", "wall"])
+def test_windowed_march_equals_the_scalar_loop_bitwise(case):
+    initials, m, horizon, clear = _window_case(case)
+    grid = initials[0].grid
+    t0 = initials[0].time
+    cfg = SchemeConfig(cfl_safety=0.4, snapshot_times=tuple(t0 + np.linspace(0.1, 0.9, 5) * (horizon - t0)))
+    want, dts = _reference_march(initials, m, horizon, cfg)
+    got = evolve_together(initials, m, horizon, cfg)
+    assert_same_tables(got, want, dts)
+    assert len(dts) > 4 * solver._WINDOW_PAD
+    final = np.stack([t.values[-1] for t in got])
+    live = np.flatnonzero(np.max(final, axis=0) > 0.0)
+    assert (live[0] > 0 and live[-1] < grid.cells - 1) == clear
+    if clear:
+        assert got[0].cell_steps < grid.cells * got[0].steps
+    else:
+        assert final[0, -1] > 0.0
+    if case == "annulus":
+        assert np.all(final[0, : live[0]] == 0.0) and live[0] > solver._WINDOW_PAD
+    if case == "narrow":
+        assert np.signbit(initials[0].values).any() and not np.signbit(final).any()
+
+
+def test_cell_steps_count_the_window_and_fill_a_full_box():
+    grid = line_grid(cells=400)
+    cfg = SchemeConfig(cfl_safety=0.4)
+    narrow = evolve(box_state(grid, 1.0, 0.2), 2.0, 0.05, cfg)
+    full = evolve(FieldState(grid=grid, time=0.0, values=np.full(grid.cells, 0.5)), 2.0, 0.05, cfg)
+    assert narrow.steps > 2 * solver._WINDOW_PAD
+    assert 0 < narrow.cell_steps < grid.cells * narrow.steps // 2
+    assert full.cell_steps == grid.cells * full.steps
+
+
+@pytest.mark.parametrize("kind", ["cartesian", "radial"])
+def test_advance_on_a_window_equals_the_whole_box_bitwise(kind):
+    # An over-bound dt clamps, so the window's lost mass is checked too.
+    grid = SpatialGrid(kind=kind, lo=0.0 if kind == "radial" else -3.0, hi=3.0, cells=40, dim=1 + (kind == "radial"))
+    rng = np.random.default_rng(11)
+    rows = np.zeros((2, grid.cells))
+    rows[:, 12:25] = rng.uniform(0.0, 2.0, (2, 13)) * (rng.random((2, 13)) < 0.7)
+    dt = 40.0 * min(_first_bound(r, grid, 2.0, 1.0) for r in rows)
+    whole = rows.copy()
+    lost_whole = _advance_box(whole, 2.0, dt, grid)
+    u = rows.copy()
+    window = u[:, 10:27]
+    areas = None if kind == "cartesian" else grid.face_areas[11:27]
+    lost = solver._advance(window, 2.0, dt, grid.dx, areas, grid.volumes[10:27], solver._work(window))
+    assert lost_whole is not None and max(lost_whole) > 0.0
+    assert _bits(u) == _bits(whole)
+    assert _bits(lost) == _bits(lost_whole)
