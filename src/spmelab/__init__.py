@@ -68,7 +68,6 @@ from .exact import (
 )
 from .solver import (
     FieldState,
-    SchemeConfig,
     SnapshotTable,
     SpatialGrid,
     barenblatt_state,
@@ -77,7 +76,6 @@ from .solver import (
     eval_on_centers,
     evolve,
     evolve_together,
-    field_from,
     interp_mass,
     lp_power_sum,
     residual,

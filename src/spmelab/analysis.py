@@ -34,7 +34,6 @@ from .noise import (
 )
 from .solver import (
     FieldState,
-    SchemeConfig,
     _grid_key,
     dense_values,
     eval_on_centers,
@@ -156,7 +155,7 @@ def _provenance(cfg: McConfig, table=None, **extra) -> dict:
 def _reference_tables(cfg: McConfig, span: float, initials: tuple) -> tuple:
     """Tables for states sharing one start time, marched together on the one snapshot schedule.
 
-    Each table's absolute time axis starts at the states' own time, so a
+    Each table's absolute time axis starts at the states' start time, so a
     clock value s is read at that time + s.
     """
     if any(st is None for st in initials):
@@ -168,8 +167,7 @@ def _reference_tables(cfg: McConfig, span: float, initials: tuple) -> tuple:
     else:
         first = max(1e-4 * t_end, 1e-6)
         snaps = np.geomspace(first, t_end, N_SNAPSHOTS)
-    scheme = SchemeConfig(cfl_safety=cfg.cfl_safety, snapshot_times=tuple(snaps))
-    return evolve_together(initials, cfg.m, t_end, scheme)
+    return evolve_together(initials, cfg.m, t_end, cfg.cfl_safety, snaps)
 
 
 @dataclass(frozen=True, eq=False)

@@ -34,16 +34,14 @@ from .config import RunConfig, apply_overrides, parse_config, serialize_config
 from .errors import ConfigError, SpmeError
 from .exact import (
     BarenblattParams,
-    LinearPressureParams,
     QuadraticPressureParams,
-    barenblatt,
+    barenblatt_solution,
     linear_pressure_base,
-    quadratic_pressure,
+    quadratic_pressure_solution,
 )
 from .noise import CoefficientPair, TimeGrid
 from .solver import (
     FieldState,
-    SchemeConfig,
     SpatialGrid,
     barenblatt_state,
     box_state,
@@ -165,14 +163,12 @@ def _write_report(outdir: Path, report, per_header, per_columns, per_note, summa
 def _run_exact(cfg: RunConfig, outdir: Path) -> dict:
     xs = np.linspace(cfg.grid_lo, cfg.grid_hi, cfg.cells + 1)
     if cfg.solution == "barenblatt":
-        params = BarenblattParams(m=cfg.m, d=cfg.dim, b=cfg.b)
-        values = [barenblatt(params, t, x) for t in cfg.times for x in xs]
+        base = barenblatt_solution(BarenblattParams(m=cfg.m, d=cfg.dim, b=cfg.b))
     elif cfg.solution == "quadratic_pressure":
-        params = QuadraticPressureParams(m=cfg.m, d=cfg.dim, q=cfg.q)
-        values = [quadratic_pressure(params, t, x) for t in cfg.times for x in xs]
+        base = quadratic_pressure_solution(QuadraticPressureParams(m=cfg.m, d=cfg.dim, q=cfg.q))
     else:
         base = linear_pressure_base(cfg.m)
-        values = [float(base.evaluate(t, x)) for t in cfg.times for x in xs]
+    values = [float(base.evaluate(t, x)) for t in cfg.times for x in xs]
     csv_path = outdir / f"{cfg.solution}.csv"
     _write_csv(
         csv_path, ("t", "x", "value"),
@@ -205,7 +201,7 @@ def _run_evolve(cfg: RunConfig, outdir: Path) -> dict:
     initial = _initial_state(cfg)
     horizon = cfg.horizon if cfg.horizon > initial.time else initial.time + cfg.horizon
     snaps = tuple(t for t in cfg.times if initial.time < t < horizon)
-    table = evolve(initial, cfg.m, horizon, SchemeConfig(cfg.cfl_safety, snaps))
+    table = evolve(initial, cfg.m, horizon, cfg.cfl_safety, snaps)
     for k, state in enumerate(table.states):
         csv_path = outdir / f"snapshot_{k:03d}.csv"
         _write_csv(csv_path, ("x", "value"), (state.grid.centers, state.values))

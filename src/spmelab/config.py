@@ -8,6 +8,7 @@ canonical text that reparses to an equal RunConfig.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, replace
 
 from .errors import ConfigError
@@ -75,6 +76,13 @@ _FIELD_KIND.update(
 )
 
 
+def _finite(value: float, line: int, key: str) -> float:
+    # float() reads nan and inf, which no option means and NaN slips past every range check.
+    if not math.isfinite(value):
+        raise ConfigError(f"'{key}' must be finite, not {value}", line=line, key=key)
+    return value
+
+
 def _parse_pieces(raw: str, line: int, key: str) -> tuple:
     pieces = []
     for chunk in raw.split(","):
@@ -91,7 +99,7 @@ def _parse_pieces(raw: str, line: int, key: str) -> tuple:
             raise ConfigError(
                 f"piece '{chunk}' is not start:value", line=line, key=key
             ) from None
-        pieces.append((start, value))
+        pieces.append((_finite(start, line, key), _finite(value, line, key)))
     if pieces[0][0] != 0.0:
         raise ConfigError(f"'{key}' must start at time 0", line=line, key=key)
     starts = [s for s, _ in pieces]
@@ -107,9 +115,9 @@ def _parse_value(kind: str, raw: str, line: int, key: str):
         if kind == "int":
             return int(raw)
         if kind == "float":
-            return float(raw)
+            return _finite(float(raw), line, key)
         if kind == "floats":
-            return tuple(float(part) for part in raw.split(","))
+            return tuple(_finite(float(part), line, key) for part in raw.split(","))
     except ValueError:
         raise ConfigError(f"cannot read '{raw}' as {kind}", line=line, key=key) from None
     return _parse_pieces(raw, line, key)

@@ -94,18 +94,6 @@ def _grid_key(grid: SpatialGrid) -> tuple:
     return (grid.kind, grid.lo, grid.hi, grid.cells, grid.dim)
 
 
-@dataclass(frozen=True)
-class SchemeConfig:
-    """Explicit scheme controls: CFL safety factor and snapshot instants."""
-
-    cfl_safety: float = 0.4
-    snapshot_times: tuple = ()
-
-    def __post_init__(self):
-        if not 0.0 < self.cfl_safety <= 1.0:
-            raise InvalidInputError("cfl_safety must lie in (0, 1]")
-
-
 @dataclass(frozen=True, eq=False)
 class FieldState:
     """Nonnegative cell averages at one time; ``clamped_mass`` records any
@@ -130,11 +118,6 @@ class FieldState:
     @property
     def mass(self) -> float:
         return float(np.dot(self.values, self.grid.volumes))
-
-
-def field_from(grid: SpatialGrid, profile, time: float = 0.0) -> FieldState:
-    """Sample a profile (callable of the signed position or radius) on cell centers."""
-    return FieldState(grid=grid, time=time, values=np.asarray(profile(grid.centers), dtype=float))
 
 
 def box_state(grid: SpatialGrid, height: float, half_width: float, time: float = 0.0) -> FieldState:
@@ -233,7 +216,6 @@ class SnapshotTable:
 
     states: tuple
     m: float
-    scheme: SchemeConfig
     times: np.ndarray = field(init=False)
     masses: np.ndarray = field(init=False)
     values: np.ndarray = field(init=False)
@@ -268,29 +250,26 @@ class SnapshotTable:
         return float(self.times[-1])
 
 
-def evolve(initial: FieldState, m: float, horizon: float, cfg: SchemeConfig) -> SnapshotTable:
+def evolve(initial: FieldState, m: float, horizon: float, cfl_safety: float, snapshot_times) -> SnapshotTable:
     """March the explicit scheme from ``initial.time`` up to the absolute time ``horizon``.
 
-    Snapshots are stored at ``cfg.snapshot_times`` (all inside the run window)
+    Snapshots are stored at ``snapshot_times`` (all inside the run window)
     plus the initial and final instants.  Each step uses the adaptive stable
-    step, cropped to land exactly on the next snapshot.
+    step for the safety factor ``cfl_safety`` in (0, 1], cropped to land
+    exactly on the next snapshot.
     """
-    return _march((initial,), m, horizon, cfg)[0]
+    return _march((initial,), m, horizon, cfl_safety, snapshot_times)[0]
 
 
-def evolve_together(
-    initials: tuple,
-    m: float,
-    horizon: float,
-    cfg: SchemeConfig,
-) -> tuple:
+def evolve_together(initials: tuple, m: float, horizon: float, cfl_safety: float, snapshot_times) -> tuple:
     """March several states with a single shared step sequence.
 
     All states advance with the same dt, the minimum of their stable bounds,
     so order relations between them are preserved step by step by the
-    monotone update.  The states must share a start time.
+    monotone update.  The states must share one start time exactly, and
+    every table holds the same times.
     """
-    return _march(initials, m, horizon, cfg)
+    return _march(initials, m, horizon, cfl_safety, snapshot_times)
 
 
 def _check_budget(u: np.ndarray, m: float, scale: float, rate: float, grid: SpatialGrid, span: float) -> None:
@@ -311,17 +290,18 @@ def _check_budget(u: np.ndarray, m: float, scale: float, rate: float, grid: Spat
         raise StabilityError("step budget exhausted before reaching the horizon")
 
 
-def _march(initials: tuple, m: float, horizon: float, cfg: SchemeConfig) -> tuple:
+def _march(initials: tuple, m: float, horizon: float, cfl_safety: float, snapshot_times) -> tuple:
     """The one marching loop behind :func:`evolve` and :func:`evolve_together`."""
     if len(initials) < 1:
         raise InvalidInputError("at least one initial state is required")
+    if not 0.0 < cfl_safety <= 1.0:
+        raise InvalidInputError("cfl_safety must lie in (0, 1]")
     t0 = initials[0].time
-    for st in initials:
-        if abs(st.time - t0) > 1e-12 * max(1.0, abs(t0)):
-            raise InvalidInputError("paired evolution needs a common start time")
+    if any(st.time != t0 for st in initials):
+        raise InvalidInputError("paired evolution needs a common start time")
     if not horizon > t0:
         raise InvalidInputError("horizon must exceed the initial time")
-    targets = sorted({float(s) for s in cfg.snapshot_times} | {horizon})
+    targets = sorted({float(s) for s in snapshot_times} | {horizon})
     for s in targets:
         if s < t0 - 1e-12 or s > horizon + 1e-12:
             raise InvalidInputError("snapshot times must lie between the initial time and the horizon")
@@ -334,19 +314,19 @@ def _march(initials: tuple, m: float, horizon: float, cfg: SchemeConfig) -> tupl
 
     u = np.stack([st.values for st in initials])
     snaps = [[st] for st in initials]
-    clocks = [st.time for st in initials]
+    t = t0
     clamped = [st.clamped_mass for st in initials]
     lost = None
     steps_taken = cell_steps = 0
     dt_min, dt_max = math.inf, 0.0
     eps = 1e-12 * max(1.0, abs(horizon))
     dx = grid.dx
-    scale, rate = cfg.cfl_safety * dx**2, 2.0 * grid.dim * m
+    scale, rate = cfl_safety * dx**2, 2.0 * grid.dim * m
     areas = None if grid.kind == "cartesian" else grid.face_areas
     for target in targets:
         if target <= t0 + eps:
             continue
-        while clocks[0] < target - eps:
+        while t < target - eps:
             if steps_taken % _WINDOW_PAD == 0:
                 # Outside the window every value stays +0.0 for the next
                 # _WINDOW_PAD steps, so marching the window alone keeps every bit.
@@ -354,7 +334,7 @@ def _march(initials: tuple, m: float, horizon: float, cfg: SchemeConfig) -> tupl
                 window, volumes = u[:, lo:hi], grid.volumes[lo:hi]
                 inner = None if areas is None else areas[lo + 1 : hi]
                 work = _work(window)
-            dt = target - clocks[0]
+            dt = target - t
             for peak in np.maximum.reduce(window, 1).tolist():
                 if not math.isfinite(peak):
                     raise InvalidInputError("field values must be finite and nonnegative")
@@ -362,12 +342,12 @@ def _march(initials: tuple, m: float, horizon: float, cfg: SchemeConfig) -> tupl
             if not dt > 0.0:
                 raise InvalidInputError("dt must be positive")
             if steps_taken == 1:
-                _check_budget(u, m, scale, rate, grid, horizon - clocks[0])
+                _check_budget(u, m, scale, rate, grid, horizon - t)
             # dt is the least of the rows' bounds, so the update is monotone for every row.
             lost = _advance(window, m, dt, dx, inner, volumes, work)
             if lost is not None:
                 clamped = [c + x for c, x in zip(clamped, lost)]
-            clocks = [c + dt for c in clocks]
+            t += dt
             dt_min, dt_max = min(dt_min, dt), max(dt_max, dt)
             steps_taken += 1
             cell_steps += hi - lo
@@ -375,12 +355,12 @@ def _march(initials: tuple, m: float, horizon: float, cfg: SchemeConfig) -> tupl
                 raise StabilityError("step budget exhausted before reaching the horizon")
         for i, snap in enumerate(snaps):
             mass = lost[i] if lost else 0.0
-            snap.append(FieldState(grid=snap[0].grid, time=clocks[i], values=u[i], clamped_mass=mass))
+            snap.append(FieldState(grid=snap[0].grid, time=t, values=u[i], clamped_mass=mass))
     if not steps_taken:
         dt_min = dt_max = math.nan
     return tuple(
         SnapshotTable(
-            states=tuple(snap), m=m, scheme=cfg, clamped_total=total,
+            states=tuple(snap), m=m, clamped_total=total,
             steps=steps_taken, dt_min=dt_min, dt_max=dt_max, cell_steps=cell_steps,
         )
         for snap, total in zip(snaps, clamped)

@@ -46,7 +46,6 @@ from spmelab import (
     multiplier_path,
     quadratic_pressure_solution,
     sample_brownian,
-    SchemeConfig,
     still_path,
     support_experiment,
     sweep_paths,
@@ -161,7 +160,7 @@ def test_criterion_04_solver_convergence():
     drift_worst = 0.0
     for cells in (100, 200, 400):
         grid = SpatialGrid(kind="cartesian", lo=-9.0, hi=9.0, cells=cells)
-        table = evolve(barenblatt_state(grid, p, 1.0), 2.0, 2.0, SchemeConfig(cfl_safety=0.4))
+        table = evolve(barenblatt_state(grid, p, 1.0), 2.0, 2.0, 0.4, ())
         final = table.states[-1]
         exact = barenblatt(p, 2.0, grid.centers)
         errors[cells] = float(np.sum(np.abs(final.values - exact)) * grid.dx)

@@ -297,6 +297,24 @@ def test_config_errors_report_the_line(tmp_path, capsys):
     assert "line 3" in err and "bogus" in err
 
 
+@pytest.mark.parametrize(
+    "body,key",
+    [
+        ("command = exact\nm = nan\n", "m"),
+        ("command = exact\nb = nan\n", "b"),
+        ("command = exact\ntimes = nan\n", "times"),
+        ("command = mc\nmode = lp_bound\nn_paths = 4\np = nan\n", "p"),
+    ],
+    ids=["exact_m", "exact_b", "exact_times", "mc_lp_bound_p"],
+)
+def test_non_finite_numbers_are_config_errors(tmp_path, capsys, body, key):
+    cfg = write_config(tmp_path, "nan.ini", body + f"out = {tmp_path / 'out'}\n")
+    assert main(["--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error (line ") and f"'{key}' must be finite" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_unwritable_output_exits_with_status_two_in_one_line(tmp_path, capsys):
     blocker = tmp_path / "blocker"
     blocker.write_text("a regular file", encoding="utf-8")

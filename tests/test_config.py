@@ -146,6 +146,28 @@ def test_semantic_validation_reports_the_offending_key(line, key):
     assert err.key == key
 
 
+@pytest.mark.parametrize(
+    "line,key",
+    [
+        ("m = nan", "m"),
+        ("b = NaN", "b"),
+        ("p = -inf", "p"),
+        ("horizon = 1e999", "horizon"),
+        ("cfl_safety = nan", "cfl_safety"),
+        ("times = 0.5, nan", "times"),
+        ("points = inf", "points"),
+        ("f = nan", "f"),
+        ("g = 0:0, inf:1", "g"),
+        ("f = 0:1, 1:-inf", "f"),
+    ],
+)
+def test_non_finite_numbers_are_rejected_naming_line_and_key(line, key):
+    # float() reads these; NaN would pass every range check after it.
+    err = parse_error(f"[run]\ncommand = exact\n{line}\n")
+    assert (err.line, err.key) == (3, key)
+    assert "must be finite" in str(err)
+
+
 def test_apply_overrides_revalidates():
     cfg = parse_config("[run]\ncommand = evolve\n")
     over = apply_overrides(cfg, seed=7, out="elsewhere")

@@ -26,6 +26,7 @@ from spmelab import (
     sample_brownian,
     still_path,
 )
+from spmelab.analysis import _clock_blocks
 from spmelab.noise import brownian_block, locate_times, multiplier_block, read_block
 
 MASTER = 20260815
@@ -202,10 +203,12 @@ def test_multiplier_moment_matches_monte_carlo():
     n = 10_000
     hs = np.empty((n, 2))
     k_half = grid.steps // 2
-    for i in range(n):
-        clock = multiplier_path(sample_brownian(grid, mix_seed(MASTER, i)), coeffs, gamma=2.0)
-        hs[i, 0] = clock.h[k_half]
-        hs[i, 1] = clock.h[-1]
+
+    def take(start, w, logh, h, H):
+        hs[start:start + h.shape[0]] = h[:, [k_half, -1]]
+
+    # Rows are the one-path clocks multiplier_path(sample_brownian(grid, mix_seed(MASTER, i))).
+    _clock_blocks(grid, coeffs, 2.0, MASTER, n, take)
     for j, t in enumerate((0.5, 1.0)):
         for p in (1.0, 2.0):
             values = hs[:, j] ** p
@@ -233,9 +236,11 @@ def test_terminal_log_multiplier_statistics():
     grid = TimeGrid.uniform(3.0, 768)
     n = 10_000
     xis = np.empty(n)
-    for i in range(n):
-        clock = multiplier_path(sample_brownian(grid, mix_seed(MASTER, i)), coeffs, gamma=2.0)
-        xis[i] = clock.logh[-1]
+
+    def take(start, w, logh, h, H):
+        xis[start:start + logh.shape[0]] = logh[:, -1]
+
+    _clock_blocks(grid, coeffs, 2.0, MASTER, n, take)
     mean = float(np.mean(xis))
     se = float(np.std(xis, ddof=1)) / math.sqrt(n)
     assert abs(mean - (-1.0)) <= 3.0 * se

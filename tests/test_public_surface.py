@@ -23,7 +23,6 @@ PUBLIC_NAMES = [
     "OutOfRangeError",
     "QuadraticPressureParams",
     "RunConfig",
-    "SchemeConfig",
     "SnapshotTable",
     "SpatialGrid",
     "SpmeError",
@@ -46,7 +45,6 @@ PUBLIC_NAMES = [
     "eval_on_centers",
     "evolve",
     "evolve_together",
-    "field_from",
     "forward_transform",
     "hitting_time",
     "interp_H",
@@ -106,14 +104,12 @@ DEFAULTED_PARAMETERS = {
     "barenblatt_mass_quadrature": ["t", "rel_tol"],
     "box_state": ["time"],
     "check_homogeneity": ["fields", "lambdas", "m", "tol"],
-    "field_from": ["time"],
     "limit_profile_check": ["x0"],
     "support_experiment": ["plateau_tol", "mass_check_time"],
 }
 
 CONFIG_FIELDS = {
     "McConfig": ["n_paths", "master_seed", "grid", "coeffs", "m", "initial", "cfl_safety"],
-    "SchemeConfig": ["cfl_safety", "snapshot_times"],
 }
 
 

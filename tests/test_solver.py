@@ -14,7 +14,6 @@ from spmelab import (
     FieldState,
     InvalidInputError,
     OutOfRangeError,
-    SchemeConfig,
     SnapshotTable,
     SpatialGrid,
     StabilityError,
@@ -26,7 +25,6 @@ from spmelab import (
     eval_on_centers,
     evolve,
     evolve_together,
-    field_from,
     interp_mass,
     lp_power_sum,
     residual,
@@ -95,7 +93,7 @@ def test_field_state_validation():
 
 def test_constant_field_is_a_fixed_point():
     grid = line_grid(cells=32)
-    state = field_from(grid, lambda x: np.full_like(x, 0.7))
+    state = FieldState(grid=grid, time=0.0, values=np.full_like(grid.centers, 0.7))
     after, lost = _kernel_step(state, 2.0)
     assert np.array_equal(after.values, state.values)
     assert lost is None
@@ -117,7 +115,7 @@ def test_step_rejects_oversized_dt():
     grid = line_grid()
     state = box_state(grid, 1.0, 1.0)
     bound = 0.4 * grid.dx**2 / (2.0 * 1 * 2.0 * 1.0)
-    table = evolve(state, 2.0, 1.5 * bound, SchemeConfig(cfl_safety=0.4))
+    table = evolve(state, 2.0, 1.5 * bound, 0.4, ())
     assert (table.steps, table.dt_max) == (2, bound)
     assert table.dt_min == pytest.approx(0.5 * bound, rel=1e-12)
 
@@ -126,17 +124,17 @@ def test_stable_dt_formula_and_zero_state_guard():
     grid = line_grid(cells=100)
     state = box_state(grid, 2.0, 1.0)
     expected = 0.4 * grid.dx**2 / (2.0 * 1 * 3.0 * 2.0**2)
-    table = evolve(state, 3.0, expected, SchemeConfig(cfl_safety=0.4))
+    table = evolve(state, 3.0, expected, 0.4, ())
     assert (table.steps, table.dt_max) == (1, expected)
-    zero = field_from(grid, np.zeros_like)
-    table = evolve(zero, 2.0, 1.0, SchemeConfig(cfl_safety=0.4))
+    zero = FieldState(grid=grid, time=0.0, values=np.zeros_like(grid.centers))
+    table = evolve(zero, 2.0, 1.0, 0.4, ())
     assert (table.steps, table.dt_max) == (1, 1.0)
 
 
 def test_zero_initial_data_stays_zero():
     grid = line_grid(cells=64)
-    zero = field_from(grid, np.zeros_like)
-    table = evolve(zero, 2.0, 1.0, SchemeConfig(cfl_safety=0.4))
+    zero = FieldState(grid=grid, time=0.0, values=np.zeros_like(grid.centers))
+    table = evolve(zero, 2.0, 1.0, 0.4, ())
     assert all(np.all(st.values == 0.0) for st in table.states)
     assert support_radius(table.states[-1]) == 0.0
 
@@ -145,10 +143,10 @@ def test_evolve_validation_and_mass_drift():
     grid = line_grid()
     box = box_state(grid, 1.0, 1.0)
     with pytest.raises(InvalidInputError):
-        evolve(box, 2.0, 0.0, SchemeConfig())
+        evolve(box, 2.0, 0.0, 0.4, ())
     with pytest.raises(InvalidInputError):
-        evolve(box, 2.0, 1.0, SchemeConfig(cfl_safety=0.4, snapshot_times=(2.0,)))
-    table = evolve(box, 2.0, 1.0, SchemeConfig(cfl_safety=0.4, snapshot_times=(0.25, 0.5)))
+        evolve(box, 2.0, 1.0, 0.4, (2.0,))
+    table = evolve(box, 2.0, 1.0, 0.4, (0.25, 0.5))
     assert [round(t, 12) for t in table.times] == [0.0, 0.25, 0.5, 1.0]
     drift = float(np.max(np.abs(table.masses - table.masses[0])))
     assert drift <= 1e-10 * table.masses[0]
@@ -160,14 +158,14 @@ def test_snapshot_table_requires_increasing_times():
     a = box_state(grid, 1.0, 1.0, time=0.5)
     b = box_state(grid, 1.0, 1.0, time=0.25)
     with pytest.raises(InvalidInputError):
-        SnapshotTable(states=(a, b), m=2.0, scheme=SchemeConfig())
+        SnapshotTable(states=(a, b), m=2.0)
 
 
 def test_lp_power_sums_are_non_increasing():
     grid = line_grid()
     table = evolve(
         box_state(grid, 1.0, 1.0), 2.0, 2.0,
-        SchemeConfig(cfl_safety=0.4, snapshot_times=tuple(np.linspace(0.2, 1.8, 9))),
+        0.4, tuple(np.linspace(0.2, 1.8, 9)),
     )
     for p in (2.0, 3.0):
         sums = [lp_power_sum(st.values, grid, p) for st in table.states]
@@ -177,7 +175,7 @@ def test_lp_power_sums_are_non_increasing():
 def test_box_support_grows_monotonically_with_cube_root_slope():
     grid = SpatialGrid(kind="cartesian", lo=-12.0, hi=12.0, cells=480)
     snap_times = (2.5, 5.0, 10.0, 20.0, 40.0)
-    table = evolve(box_state(grid, 1.0, 1.0), 2.0, 40.0, SchemeConfig(0.4, snap_times))
+    table = evolve(box_state(grid, 1.0, 1.0), 2.0, 40.0, 0.4, snap_times)
     radii = [support_radius(st) for st in table.states]
     assert all(a <= b + 1e-12 for a, b in zip(radii, radii[1:]))
     late_t = np.array(snap_times[1:])
@@ -204,7 +202,7 @@ def test_self_similar_profile_convergence_on_a_wide_box():
     errors = {}
     for cells in (100, 200):
         grid = SpatialGrid(kind="cartesian", lo=-9.0, hi=9.0, cells=cells)
-        table = evolve(barenblatt_state(grid, p, 1.0), 2.0, 2.0, SchemeConfig(cfl_safety=0.4))
+        table = evolve(barenblatt_state(grid, p, 1.0), 2.0, 2.0, 0.4, ())
         final = table.states[-1]
         exact = barenblatt(p, 2.0, grid.centers)
         errors[cells] = float(np.sum(np.abs(final.values - exact)) * grid.dx)
@@ -220,7 +218,7 @@ def test_table_reads_match_snapshots_and_interpolate():
     p = BarenblattParams(m=2.0, d=1, b=1.0)
     grid = SpatialGrid(kind="cartesian", lo=-9.0, hi=9.0, cells=200)
     snaps = tuple(np.linspace(1.05, 2.0, 20))
-    table = evolve(barenblatt_state(grid, p, 1.0), 2.0, 2.0, SchemeConfig(0.4, snaps))
+    table = evolve(barenblatt_state(grid, p, 1.0), 2.0, 2.0, 0.4, snaps)
     st = table.states[3]
     assert np.array_equal(dense_values(table, float(st.time)), st.values)
     assert interp_mass(table, float(st.time)) == pytest.approx(st.mass, rel=1e-14)
@@ -243,8 +241,8 @@ def test_table_reads_match_snapshots_and_interpolate():
 
 def test_eval_on_centers_edge_conventions():
     grid = line_grid(lo=-2.0, hi=2.0, cells=16)
-    state = field_from(grid, lambda x: 1.0 + 0.0 * x)
-    table = SnapshotTable(states=(state,), m=2.0, scheme=SchemeConfig())
+    state = FieldState(grid=grid, time=0.0, values=np.ones_like(grid.centers))
+    table = SnapshotTable(states=(state,), m=2.0)
     vals = eval_on_centers(table, 0.0, np.array([-3.0, -1.99, 0.0, 1.99, 3.0]))
     assert vals[0] == 0.0 and vals[-1] == 0.0
     assert np.all(vals[1:4] == 1.0)
@@ -252,7 +250,7 @@ def test_eval_on_centers_edge_conventions():
 
 def test_table_solution_wraps_the_table():
     grid = line_grid(cells=64)
-    table = evolve(box_state(grid, 1.0, 1.0), 2.0, 1.0, SchemeConfig(0.4, (0.5,)))
+    table = evolve(box_state(grid, 1.0, 1.0), 2.0, 1.0, 0.4, (0.5,))
     base = table_solution(table)
     assert base.interval.contains(0.5)
     assert not base.interval.contains(1.5)
@@ -263,7 +261,7 @@ def test_table_solution_wraps_the_table():
 
 
 def test_table_solution_reads_every_point_shape():
-    line = evolve(box_state(line_grid(cells=64), 1.0, 1.0), 2.0, 1.0, SchemeConfig(0.4, (0.5,)))
+    line = evolve(box_state(line_grid(cells=64), 1.0, 1.0), 2.0, 1.0, 0.4, (0.5,))
     base = table_solution(line)
     for x in (-1.25, [-1.0, 0.0, 1.0], [[-1.0, 0.0, 1.0]], [[-2.0], [0.5]]):
         got = base.evaluate(0.5, x)
@@ -274,7 +272,7 @@ def test_table_solution_reads_every_point_shape():
     # Points whose radius is exact in floating point: (1.5, 2) and (1, 2, 2) and their halves.
     for d, point, radius in ((2, [1.5, 2.0], 2.5), (3, [1.0, 2.0, 2.0], 3.0)):
         grid = SpatialGrid(kind="radial", lo=0.0, hi=4.0, cells=48, dim=d)
-        table = evolve(box_state(grid, 1.0, 2.0), 2.0, 0.5, SchemeConfig(0.4, (0.25,)))
+        table = evolve(box_state(grid, 1.0, 2.0), 2.0, 0.5, 0.4, (0.25,))
         base = table_solution(table)
         value = base.evaluate(0.25, -radius)
         assert type(value) is float and value == float(eval_on_centers(table, 0.25, radius))
@@ -295,7 +293,7 @@ def test_radial_solver_tracks_the_closed_form():
         grid = SpatialGrid(kind="radial", lo=0.0, hi=6.0, cells=240, dim=d)
         initial = barenblatt_state(grid, p, 1.0)
         assert initial.mass == pytest.approx(barenblatt_mass(p), rel=1e-4)
-        table = evolve(initial, 2.0, 2.0, SchemeConfig(cfl_safety=0.4))
+        table = evolve(initial, 2.0, 2.0, 0.4, ())
         final = table.states[-1]
         points = np.zeros((grid.cells, d))
         points[:, 0] = grid.centers
@@ -319,13 +317,13 @@ def test_evolve_together_preserves_order_and_matches_single_evolution():
     grid = line_grid()
     low = box_state(grid, 0.5, 0.8)
     high = box_state(grid, 1.0, 1.2)
-    scheme = SchemeConfig(cfl_safety=0.4, snapshot_times=tuple(np.linspace(0.1, 0.9, 9)))
-    table_low, table_high = evolve_together((low, high), 2.0, 1.0, scheme)
+    snaps = tuple(np.linspace(0.1, 0.9, 9))
+    table_low, table_high = evolve_together((low, high), 2.0, 1.0, 0.4, snaps)
     assert np.array_equal(table_low.times, table_high.times)
     for a, b in zip(table_low.states, table_high.states):
         assert np.all(a.values <= b.values + 1e-12)
-    solo = evolve(high, 2.0, 1.0, scheme)
-    (paired,) = evolve_together((high,), 2.0, 1.0, scheme)
+    solo = evolve(high, 2.0, 1.0, 0.4, snaps)
+    (paired,) = evolve_together((high,), 2.0, 1.0, 0.4, snaps)
     assert np.array_equal(solo.times, paired.times)
     for a, b in zip(solo.states, paired.states):
         assert np.array_equal(a.values, b.values)
@@ -334,21 +332,22 @@ def test_evolve_together_preserves_order_and_matches_single_evolution():
 def test_evolve_together_validation():
     grid = line_grid(cells=16)
     with pytest.raises(InvalidInputError):
-        evolve_together((), 2.0, 1.0, SchemeConfig())
+        evolve_together((), 2.0, 1.0, 0.4, ())
     a = box_state(grid, 1.0, 1.0, time=0.0)
     b = box_state(grid, 1.0, 1.0, time=0.5)
     with pytest.raises(InvalidInputError):
-        evolve_together((a, b), 2.0, 1.0, SchemeConfig())
+        evolve_together((a, b), 2.0, 1.0, 0.4, ())
 
 
 def test_support_radius_threshold_monotone():
     # Hats of narrowing width: the radius is the largest |center| inside each.
     grid = line_grid(cells=64)
     widths = (1.0, 0.75, 0.5, 0.1)
-    radii = [support_radius(field_from(grid, lambda x, w=w: np.maximum(w - np.abs(x), 0.0))) for w in widths]
+    hats = [np.maximum(w - np.abs(grid.centers), 0.0) for w in widths]
+    radii = [support_radius(FieldState(grid=grid, time=0.0, values=hat)) for hat in hats]
     assert radii == [float(np.max(np.abs(grid.centers[np.abs(grid.centers) < w]))) for w in widths]
     assert all(a >= b for a, b in zip(radii, radii[1:]))
-    assert support_radius(field_from(grid, np.zeros_like)) == 0.0
+    assert support_radius(FieldState(grid=grid, time=0.0, values=np.zeros_like(grid.centers))) == 0.0
 
 
 def test_pointwise_residual_oracle_and_negative_control():
@@ -416,7 +415,7 @@ def tables_and_queries(draw):
         FieldState(grid=grid, time=float(t), values=rng.uniform(0.0, 2.0, cells) * (rng.random(cells) < 0.8))
         for t in times
     )
-    table = SnapshotTable(states=states, m=2.0, scheme=SchemeConfig())
+    table = SnapshotTable(states=states, m=2.0)
     slack = 1e-9 * max(1.0, table.t_last)
     inside = rng.uniform(table.t_first, table.t_last, draw(st.integers(0, 6)))
     ts = np.concatenate((times, inside, [table.t_first - 0.5 * slack, table.t_last + 0.5 * slack]))
@@ -495,10 +494,10 @@ def _first_bound(values, grid, m, safety):
     return safety * grid.dx**2 / max(denom, 1e-12)
 
 
-def _reference_march(initials, m, horizon, cfg):
+def _reference_march(initials, m, horizon, cfl_safety, snapshot_times):
     """The scalar marching loop, one state per update; returns the tables and every dt."""
     t0 = initials[0].time
-    targets = sorted({float(s) for s in cfg.snapshot_times} | {horizon})
+    targets = sorted({float(s) for s in snapshot_times} | {horizon})
     snaps = [[st] for st in initials]
     states = list(initials)
     clamped = [st.clamped_mass for st in initials]
@@ -510,7 +509,7 @@ def _reference_march(initials, m, horizon, cfg):
         while states[0].time < target - eps:
             dt = target - states[0].time
             for st in states:
-                dt = min(dt, _first_bound(st.values, st.grid, m, cfg.cfl_safety))
+                dt = min(dt, _first_bound(st.values, st.grid, m, cfl_safety))
             if not dt > 0.0:
                 raise InvalidInputError("dt must be positive")
             for i, st in enumerate(states):
@@ -521,7 +520,7 @@ def _reference_march(initials, m, horizon, cfg):
         for i, st in enumerate(states):
             snaps[i].append(st)
     tables = tuple(
-        SnapshotTable(states=tuple(s), m=m, scheme=cfg, clamped_total=c) for s, c in zip(snaps, clamped)
+        SnapshotTable(states=tuple(s), m=m, clamped_total=c) for s, c in zip(snaps, clamped)
     )
     return tables, dts
 
@@ -570,13 +569,12 @@ def test_array_march_equals_the_scalar_loop_bitwise(kind, dim, m, n_states, t0):
     initials = _initials(grid, m, n_states, t0)
     horizon = t0 + 1.5
     schedule = tuple(t0 + np.geomspace(1e-4, 1.5, 160)) + (t0, horizon)
-    cfg = SchemeConfig(cfl_safety=0.4, snapshot_times=schedule)
-    want, dts = _reference_march(initials, m, horizon, cfg)
-    got = evolve_together(initials, m, horizon, cfg)
+    want, dts = _reference_march(initials, m, horizon, 0.4, schedule)
+    got = evolve_together(initials, m, horizon, 0.4, schedule)
     assert_same_tables(got, want, dts)
     assert len(got[0].times) == 161
     if n_states == 1:
-        assert_same_tables((evolve(initials[0], m, horizon, cfg),), want, dts)
+        assert_same_tables((evolve(initials[0], m, horizon, 0.4, schedule),), want, dts)
     assert len({(t.steps, t.dt_min, t.dt_max) for t in got}) == 1
 
 
@@ -596,29 +594,28 @@ def march_cases(draw):
         FieldState(grid=grid, time=t0, values=rng.uniform(0.0, 3.0, cells) * (rng.random(cells) < 0.7))
         for _ in range(draw(st.integers(1, 3)))
     )
-    cfg = SchemeConfig(cfl_safety=float(rng.uniform(0.05, 1.0)))
-    horizon = t0 + draw(st.integers(1, 60)) * min(_first_bound(s.values, grid, m, cfg.cfl_safety) for s in initials)
+    safety = float(rng.uniform(0.05, 1.0))
+    horizon = t0 + draw(st.integers(1, 60)) * min(_first_bound(s.values, grid, m, safety) for s in initials)
     snaps = t0 + (horizon - t0) * np.sort(rng.random(draw(st.integers(0, 5))))
-    return initials, m, horizon, SchemeConfig(cfg.cfl_safety, tuple(snaps))
+    return initials, m, horizon, safety, tuple(snaps)
 
 
 @settings(max_examples=60, deadline=None)
 @given(march_cases())
 def test_array_march_equals_the_scalar_loop_on_random_data(case):
-    initials, m, horizon, cfg = case
-    want, dts = _reference_march(initials, m, horizon, cfg)
-    assert_same_tables(evolve_together(initials, m, horizon, cfg), want, dts)
+    want, dts = _reference_march(*case)
+    assert_same_tables(evolve_together(*case), want, dts)
 
 
 @settings(max_examples=60, deadline=None)
 @given(march_cases(), st.floats(0.01, 1.0))
 def test_step_equals_the_first_written_update_bitwise(case, fraction):
-    initials, m, _, cfg = case
+    initials, m, _, safety, _ = case
     # Negative zeros next to positive ones: the first update turned them into 0.0.
     values = initials[0].values
     values = np.where(values == 0.0, np.where(np.arange(values.size) % 3 == 0, -0.0, 0.0), values)
     grid = initials[0].grid
-    dt = fraction * _first_bound(values, grid, m, cfg.cfl_safety)
+    dt = fraction * _first_bound(values, grid, m, safety)
     want, clamped = _first_update(values, grid, m, dt)
     u = values[None, :].copy()
     lost = _advance_box(u, m, dt, grid)
@@ -646,51 +643,61 @@ def test_advance_clamps_rows_like_the_first_written_update(m):
 def test_march_errors_match_the_scalar_loop(monkeypatch):
     grid = line_grid(cells=32)
     box = box_state(grid, 1.0, 1.0)
-    cfg = SchemeConfig(cfl_safety=0.4)
 
     def no_step(*args):
         raise AssertionError("stepped before the checks")
 
     with monkeypatch.context() as patch:
         patch.setattr(solver, "_advance", no_step)
-        for call in (lambda: evolve(box, 1.0, 1.0, cfg), lambda: evolve_together((box, box), 0.5, 1.0, cfg)):
+        for call in (lambda: evolve(box, 1.0, 1.0, 0.4, ()), lambda: evolve_together((box, box), 0.5, 1.0, 0.4, ())):
             with pytest.raises(InvalidInputError, match="the solver handles m > 1"):
                 call()
+        for safety in (0.0, -0.4, 1.5, math.nan):
+            for call in (
+                lambda: evolve(box, 2.0, 1.0, safety, ()),
+                lambda: evolve_together((box, box), 2.0, 1.0, safety, ()),
+            ):
+                with pytest.raises(InvalidInputError, match=r"cfl_safety must lie in \(0, 1\]"):
+                    call()
         late = box_state(grid, 1.0, 1.0, time=0.5)
         with pytest.raises(InvalidInputError, match="common start time"):
-            evolve_together((box, late), 2.0, 1.0, cfg)
+            evolve_together((box, late), 2.0, 1.0, 0.4, ())
         other = box_state(line_grid(lo=-5.0, cells=32), 1.0, 1.0)
         with pytest.raises(InvalidInputError, match="common grid"):
-            evolve_together((box, other), 2.0, 1.0, cfg)
+            evolve_together((box, other), 2.0, 1.0, 0.4, ())
 
     tiny = box_state(SpatialGrid(kind="cartesian", lo=-1e-170, hi=1e-170, cells=8), 1.0, 1.0)
     for march in (evolve_together, _reference_march):
         with pytest.raises(InvalidInputError, match="dt must be positive"):
-            march((tiny,), 2.0, 1.0, cfg)
+            march((tiny,), 2.0, 1.0, 0.4, ())
     huge = FieldState(grid=grid, time=0.0, values=1e200 * box.values)
     with np.errstate(all="ignore"):
         for march in (evolve_together, _reference_march):
             with pytest.raises(InvalidInputError, match="finite and nonnegative"):
-                march((huge,), 2.0, 1.0, cfg)
+                march((huge,), 2.0, 1.0, 0.4, ())
     monkeypatch.setattr(solver, "_MAX_STEPS", 5)
     with pytest.raises(StabilityError, match="step budget exhausted"):
-        evolve(box, 2.0, 1.0, cfg)
+        evolve(box, 2.0, 1.0, 0.4, ())
 
 
-def test_paired_states_keep_their_own_clocks():
-    # Start times within the common-start tolerance stay apart, as each
-    # state's own time did in the scalar loop.
+def test_paired_states_need_one_start_time(monkeypatch):
+    # One clock per march: start times 2e-13 apart are two clocks, rejected
+    # before any step; equal ones give every table the same times.
     grid = line_grid(cells=24)
     initials = (box_state(grid, 1.0, 1.0, time=0.3), box_state(grid, 0.5, 1.0, time=0.3 + 2e-13))
-    cfg = SchemeConfig(cfl_safety=0.4, snapshot_times=(0.5, 0.8))
-    want, dts = _reference_march(initials, 2.0, 1.0, cfg)
-    got = evolve_together(initials, 2.0, 1.0, cfg)
+    with monkeypatch.context() as patch:
+        patch.setattr(solver, "_advance", lambda *args: pytest.fail("stepped before the start-time check"))
+        with pytest.raises(InvalidInputError, match="paired evolution needs a common start time"):
+            evolve_together(initials, 2.0, 1.0, 0.4, (0.5, 0.8))
+    same = (initials[0], box_state(grid, 0.5, 1.0, time=0.3))
+    want, dts = _reference_march(same, 2.0, 1.0, 0.4, (0.5, 0.8))
+    got = evolve_together(same, 2.0, 1.0, 0.4, (0.5, 0.8))
     assert_same_tables(got, want, dts)
-    assert not np.array_equal(got[0].times, got[1].times)
+    assert _bits(got[0].times) == _bits(got[1].times)
 
 
 def test_tables_built_without_marching_carry_no_step_statistics():
-    table = SnapshotTable(states=(box_state(line_grid(cells=16), 1.0, 1.0),), m=2.0, scheme=SchemeConfig())
+    table = SnapshotTable(states=(box_state(line_grid(cells=16), 1.0, 1.0),), m=2.0)
     assert table.steps == 0 and math.isnan(table.dt_min) and math.isnan(table.dt_max)
     assert table.cell_steps == 0
 
@@ -700,7 +707,7 @@ def test_step_budget_fails_fast():
     grid = SpatialGrid(kind="cartesian", lo=-10.0, hi=10.0, cells=4096)
     started = time.perf_counter()
     with pytest.raises(StabilityError, match="step budget exhausted"):
-        evolve(box_state(grid, 1.0, 1.0), 2.0, 1e6, SchemeConfig(cfl_safety=0.9))
+        evolve(box_state(grid, 1.0, 1.0), 2.0, 1e6, 0.9, ())
     assert time.perf_counter() - started < 1.0
 
 
@@ -716,15 +723,14 @@ def test_step_budget_fires_only_where_the_loop_would_exhaust_it(monkeypatch, kin
         initials = (FieldState(grid=grid, time=0.0, values=np.full(grid.cells, 0.5)),)
     else:
         initials = _initials(grid, m, n_states, 0.0)
-    cfg = SchemeConfig(cfl_safety=0.4, snapshot_times=(0.25, 0.5))
-    want = evolve_together(initials, m, 1.0, cfg)
+    want = evolve_together(initials, m, 1.0, 0.4, (0.25, 0.5))
     monkeypatch.setattr(solver, "_MAX_STEPS", want[0].steps)
-    got = evolve_together(initials, m, 1.0, cfg)
+    got = evolve_together(initials, m, 1.0, 0.4, (0.25, 0.5))
     for g, w in zip(got, want):
         assert _bits(g.values) == _bits(w.values) and g.steps == w.steps
     monkeypatch.setattr(solver, "_MAX_STEPS", want[0].steps - 1)
     with pytest.raises(StabilityError, match="step budget exhausted"):
-        evolve_together(initials, m, 1.0, cfg)
+        evolve_together(initials, m, 1.0, 0.4, (0.25, 0.5))
 
 
 # ---------------------------------------------------------------------------
@@ -769,9 +775,9 @@ def test_windowed_march_equals_the_scalar_loop_bitwise(case):
     initials, m, horizon, clear = _window_case(case)
     grid = initials[0].grid
     t0 = initials[0].time
-    cfg = SchemeConfig(cfl_safety=0.4, snapshot_times=tuple(t0 + np.linspace(0.1, 0.9, 5) * (horizon - t0)))
-    want, dts = _reference_march(initials, m, horizon, cfg)
-    got = evolve_together(initials, m, horizon, cfg)
+    snaps = tuple(t0 + np.linspace(0.1, 0.9, 5) * (horizon - t0))
+    want, dts = _reference_march(initials, m, horizon, 0.4, snaps)
+    got = evolve_together(initials, m, horizon, 0.4, snaps)
     assert_same_tables(got, want, dts)
     assert len(dts) > 4 * solver._WINDOW_PAD
     final = np.stack([t.values[-1] for t in got])
@@ -789,9 +795,8 @@ def test_windowed_march_equals_the_scalar_loop_bitwise(case):
 
 def test_cell_steps_count_the_window_and_fill_a_full_box():
     grid = line_grid(cells=400)
-    cfg = SchemeConfig(cfl_safety=0.4)
-    narrow = evolve(box_state(grid, 1.0, 0.2), 2.0, 0.05, cfg)
-    full = evolve(FieldState(grid=grid, time=0.0, values=np.full(grid.cells, 0.5)), 2.0, 0.05, cfg)
+    narrow = evolve(box_state(grid, 1.0, 0.2), 2.0, 0.05, 0.4, ())
+    full = evolve(FieldState(grid=grid, time=0.0, values=np.full(grid.cells, 0.5)), 2.0, 0.05, 0.4, ())
     assert narrow.steps > 2 * solver._WINDOW_PAD
     assert 0 < narrow.cell_steps < grid.cells * narrow.steps // 2
     assert full.cell_steps == grid.cells * full.steps
