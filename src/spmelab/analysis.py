@@ -34,7 +34,6 @@ from .noise import (
 )
 from .solver import (
     FieldState,
-    _grid_key,
     dense_values,
     eval_on_centers,
     evolve_together,
@@ -481,7 +480,7 @@ def comparison_check(
     ``tol = ORDER_TOL`` only absorbs rounding.  The estimate is the least
     slack high + tol max(1, |high|) - low over probes and paths.
     """
-    if _grid_key(initial_low.grid) != _grid_key(initial_high.grid):
+    if initial_low.grid != initial_high.grid:
         raise InvalidInputError("both initial states must share one grid")
     if initial_low.time != initial_high.time:
         raise InvalidInputError("both initial states must share one start time")
@@ -685,7 +684,7 @@ def support_experiment(
     first_after = np.searchsorted(table.times, sweep.table_times[:, 1], side="left")
     radii = snap_radii[np.minimum(first_after, snap_radii.size - 1)]
     bounds = prefactor * (1.0 + H_end) ** beta
-    last = table.states[-1].values
+    last = table.values[-1]
     edges = last[-1:] if table.grid.kind == "radial" else last[[0, -1]]
     edge = float(np.max(np.abs(edges)))
 

@@ -202,12 +202,12 @@ def _run_evolve(cfg: RunConfig, outdir: Path) -> dict:
     horizon = cfg.horizon if cfg.horizon > initial.time else initial.time + cfg.horizon
     snaps = tuple(t for t in cfg.times if initial.time < t < horizon)
     table = evolve(initial, cfg.m, horizon, cfg.cfl_safety, snaps)
-    for k, state in enumerate(table.states):
+    for k, (t, values) in enumerate(zip(table.times, table.values)):
         csv_path = outdir / f"snapshot_{k:03d}.csv"
-        _write_csv(csv_path, ("x", "value"), (state.grid.centers, state.values))
+        _write_csv(csv_path, ("x", "value"), (table.grid.centers, values))
         _write_plot_note(
             csv_path, "x", "value", "position", "field value",
-            f"solution snapshot at t = {state.time:.6g}",
+            f"solution snapshot at t = {t:.6g}",
         )
     mass_path = outdir / "mass_log.csv"
     _write_csv(mass_path, ("t", "mass"), (table.times, table.masses))

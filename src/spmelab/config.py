@@ -159,6 +159,8 @@ def _validate(cfg: RunConfig) -> RunConfig:
         bad("times", "times must be sorted")
     if not cfg.points:
         bad("points", "points must be non-empty")
+    if cfg.plateau_tol < 0.0:
+        bad("plateau_tol", "plateau_tol must be >= 0")
     return cfg
 
 

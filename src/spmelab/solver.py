@@ -27,9 +27,10 @@ _MAX_STEPS = 50_000_000
 _WINDOW_PAD = 32
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class SpatialGrid:
-    """Uniform cell-centred mesh: an interval in 1-d or a radial mesh for d >= 2."""
+    """Uniform cell-centred mesh: an interval in 1-d or a radial mesh for d >= 2.
+    Grids compare and hash by value, so equal settings give equal grids."""
 
     kind: str
     lo: float
@@ -89,20 +90,13 @@ class SpatialGrid:
         return self._areas
 
 
-def _grid_key(grid: SpatialGrid) -> tuple:
-    """(kind, lo, hi, cells, dim): grids with equal keys are the same mesh."""
-    return (grid.kind, grid.lo, grid.hi, grid.cells, grid.dim)
-
-
 @dataclass(frozen=True, eq=False)
 class FieldState:
-    """Nonnegative cell averages at one time; ``clamped_mass`` records any
-    negative mass zeroed by the step that produced this state (expected 0)."""
+    """Nonnegative cell averages at one time."""
 
     grid: SpatialGrid
     time: float
     values: np.ndarray
-    clamped_mass: float = 0.0
 
     def __post_init__(self):
         arr = np.array(self.values, dtype=float)
@@ -206,31 +200,38 @@ def _advance(u: np.ndarray, m: float, dt: float, dx: float, areas, volumes: np.n
 
 @dataclass(frozen=True, eq=False)
 class SnapshotTable:
-    """States stored at increasing times, with the masses and the (snapshots, cells) values.
+    """Cell values on one grid at increasing times: row k of ``values`` holds
+    the cells at ``times[k]`` and ``masses[k]`` their discrete mass.
 
+    ``clamped_total`` is the negative mass the march zeroed (expected 0).
     ``steps``, ``dt_min`` and ``dt_max`` count the explicit steps that built
     the table and their length range (NaN when no step was taken);
     ``cell_steps`` sums the cells each step advanced, at most
     ``cells * steps``, since a step advances only a window around the support.
     """
 
-    states: tuple
+    grid: SpatialGrid
     m: float
-    times: np.ndarray = field(init=False)
-    masses: np.ndarray = field(init=False)
-    values: np.ndarray = field(init=False)
+    times: np.ndarray
+    values: np.ndarray
     clamped_total: float = 0.0
     steps: int = 0
     dt_min: float = math.nan
     dt_max: float = math.nan
     cell_steps: int = 0
+    masses: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        times = np.array([s.time for s in self.states], dtype=float)
-        if times.size < 1 or not np.all(np.diff(times) > 0.0):
+        times = np.array(self.times, dtype=float)
+        if times.ndim != 1 or times.size < 1 or not np.all(np.diff(times) > 0.0):
             raise InvalidInputError("snapshots must be stored at increasing times")
-        masses = np.array([s.mass for s in self.states], dtype=float)
-        values = np.stack([s.values for s in self.states])
+        values = np.array(self.values, dtype=float)
+        if values.shape != (times.size, self.grid.cells):
+            raise InvalidInputError("field values must match the grid cells")
+        if np.any(values < 0.0) or not np.all(np.isfinite(values)):
+            raise InvalidInputError("field values must be finite and nonnegative")
+        # One np.dot per row, as FieldState.mass: values @ volumes may sum in another order.
+        masses = np.array([np.dot(row, self.grid.volumes) for row in values])
         for arr in (times, masses, values):
             arr.flags.writeable = False
         object.__setattr__(self, "times", times)
@@ -238,8 +239,9 @@ class SnapshotTable:
         object.__setattr__(self, "values", values)
 
     @property
-    def grid(self) -> SpatialGrid:
-        return self.states[0].grid
+    def states(self) -> tuple:
+        """The snapshots as :class:`FieldState` records, built when read."""
+        return tuple(FieldState(self.grid, t, row) for t, row in zip(self.times.tolist(), self.values))
 
     @property
     def t_first(self) -> float:
@@ -308,24 +310,26 @@ def _march(initials: tuple, m: float, horizon: float, cfl_safety: float, snapsho
 
     if m <= 1.0:
         raise InvalidInputError("the solver handles m > 1")
-    if len({_grid_key(st.grid) for st in initials}) > 1:
-        raise InvalidInputError("paired evolution needs a common grid")
     grid = initials[0].grid
+    if any(st.grid != grid for st in initials):
+        raise InvalidInputError("paired evolution needs a common grid")
+    eps = 1e-12 * max(1.0, abs(horizon))
+    targets = [s for s in targets if s > t0 + eps]
+    for a, b in zip(targets, targets[1:]):
+        if b - a <= eps:
+            raise InvalidInputError(f"snapshot times {a!r} and {b!r} are too close to tell apart")
 
     u = np.stack([st.values for st in initials])
-    snaps = [[st] for st in initials]
+    snaps = np.empty((len(initials), len(targets) + 1, grid.cells))
+    times = []
     t = t0
-    clamped = [st.clamped_mass for st in initials]
-    lost = None
+    clamped = [0.0] * len(initials)
     steps_taken = cell_steps = 0
     dt_min, dt_max = math.inf, 0.0
-    eps = 1e-12 * max(1.0, abs(horizon))
     dx = grid.dx
     scale, rate = cfl_safety * dx**2, 2.0 * grid.dim * m
     areas = None if grid.kind == "cartesian" else grid.face_areas
-    for target in targets:
-        if target <= t0 + eps:
-            continue
+    for k, target in enumerate([t0, *targets]):
         while t < target - eps:
             if steps_taken % _WINDOW_PAD == 0:
                 # Outside the window every value stays +0.0 for the next
@@ -353,17 +357,16 @@ def _march(initials: tuple, m: float, horizon: float, cfl_safety: float, snapsho
             cell_steps += hi - lo
             if steps_taken > _MAX_STEPS:
                 raise StabilityError("step budget exhausted before reaching the horizon")
-        for i, snap in enumerate(snaps):
-            mass = lost[i] if lost else 0.0
-            snap.append(FieldState(grid=snap[0].grid, time=t, values=u[i], clamped_mass=mass))
+        snaps[:, k] = u
+        times.append(t)
     if not steps_taken:
         dt_min = dt_max = math.nan
     return tuple(
         SnapshotTable(
-            states=tuple(snap), m=m, clamped_total=total,
+            grid, m, times, values, clamped_total=total,
             steps=steps_taken, dt_min=dt_min, dt_max=dt_max, cell_steps=cell_steps,
         )
-        for snap, total in zip(snaps, clamped)
+        for values, total in zip(snaps, clamped)
     )
 
 

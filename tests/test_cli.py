@@ -101,6 +101,17 @@ def test_evolve_logs_mass_and_passes_its_check(tmp_path):
     assert "check mass_conserved: pass" in manifest
 
 
+def test_evolve_rejects_snapshot_times_it_cannot_tell_apart(tmp_path, capsys):
+    cfg = write_config(
+        tmp_path, "close.ini",
+        "command = evolve\nhorizon = 1\ntimes = 0.25, 0.2500000000000001\n"
+        f"out = {tmp_path / 'out'}\n",
+    )
+    assert main(["--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: snapshot times 0.25 and 0.2500000000000001 are too close to tell apart\n"
+
+
 def test_evolve_accepts_a_csv_initial_profile(tmp_path):
     profile = tmp_path / "profile.csv"
     xs = np.linspace(-2.0, 2.0, 41)

@@ -139,6 +139,7 @@ def test_piece_syntax_errors():
         ("cfl_safety = 1.5", "cfl_safety"),
         ("times = -1", "times"),
         ("times = 2, 1", "times"),
+        ("plateau_tol = -1", "plateau_tol"),
     ],
 )
 def test_semantic_validation_reports_the_offending_key(line, key):

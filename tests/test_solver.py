@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import re
 import time
 
 import numpy as np
@@ -155,10 +156,30 @@ def test_evolve_validation_and_mass_drift():
 
 def test_snapshot_table_requires_increasing_times():
     grid = line_grid(cells=16)
-    a = box_state(grid, 1.0, 1.0, time=0.5)
-    b = box_state(grid, 1.0, 1.0, time=0.25)
-    with pytest.raises(InvalidInputError):
-        SnapshotTable(states=(a, b), m=2.0)
+    for times in ([0.5, 0.25], [0.5, 0.5], [[0.0, 0.5]], []):
+        with pytest.raises(InvalidInputError, match="snapshots must be stored at increasing times"):
+            SnapshotTable(grid, 2.0, times, np.ones((np.size(times), 16)))
+
+
+def test_snapshot_table_checks_its_values_and_keeps_its_own_copy():
+    grid = line_grid(cells=16)
+    for shape in ((2, 15), (3, 16), (32,)):
+        with pytest.raises(InvalidInputError, match="field values must match the grid cells"):
+            SnapshotTable(grid, 2.0, [0.0, 0.5], np.ones(shape))
+    for bad in (-0.1, -np.inf, np.inf, np.nan):
+        values = np.ones((2, 16))
+        values[1, 3] = bad
+        with pytest.raises(InvalidInputError, match="field values must be finite and nonnegative"):
+            SnapshotTable(grid, 2.0, [0.0, 0.5], values)
+    values = np.random.default_rng(3).uniform(0.0, 2.0, (2, 16))
+    table = SnapshotTable(grid, 2.0, [0.0, 0.5], values)
+    values[0, 0] = 7.0
+    assert table.values[0, 0] != 7.0
+    assert not any(a.flags.writeable for a in (table.times, table.values, table.masses))
+    states = table.states
+    assert [st.time for st in states] == [0.0, 0.5]
+    assert _bits([st.values for st in states]) == _bits(table.values)
+    assert _bits([st.mass for st in states]) == _bits(table.masses)
 
 
 def test_lp_power_sums_are_non_increasing():
@@ -241,8 +262,7 @@ def test_table_reads_match_snapshots_and_interpolate():
 
 def test_eval_on_centers_edge_conventions():
     grid = line_grid(lo=-2.0, hi=2.0, cells=16)
-    state = FieldState(grid=grid, time=0.0, values=np.ones_like(grid.centers))
-    table = SnapshotTable(states=(state,), m=2.0)
+    table = SnapshotTable(grid, 2.0, [0.0], np.ones((1, grid.cells)))
     vals = eval_on_centers(table, 0.0, np.array([-3.0, -1.99, 0.0, 1.99, 3.0]))
     assert vals[0] == 0.0 and vals[-1] == 0.0
     assert np.all(vals[1:4] == 1.0)
@@ -411,11 +431,8 @@ def tables_and_queries(draw):
         grid = SpatialGrid(kind="cartesian", lo=lo, hi=lo + float(rng.uniform(0.5, 5.0)), cells=cells)
     t0 = float(rng.choice([0.0, rng.uniform(0.0, 2.0)]))
     times = t0 + np.concatenate(([0.0], np.cumsum(rng.uniform(1e-3, 1.0, n_snaps - 1))))
-    states = tuple(
-        FieldState(grid=grid, time=float(t), values=rng.uniform(0.0, 2.0, cells) * (rng.random(cells) < 0.8))
-        for t in times
-    )
-    table = SnapshotTable(states=states, m=2.0)
+    values = [rng.uniform(0.0, 2.0, cells) * (rng.random(cells) < 0.8) for _ in times]
+    table = SnapshotTable(grid, 2.0, times, values)
     slack = 1e-9 * max(1.0, table.t_last)
     inside = rng.uniform(table.t_first, table.t_last, draw(st.integers(0, 6)))
     ts = np.concatenate((times, inside, [table.t_first - 0.5 * slack, table.t_last + 0.5 * slack]))
@@ -500,7 +517,7 @@ def _reference_march(initials, m, horizon, cfl_safety, snapshot_times):
     targets = sorted({float(s) for s in snapshot_times} | {horizon})
     snaps = [[st] for st in initials]
     states = list(initials)
-    clamped = [st.clamped_mass for st in initials]
+    clamped = [0.0] * len(initials)
     dts = []
     eps = 1e-12 * max(1.0, abs(horizon))
     for target in targets:
@@ -514,13 +531,14 @@ def _reference_march(initials, m, horizon, cfl_safety, snapshot_times):
                 raise InvalidInputError("dt must be positive")
             for i, st in enumerate(states):
                 values, lost = _first_update(st.values, st.grid, m, dt)
-                states[i] = FieldState(grid=st.grid, time=st.time + dt, values=values, clamped_mass=lost)
+                states[i] = FieldState(grid=st.grid, time=st.time + dt, values=values)
                 clamped[i] += lost
             dts.append(dt)
         for i, st in enumerate(states):
             snaps[i].append(st)
     tables = tuple(
-        SnapshotTable(states=tuple(s), m=m, clamped_total=c) for s, c in zip(snaps, clamped)
+        SnapshotTable(s[0].grid, m, [st.time for st in s], [st.values for st in s], clamped_total=c)
+        for s, c in zip(snaps, clamped)
     )
     return tables, dts
 
@@ -537,7 +555,6 @@ def assert_same_tables(got, want, dts):
         assert _bits(g.values) == _bits(w.values)
         assert _bits(g.masses) == _bits(w.masses)
         assert _bits(g.clamped_total) == _bits(w.clamped_total)
-        assert _bits([s.clamped_mass for s in g.states]) == _bits([s.clamped_mass for s in w.states])
         assert (g.steps, g.dt_min, g.dt_max) == (len(dts), min(dts), max(dts))
         assert 0 < g.cell_steps <= g.grid.cells * g.steps
 
@@ -696,8 +713,32 @@ def test_paired_states_need_one_start_time(monkeypatch):
     assert _bits(got[0].times) == _bits(got[1].times)
 
 
+def test_equal_grid_settings_give_equal_grids_that_march_together():
+    a, b = line_grid(cells=24), line_grid(cells=24)
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert a != line_grid(cells=32) and a != line_grid(lo=-5.0, cells=24)
+    initials = (box_state(a, 1.0, 1.0), box_state(b, 0.5, 1.0))
+    want, dts = _reference_march(initials, 2.0, 1.0, 0.4, (0.5,))
+    got = evolve_together(initials, 2.0, 1.0, 0.4, (0.5,))
+    assert_same_tables(got, want, dts)
+
+
+def test_snapshot_times_the_march_cannot_tell_apart_fail_before_any_step(monkeypatch):
+    # Both would be stored at one step's time, which the table rejects only
+    # after the whole march.
+    box = box_state(line_grid(cells=24), 1.0, 1.0)
+    monkeypatch.setattr(solver, "_advance", lambda *args: pytest.fail("stepped before the snapshot-time check"))
+    for times, pair in (
+        ((0.25, 0.2500000000000001), "0.25 and 0.2500000000000001"),
+        ((1.0 - 1e-13,), "0.9999999999999 and 1.0"),
+    ):
+        with pytest.raises(InvalidInputError, match=re.escape(f"snapshot times {pair} are too close")):
+            evolve_together((box,), 2.0, 1.0, 0.4, times)
+
+
 def test_tables_built_without_marching_carry_no_step_statistics():
-    table = SnapshotTable(states=(box_state(line_grid(cells=16), 1.0, 1.0),), m=2.0)
+    grid = line_grid(cells=16)
+    table = SnapshotTable(grid, 2.0, [0.0], box_state(grid, 1.0, 1.0).values[None])
     assert table.steps == 0 and math.isnan(table.dt_min) and math.isnan(table.dt_max)
     assert table.cell_steps == 0
 
