@@ -23,9 +23,13 @@ own generator.  The block functions (:func:`brownian_block`,
 :func:`multiplier_block`, :func:`read_block`) build many paths at once as
 rows of 2-d arrays with the same arithmetic as the one-path calls, so a
 path's bits do not depend on the block it is sampled in.
+:func:`brownian_block` hashes a block of seeds into numpy's ``SeedSequence``
+words in one vectorised uint32 pass and hands each row's words to PCG64,
+which seeds itself from them exactly as from ``PCG64(seed)``.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -210,15 +214,104 @@ class NoisePath:
         object.__setattr__(self, "seed", int(self.seed) & _MASK64)
 
 
+_MASK32 = 0xFFFFFFFF
+
+
+def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
+    """The (xor, multiply) constant pairs of ``count`` successive SeedSequence
+    hash steps, as a (count, 2) uint32 array: each step xors with the running
+    constant, advances it by ``mult`` and multiplies by the new value."""
+    pairs = []
+    for _ in range(count):
+        pairs.append((init, init * mult & _MASK32))
+        init = pairs[-1][1]
+    return np.array(pairs, dtype=np.uint32)
+
+
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx): 4 + 12 steps
+# fill and mix the pool, and 8 steps hash it out into the state words.
+_POOL_HASH = _hash_constants(0x43B0D7E5, 0x931E8875, 16)
+_STATE_HASH = _hash_constants(0x8B51F9DD, 0x58F38DED, 8)
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+
+# Below this many seeds, numpy's own seeding (one SeedSequence per seed) costs
+# less than the fixed cost of the vectorised hash; both give the same words.
+_HASHED_ROWS = 10
+
+
+def _seed_words(seeds) -> np.ndarray:
+    """``SeedSequence(seed).generate_state(4, np.uint64)`` of every seed, as the
+    rows of a (len(seeds), 4) uint64 array computed in one uint32 pass.
+
+    A 64-bit seed is at most two 32-bit entropy words, fewer than the pool's
+    four, so every seed takes the same hash steps: the pool starts as
+    (low word, high word, 0, 0) (numpy hashes a seed below 2**32, which has
+    one entropy word, as if its second word were 0), each word is mixed into
+    the other three in turn, and the pool is hashed out into eight words read
+    as four little-endian uint64.
+    """
+    s = np.array([int(seed) & _MASK64 for seed in seeds], dtype=np.uint64)
+    pool = np.zeros((4, s.size), dtype=np.uint32)
+    pool[0], pool[1] = s & np.uint64(_MASK32), s >> np.uint64(32)
+    pool ^= _POOL_HASH[:4, :1]
+    pool *= _POOL_HASH[:4, 1:]
+    pool ^= pool >> 16
+    for src in range(4):
+        # Mixing into the other words leaves pool[src] as it is, so its three
+        # hashes are taken at once.
+        const = _POOL_HASH[4 + 3 * src : 7 + 3 * src]
+        hashed = pool[src] ^ const[:, :1]
+        hashed *= const[:, 1:]
+        hashed ^= hashed >> 16
+        dst = [i for i in range(4) if i != src]
+        mixed = _MIX_MULT_L * pool[dst] - _MIX_MULT_R * hashed
+        pool[dst] = mixed ^ (mixed >> 16)
+    state = pool[[0, 1, 2, 3, 0, 1, 2, 3]] ^ _STATE_HASH[:, :1]
+    state *= _STATE_HASH[:, 1:]
+    state ^= state >> 16
+    return np.ascontiguousarray((state[1::2].astype(np.uint64) << np.uint64(32) | state[0::2]).T)
+
+
+@functools.cache
+def _words_seed_sequence() -> type:
+    """A seed sequence that hands PCG64 one row of :func:`_seed_words`.
+
+    The class is built on first use, so importing the package does not load
+    ``numpy.random``.  PCG64 accepts only an ``ISeedSequence`` in place of a
+    seed, and asks it for ``generate_state(4, np.uint64)``; any other request
+    means numpy's seeding changed, so it raises rather than move the streams.
+    """
+    from numpy.random.bit_generator import ISeedSequence
+
+    class SeedWords(ISeedSequence):
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            if n_words != 4 or np.dtype(dtype) != np.uint64:
+                raise RuntimeError(
+                    f"seed words serve generate_state(4, uint64), not ({n_words}, {np.dtype(dtype)})"
+                )
+            return self.words
+
+    return SeedWords
+
+
 def brownian_block(grid: TimeGrid, seeds) -> np.ndarray:
     """Brownian paths on ``grid`` as the rows of a (len(seeds), steps + 1) array.
 
     Row r draws its increments from its own PCG64 generator seeded with
-    ``seeds[r]``, so each row is a pure function of (grid, seed).
+    ``seeds[r]``, so each row is a pure function of (grid, seed).  A block of
+    ``_HASHED_ROWS`` or more seeds is seeded from :func:`_seed_words`.
     """
     increments = np.empty((len(seeds), grid.steps))
-    for row, seed in zip(increments, seeds):
-        np.random.Generator(np.random.PCG64(int(seed) & _MASK64)).standard_normal(out=row)
+    if len(seeds) < _HASHED_ROWS:
+        bit_generators = (np.random.PCG64(int(seed) & _MASK64) for seed in seeds)
+    else:
+        seed_words = _words_seed_sequence()
+        bit_generators = (np.random.PCG64(seed_words(words)) for words in _seed_words(seeds))
+    for row, bit_generator in zip(increments, bit_generators):
+        np.random.Generator(bit_generator).standard_normal(out=row)
     increments *= np.sqrt(np.diff(grid.nodes))
     w = np.zeros((len(seeds), grid.nodes.size))
     np.cumsum(increments, axis=1, out=w[:, 1:])

@@ -179,15 +179,15 @@ def _advance(u: np.ndarray, m: float, dt: float, dx: float, areas, volumes: np.n
     went negative.
     """
     um, um_right, um_left, flux, flux_right, flux_left, div = work
-    np.power(u, m, out=um)
-    np.subtract(um_right, um_left, out=flux)
+    np.power(u, m, um)
+    np.subtract(um_right, um_left, flux)
     if areas is not None:
-        np.multiply(areas, flux, out=flux)
-    np.divide(flux, dx, out=flux)
-    np.subtract(flux_right, flux_left, out=div)
-    np.multiply(dt, div, out=div)
-    np.divide(div, volumes, out=div)
-    np.add(u, div, out=u)
+        np.multiply(areas, flux, flux)
+    np.divide(flux, dx, flux)
+    np.subtract(flux_right, flux_left, div)
+    np.multiply(dt, div, div)
+    np.divide(div, volumes, div)
+    np.add(u, div, u)
     if not np.minimum.reduce(u, None) < 0.0:
         return None
     lost = []
@@ -225,6 +225,8 @@ class SnapshotTable:
         times = np.array(self.times, dtype=float)
         if times.ndim != 1 or times.size < 1 or not np.all(np.diff(times) > 0.0):
             raise InvalidInputError("snapshots must be stored at increasing times")
+        if times[0] < 0.0:
+            raise InvalidInputError("field time must be nonnegative")
         values = np.array(self.values, dtype=float)
         if values.shape != (times.size, self.grid.cells):
             raise InvalidInputError("field values must match the grid cells")
@@ -329,36 +331,42 @@ def _march(initials: tuple, m: float, horizon: float, cfl_safety: float, snapsho
     dx = grid.dx
     scale, rate = cfl_safety * dx**2, 2.0 * grid.dim * m
     areas = None if grid.kind == "cartesian" else grid.face_areas
-    for k, target in enumerate([t0, *targets]):
-        while t < target - eps:
-            if steps_taken % _WINDOW_PAD == 0:
-                # Outside the window every value stays +0.0 for the next
-                # _WINDOW_PAD steps, so marching the window alone keeps every bit.
-                lo, hi = _window(u)
-                window, volumes = u[:, lo:hi], grid.volumes[lo:hi]
-                inner = None if areas is None else areas[lo + 1 : hi]
-                work = _work(window)
-            dt = target - t
-            for peak in np.maximum.reduce(window, 1).tolist():
+    # An overflowing step leaves inf or NaN in u, which the next step's peak
+    # check or the table's own check reports; numpy need not warn as well.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, target in enumerate([t0, *targets]):
+            while t < target - eps:
+                if steps_taken % _WINDOW_PAD == 0:
+                    # Outside the window every value stays +0.0 for the next
+                    # _WINDOW_PAD steps, so marching the window alone keeps every bit.
+                    lo, hi = _window(u)
+                    window, volumes = u[:, lo:hi], grid.volumes[lo:hi]
+                    inner = None if areas is None else areas[lo + 1 : hi]
+                    work = _work(window)
+                # _bound falls as the peak grows, so the bound of the largest value
+                # is the least of the rows' bounds and the update is monotone for every row.
+                peak = float(np.maximum.reduce(window, None))
                 if not math.isfinite(peak):
                     raise InvalidInputError("field values must be finite and nonnegative")
-                dt = min(dt, _bound(peak, m, scale, rate))
-            if not dt > 0.0:
-                raise InvalidInputError("dt must be positive")
-            if steps_taken == 1:
-                _check_budget(u, m, scale, rate, grid, horizon - t)
-            # dt is the least of the rows' bounds, so the update is monotone for every row.
-            lost = _advance(window, m, dt, dx, inner, volumes, work)
-            if lost is not None:
-                clamped = [c + x for c, x in zip(clamped, lost)]
-            t += dt
-            dt_min, dt_max = min(dt_min, dt), max(dt_max, dt)
-            steps_taken += 1
-            cell_steps += hi - lo
-            if steps_taken > _MAX_STEPS:
-                raise StabilityError("step budget exhausted before reaching the horizon")
-        snaps[:, k] = u
-        times.append(t)
+                dt = min(target - t, _bound(peak, m, scale, rate))
+                if not dt > 0.0:
+                    raise InvalidInputError("dt must be positive")
+                if steps_taken == 1:
+                    _check_budget(u, m, scale, rate, grid, horizon - t)
+                lost = _advance(window, m, dt, dx, inner, volumes, work)
+                if lost is not None:
+                    clamped = [c + x for c, x in zip(clamped, lost)]
+                t += dt
+                if dt < dt_min:
+                    dt_min = dt
+                if dt > dt_max:
+                    dt_max = dt
+                steps_taken += 1
+                cell_steps += hi - lo
+                if steps_taken > _MAX_STEPS:
+                    raise StabilityError("step budget exhausted before reaching the horizon")
+            snaps[:, k] = u
+            times.append(t)
     if not steps_taken:
         dt_min = dt_max = math.nan
     return tuple(

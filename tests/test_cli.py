@@ -404,6 +404,17 @@ def test_clock_overflow_exits_with_status_two_and_no_warning(tmp_path, capsys, r
     assert not recwarn.list
 
 
+def test_overflowing_march_exits_with_status_two_in_one_line(tmp_path, capsys, recwarn):
+    cfg = write_config(
+        tmp_path, "overflow.ini",
+        "command = evolve\nheight = 1e200\nhorizon = 1\ntimes = 0.25, 0.5\n"
+        f"out = {tmp_path / 'out'}\n",
+    )
+    assert main(["--config", cfg]) == 2
+    assert capsys.readouterr().err == "error: field values must be finite and nonnegative\n"
+    assert not recwarn.list
+
+
 def _reference_fmt(value) -> str:
     if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"

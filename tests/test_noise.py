@@ -2,10 +2,15 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spmelab import (
     CoefficientPair,
@@ -26,6 +31,7 @@ from spmelab import (
     sample_brownian,
     still_path,
 )
+from spmelab import noise
 from spmelab.analysis import _clock_blocks
 from spmelab.noise import brownian_block, locate_times, multiplier_block, read_block
 
@@ -346,6 +352,58 @@ def test_block_rows_match_a_plain_one_path_formula_bitwise(gamma):
             assert np.array_equal(got[r], want)
         one = multiplier_path(sample_brownian(grid, seed), coeffs, gamma)
         assert np.array_equal(one.path.w, w_ref) and np.array_equal(one.H, H_ref)
+
+
+# ---------------------------------------------------------------------------
+# Block seeding: numpy's SeedSequence hash for many seeds at once.
+# ---------------------------------------------------------------------------
+
+EDGE_SEEDS = [0, 1, 2, 2**31, 2**32 - 1, 2**32, 2**32 + 1, 2**63 - 1, 2**63, 2**64 - 2, 2**64 - 1]
+
+
+def assert_block_seeding_matches_numpy(seeds):
+    """Words, PCG64 state and Brownian rows of a hashed block equal numpy's per-seed ones."""
+    assert len(seeds) >= noise._HASHED_ROWS
+    words = noise._seed_words(seeds)
+    seed_words = noise._words_seed_sequence()
+    assert words.shape == (len(seeds), 4) and words.dtype == np.uint64
+    for seed, row in zip(seeds, words):
+        assert np.array_equal(row, np.random.SeedSequence(seed).generate_state(4, np.uint64))
+        assert np.random.PCG64(seed_words(row)).state == np.random.PCG64(seed).state
+    grid = TimeGrid(np.array([0.0, 0.1, 0.35, 0.5, 0.9, 1.0, 1.7]))
+    dt = np.diff(grid.nodes)
+    w = brownian_block(grid, seeds)
+    for seed, row in zip(seeds, w):
+        increments = np.random.Generator(np.random.PCG64(seed)).standard_normal(dt.size) * np.sqrt(dt)
+        assert row.tobytes() == np.concatenate(([0.0], np.cumsum(increments))).tobytes()
+
+
+def test_block_seeding_matches_numpy_on_edge_seeds():
+    assert_block_seeding_matches_numpy(EDGE_SEEDS)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.integers(0, 2**64 - 1), min_size=noise._HASHED_ROWS, max_size=16))
+def test_block_seeding_matches_numpy(seeds):
+    assert_block_seeding_matches_numpy(seeds)
+
+
+def test_seed_words_serve_only_the_request_pcg64_makes():
+    words = noise._words_seed_sequence()(noise._seed_words([7])[0])
+    assert np.array_equal(words.generate_state(4, np.uint64), np.random.SeedSequence(7).generate_state(4, np.uint64))
+    for n_words, dtype in ((4, np.uint32), (2, np.uint64), (8, np.uint64)):
+        with pytest.raises(RuntimeError, match="seed words serve"):
+            words.generate_state(n_words, dtype)
+
+
+def test_importing_the_package_leaves_numpy_random_unloaded():
+    # The child gets this process's import path, so the test runs without an install.
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in sys.path if p)}
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, spmelab; print('numpy.random' in sys.modules)"],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    assert proc.stdout == "False\n"
 
 
 def test_read_block_matches_np_interp_bitwise():

@@ -161,6 +161,11 @@ def test_snapshot_table_requires_increasing_times():
             SnapshotTable(grid, 2.0, times, np.ones((np.size(times), 16)))
 
 
+def test_snapshot_table_rejects_negative_times():
+    with pytest.raises(InvalidInputError, match="field time must be nonnegative"):
+        SnapshotTable(line_grid(cells=8), 2.0, [-1.0, 0.0], np.ones((2, 8)))
+
+
 def test_snapshot_table_checks_its_values_and_keeps_its_own_copy():
     grid = line_grid(cells=16)
     for shape in ((2, 15), (3, 16), (32,)):
@@ -860,3 +865,46 @@ def test_advance_on_a_window_equals_the_whole_box_bitwise(kind):
     assert lost_whole is not None and max(lost_whole) > 0.0
     assert _bits(u) == _bits(whole)
     assert _bits(lost) == _bits(lost_whole)
+
+
+# ---------------------------------------------------------------------------
+# Properties of the march on box data: the step takes one peak over every row.
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def box_marches(draw):
+    """Box data on a cartesian or radial grid, marched for up to 80 steps."""
+    cells = draw(st.integers(8, 64))
+    if draw(st.booleans()):
+        grid = SpatialGrid(kind="radial", lo=0.0, hi=4.0, cells=cells, dim=draw(st.integers(2, 3)))
+    else:
+        grid = SpatialGrid(kind="cartesian", lo=-4.0, hi=4.0, cells=cells)
+    box = box_state(grid, draw(st.floats(0.1, 10.0)), draw(st.floats(0.5, 3.0)))
+    m = draw(st.floats(1.1, 4.0))
+    horizon = draw(st.integers(1, 80)) * _first_bound(2.0 * box.values, grid, m, 0.4)
+    snaps = tuple(horizon * np.array(draw(st.lists(st.sampled_from([0.1, 0.25, 0.5, 0.9]), max_size=3))))
+    return box, m, horizon, snaps
+
+
+@settings(max_examples=60, deadline=None)
+@given(box_marches())
+def test_march_conserves_box_mass_to_rounding(case):
+    box, m, horizon, snaps = case
+    table = evolve(box, m, horizon, 0.4, snaps)
+    assert table.clamped_total == 0.0
+    drift = float(np.max(np.abs(table.masses - table.masses[0])))
+    assert drift <= box.grid.cells * table.steps * np.finfo(float).eps * table.masses[0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(box_marches())
+def test_paired_march_keeps_the_larger_state_bitwise(case):
+    # 2a has the larger peak, so its bound sets every shared step.
+    box, m, horizon, snaps = case
+    double = FieldState(grid=box.grid, time=box.time, values=2.0 * box.values)
+    _, paired = evolve_together((box, double), m, horizon, 0.4, snaps)
+    alone = evolve(double, m, horizon, 0.4, snaps)
+    assert _bits(paired.times) == _bits(alone.times)
+    assert _bits(paired.values) == _bits(alone.values)
+    assert (paired.steps, paired.dt_min, paired.dt_max) == (alone.steps, alone.dt_min, alone.dt_max)
