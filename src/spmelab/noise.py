@@ -217,26 +217,44 @@ class NoisePath:
 _MASK32 = 0xFFFFFFFF
 
 
-def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
+def _hash_constants(init: int, mult: int, count: int) -> list:
     """The (xor, multiply) constant pairs of ``count`` successive SeedSequence
-    hash steps, as a (count, 2) uint32 array: each step xors with the running
-    constant, advances it by ``mult`` and multiplies by the new value."""
+    hash steps: each step xors with the running constant, advances it by
+    ``mult`` and multiplies by the new value."""
     pairs = []
     for _ in range(count):
         pairs.append((init, init * mult & _MASK32))
         init = pairs[-1][1]
-    return np.array(pairs, dtype=np.uint32)
+    return pairs
+
+
+def _columns(pairs) -> tuple:
+    """Constant pairs as two (len(pairs), 1) uint32 columns, the xor and the
+    multiply constants, each broadcasting one constant along a row of words."""
+    table = np.array(pairs, dtype=np.uint32)
+    return np.ascontiguousarray(table[:, :1]), np.ascontiguousarray(table[:, 1:])
 
 
 # numpy's SeedSequence hash (numpy/random/bit_generator.pyx): 4 + 12 steps
 # fill and mix the pool, and 8 steps hash it out into the state words.
-_POOL_HASH = _hash_constants(0x43B0D7E5, 0x931E8875, 16)
-_STATE_HASH = _hash_constants(0x8B51F9DD, 0x58F38DED, 8)
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_POOL_PAIRS = _hash_constants(0x43B0D7E5, 0x931E8875, 16)
+_FILL_HASH = _columns(_POOL_PAIRS[:4])
 
-# Below this many seeds, numpy's own seeding (one SeedSequence per seed) costs
-# less than the fixed cost of the vectorised hash; both give the same words.
-_HASHED_ROWS = 10
+
+def _mix_columns(src: int) -> tuple:
+    """The constants that mix pool word ``src`` into the other three: the
+    next three steps, in destination order, with a placeholder in the row of
+    ``src`` itself, whose result is discarded."""
+    steps = iter(_POOL_PAIRS[4 + 3 * src : 7 + 3 * src])
+    return _columns([(0, 0) if dst == src else next(steps) for dst in range(4)])
+
+
+_MIX_HASH = tuple(_mix_columns(src) for src in range(4))
+# Hashing out takes the pool's four words twice, so the eight constants are
+# laid out as two rows of four.
+_STATE_HASH = tuple(c.reshape(2, 4, 1) for c in _columns(_hash_constants(0x8B51F9DD, 0x58F38DED, 8)))
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_U16 = np.uint32(16)
 
 
 def _seed_words(seeds) -> np.ndarray:
@@ -248,28 +266,30 @@ def _seed_words(seeds) -> np.ndarray:
     (low word, high word, 0, 0) (numpy hashes a seed below 2**32, which has
     one entropy word, as if its second word were 0), each word is mixed into
     the other three in turn, and the pool is hashed out into eight words read
-    as four little-endian uint64.
+    as four little-endian uint64.  Every step works on whole rows of the pool,
+    so the cost of one call hardly depends on the number of seeds.
     """
-    s = np.array([int(seed) & _MASK64 for seed in seeds], dtype=np.uint64)
+    s = np.array([int(seed) & _MASK64 for seed in seeds], dtype="<u8")
     pool = np.zeros((4, s.size), dtype=np.uint32)
-    pool[0], pool[1] = s & np.uint64(_MASK32), s >> np.uint64(32)
-    pool ^= _POOL_HASH[:4, :1]
-    pool *= _POOL_HASH[:4, 1:]
-    pool ^= pool >> 16
-    for src in range(4):
-        # Mixing into the other words leaves pool[src] as it is, so its three
-        # hashes are taken at once.
-        const = _POOL_HASH[4 + 3 * src : 7 + 3 * src]
-        hashed = pool[src] ^ const[:, :1]
-        hashed *= const[:, 1:]
-        hashed ^= hashed >> 16
-        dst = [i for i in range(4) if i != src]
-        mixed = _MIX_MULT_L * pool[dst] - _MIX_MULT_R * hashed
-        pool[dst] = mixed ^ (mixed >> 16)
-    state = pool[[0, 1, 2, 3, 0, 1, 2, 3]] ^ _STATE_HASH[:, :1]
-    state *= _STATE_HASH[:, 1:]
-    state ^= state >> 16
-    return np.ascontiguousarray((state[1::2].astype(np.uint64) << np.uint64(32) | state[0::2]).T)
+    pool[:2] = s.view("<u4").reshape(s.size, 2).T  # low and high word of each seed
+    pool ^= _FILL_HASH[0]
+    pool *= _FILL_HASH[1]
+    pool ^= pool >> _U16
+    for src, (xor, mult) in enumerate(_MIX_HASH):
+        # All four rows are mixed at once; pool[src] then gets its own value back.
+        kept = pool[src].copy()
+        hashed = kept ^ xor
+        hashed *= mult
+        hashed ^= hashed >> _U16
+        hashed *= _MIX_MULT_R
+        pool *= _MIX_MULT_L
+        pool -= hashed
+        pool ^= pool >> _U16
+        pool[src] = kept
+    state = pool ^ _STATE_HASH[0]
+    state *= _STATE_HASH[1]
+    state ^= state >> _U16
+    return state.reshape(8, s.size).T.astype("<u4", order="C").view("<u8").astype(np.uint64, copy=False)
 
 
 @functools.cache
@@ -301,17 +321,13 @@ def brownian_block(grid: TimeGrid, seeds) -> np.ndarray:
     """Brownian paths on ``grid`` as the rows of a (len(seeds), steps + 1) array.
 
     Row r draws its increments from its own PCG64 generator seeded with
-    ``seeds[r]``, so each row is a pure function of (grid, seed).  A block of
-    ``_HASHED_ROWS`` or more seeds is seeded from :func:`_seed_words`.
+    ``seeds[r]``, so each row is a pure function of (grid, seed).  The
+    generators are seeded from :func:`_seed_words`.
     """
     increments = np.empty((len(seeds), grid.steps))
-    if len(seeds) < _HASHED_ROWS:
-        bit_generators = (np.random.PCG64(int(seed) & _MASK64) for seed in seeds)
-    else:
-        seed_words = _words_seed_sequence()
-        bit_generators = (np.random.PCG64(seed_words(words)) for words in _seed_words(seeds))
-    for row, bit_generator in zip(increments, bit_generators):
-        np.random.Generator(bit_generator).standard_normal(out=row)
+    seed_words = _words_seed_sequence()
+    for row, words in zip(increments, _seed_words(seeds)):
+        np.random.Generator(np.random.PCG64(seed_words(words))).standard_normal(out=row)
     increments *= np.sqrt(np.diff(grid.nodes))
     w = np.zeros((len(seeds), grid.nodes.size))
     np.cumsum(increments, axis=1, out=w[:, 1:])

@@ -179,15 +179,15 @@ def _advance(u: np.ndarray, m: float, dt: float, dx: float, areas, volumes: np.n
     went negative.
     """
     um, um_right, um_left, flux, flux_right, flux_left, div = work
-    np.power(u, m, um)
-    np.subtract(um_right, um_left, flux)
+    np.power(u, m, out=um)
+    np.subtract(um_right, um_left, out=flux)
     if areas is not None:
-        np.multiply(areas, flux, flux)
-    np.divide(flux, dx, flux)
-    np.subtract(flux_right, flux_left, div)
-    np.multiply(dt, div, div)
-    np.divide(div, volumes, div)
-    np.add(u, div, u)
+        np.multiply(areas, flux, out=flux)
+    np.divide(flux, dx, out=flux)
+    np.subtract(flux_right, flux_left, out=div)
+    np.multiply(dt, div, out=div)
+    np.divide(div, volumes, out=div)
+    np.add(u, div, out=u)
     if not np.minimum.reduce(u, None) < 0.0:
         return None
     lost = []
@@ -357,10 +357,7 @@ def _march(initials: tuple, m: float, horizon: float, cfl_safety: float, snapsho
                 if lost is not None:
                     clamped = [c + x for c, x in zip(clamped, lost)]
                 t += dt
-                if dt < dt_min:
-                    dt_min = dt
-                if dt > dt_max:
-                    dt_max = dt
+                dt_min, dt_max = min(dt_min, dt), max(dt_max, dt)
                 steps_taken += 1
                 cell_steps += hi - lo
                 if steps_taken > _MAX_STEPS:

@@ -362,8 +362,7 @@ EDGE_SEEDS = [0, 1, 2, 2**31, 2**32 - 1, 2**32, 2**32 + 1, 2**63 - 1, 2**63, 2**
 
 
 def assert_block_seeding_matches_numpy(seeds):
-    """Words, PCG64 state and Brownian rows of a hashed block equal numpy's per-seed ones."""
-    assert len(seeds) >= noise._HASHED_ROWS
+    """Words, PCG64 state and Brownian rows of a block equal numpy's per-seed ones."""
     words = noise._seed_words(seeds)
     seed_words = noise._words_seed_sequence()
     assert words.shape == (len(seeds), 4) and words.dtype == np.uint64
@@ -382,8 +381,8 @@ def test_block_seeding_matches_numpy_on_edge_seeds():
     assert_block_seeding_matches_numpy(EDGE_SEEDS)
 
 
-@settings(max_examples=50, deadline=None)
-@given(st.lists(st.integers(0, 2**64 - 1), min_size=noise._HASHED_ROWS, max_size=16))
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=16))
 def test_block_seeding_matches_numpy(seeds):
     assert_block_seeding_matches_numpy(seeds)
 

@@ -887,7 +887,7 @@ def box_marches(draw):
     return box, m, horizon, snaps
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=30, deadline=None)
 @given(box_marches())
 def test_march_conserves_box_mass_to_rounding(case):
     box, m, horizon, snaps = case
@@ -897,7 +897,7 @@ def test_march_conserves_box_mass_to_rounding(case):
     assert drift <= box.grid.cells * table.steps * np.finfo(float).eps * table.masses[0]
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=30, deadline=None)
 @given(box_marches())
 def test_paired_march_keeps_the_larger_state_bitwise(case):
     # 2a has the larger peak, so its bound sets every shared step.
