@@ -23,11 +23,13 @@ from .noise import (
     CoefficientPair,
     MultiplierPath,
     TimeGrid,
-    brownian_block,
+    _clock_columns,
+    _fill_brownian,
+    _fill_multiplier,
+    _mix_seeds,
     limit_distribution,
     locate_times,
     mix_seed,
-    multiplier_block,
     multiplier_path,
     read_block,
     sample_brownian,
@@ -194,16 +196,20 @@ class ClockSweep:
 def _clock_blocks(grid: TimeGrid, coeffs: CoefficientPair, m: float, seed: int, n_paths: int, take) -> None:
     """Call ``take(start, w, logh, h, H)`` per block of paths; row r is path ``start + r``.
 
-    Each block's arrays are released as the next block's replace them, so
-    memory stays bounded for any number of paths.  Releasing them before the
-    next draw would let malloc hand the heap top back to the OS, and every
-    block would then fault its pages in again.
+    The block arrays are allocated once per sweep and every block is drawn
+    into them in place, the last into their leading rows, so memory stays
+    bounded for any number of paths.  A block's arrays are therefore valid
+    only during its ``take`` call: ``take`` copies whatever it keeps.
     """
-    rows = max(1, BLOCK_VALUES // (grid.steps + 1))
+    rows = max(1, min(n_paths, BLOCK_VALUES // (grid.steps + 1)))
+    columns = _clock_columns(grid, coeffs, m)
+    w, logh, h, H = (np.empty((rows, grid.steps + 1)) for _ in range(4))
+    scratch = np.empty((rows, grid.steps))
     for start in range(0, n_paths, rows):
-        w = brownian_block(grid, [mix_seed(seed, i) for i in range(start, min(start + rows, n_paths))])
-        logh, h, H = multiplier_block(w, grid, coeffs, m)
-        take(start, w, logh, h, H)
+        n = min(rows, n_paths - start)
+        _fill_brownian(w[:n], scratch[:n], grid, _mix_seeds(seed, start, start + n))
+        _fill_multiplier(logh[:n], h[:n], H[:n], w[:n], scratch[:n], columns)
+        take(start, w[:n], logh[:n], h[:n], H[:n])
 
 
 def _clocks(cfg: McConfig, times) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -427,9 +433,12 @@ def weak_form_residual(
     a fixed Simpson rule with ``N_QUAD`` nodes over the bump's support.
 
     The base is evaluated once on a column of clock values against a row of
-    positions.  A base that does not broadcast over s, so that this call
-    raises ValueError or TypeError or returns another shape, is evaluated at
-    one clock value at a time; any other error propagates.
+    positions.  A base that broadcasts s against x returns shape (k, n) from
+    that call; one whose result puts the shape of x after that of s, as
+    ``table_solution`` does, returns (k, 1, 1, n), which is read as (k, n).
+    A base that does neither, so that this call raises ValueError or
+    TypeError or returns another shape, is evaluated at one clock value at a
+    time; any other error propagates.
     """
     clock = sample.clock
     nodes = clock.grid.nodes
@@ -446,6 +455,8 @@ def weak_form_residual(
         base_vals = np.asarray(sample.base.evaluate(Hs[:, None], xs[None, :]), dtype=float)
     except (ValueError, TypeError):
         base_vals = None
+    if base_vals is not None and base_vals.shape == (k_end + 1, 1, 1, xs.size):
+        base_vals = base_vals.reshape(k_end + 1, xs.size)
     if base_vals is None or base_vals.shape != (k_end + 1, xs.size):
         base_vals = np.vstack(
             [np.asarray(sample.base.evaluate(float(s), xs), dtype=float) for s in Hs]

@@ -22,10 +22,14 @@ permutation applied to ``master XOR index``, and every path draws from its
 own generator.  The block functions (:func:`brownian_block`,
 :func:`multiplier_block`, :func:`read_block`) build many paths at once as
 rows of 2-d arrays with the same arithmetic as the one-path calls, so a
-path's bits do not depend on the block it is sampled in.
-:func:`brownian_block` hashes a block of seeds into numpy's ``SeedSequence``
-words in one vectorised uint32 pass and hands each row's words to PCG64,
-which seeds itself from them exactly as from ``PCG64(seed)``.
+path's bits do not depend on the block it is sampled in.  The first two
+allocate their arrays and call private fill helpers, which write a block in
+place with ``out=`` ufuncs; a Monte Carlo sweep calls the same helpers on
+arrays it allocates once and refills for every block.  A block's seeds come
+from one vectorised uint64 splitmix64 pass (``mix_seed`` stays as the scalar
+reference), are hashed into numpy's ``SeedSequence`` words in one uint32
+pass, and each row's words go to PCG64, which seeds itself from them exactly
+as from ``PCG64(seed)``.
 """
 from __future__ import annotations
 
@@ -54,6 +58,19 @@ def mix_seed(master: int, index: int) -> int:
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
     return (z ^ (z >> 31)) & _MASK64
+
+
+def _mix_seeds(master: int, start: int, stop: int) -> np.ndarray:
+    """``mix_seed(master, i)`` for every i in range(start, stop), as one uint64
+    array; uint64 products wrap as the masked Python ones do."""
+    z = np.arange(start, stop, dtype=np.uint64)
+    z ^= np.uint64(int(master) & _MASK64)
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    return z
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -257,9 +274,10 @@ _MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 _U16 = np.uint32(16)
 
 
-def _seed_words(seeds) -> np.ndarray:
-    """``SeedSequence(seed).generate_state(4, np.uint64)`` of every seed, as the
-    rows of a (len(seeds), 4) uint64 array computed in one uint32 pass.
+def _seed_words(seeds: np.ndarray) -> np.ndarray:
+    """``SeedSequence(seed).generate_state(4, np.uint64)`` of every seed in the
+    uint64 array ``seeds``, as the rows of a (len(seeds), 4) uint64 array
+    computed in one uint32 pass.
 
     A 64-bit seed is at most two 32-bit entropy words, fewer than the pool's
     four, so every seed takes the same hash steps: the pool starts as
@@ -269,7 +287,7 @@ def _seed_words(seeds) -> np.ndarray:
     as four little-endian uint64.  Every step works on whole rows of the pool,
     so the cost of one call hardly depends on the number of seeds.
     """
-    s = np.array([int(seed) & _MASK64 for seed in seeds], dtype="<u8")
+    s = np.asarray(seeds, dtype="<u8")
     pool = np.zeros((4, s.size), dtype=np.uint32)
     pool[:2] = s.view("<u4").reshape(s.size, 2).T  # low and high word of each seed
     pool ^= _FILL_HASH[0]
@@ -317,20 +335,30 @@ def _words_seed_sequence() -> type:
     return SeedWords
 
 
+def _fill_brownian(w: np.ndarray, scratch: np.ndarray, grid: TimeGrid, seeds: np.ndarray) -> None:
+    """Draw one Brownian path on ``grid`` into each row of ``w``, in place.
+
+    Row r draws its increments into row r of ``scratch`` (shape (rows,
+    steps)) from its own PCG64 generator, seeded with ``seeds[r]`` (uint64)
+    through :func:`_seed_words`.
+    """
+    seed_words = _words_seed_sequence()
+    for row, words in zip(scratch, _seed_words(seeds)):
+        np.random.Generator(np.random.PCG64(seed_words(words))).standard_normal(out=row)
+    scratch *= np.sqrt(np.diff(grid.nodes))
+    w[:, 0] = 0.0
+    np.cumsum(scratch, axis=1, out=w[:, 1:])
+
+
 def brownian_block(grid: TimeGrid, seeds) -> np.ndarray:
     """Brownian paths on ``grid`` as the rows of a (len(seeds), steps + 1) array.
 
     Row r draws its increments from its own PCG64 generator seeded with
-    ``seeds[r]``, so each row is a pure function of (grid, seed).  The
-    generators are seeded from :func:`_seed_words`.
+    ``seeds[r]``, so each row is a pure function of (grid, seed).
     """
-    increments = np.empty((len(seeds), grid.steps))
-    seed_words = _words_seed_sequence()
-    for row, words in zip(increments, _seed_words(seeds)):
-        np.random.Generator(np.random.PCG64(seed_words(words))).standard_normal(out=row)
-    increments *= np.sqrt(np.diff(grid.nodes))
-    w = np.zeros((len(seeds), grid.nodes.size))
-    np.cumsum(increments, axis=1, out=w[:, 1:])
+    seeds = np.array([int(seed) & _MASK64 for seed in seeds], dtype=np.uint64)
+    w = np.empty((seeds.size, grid.nodes.size))
+    _fill_brownian(w, np.empty((seeds.size, grid.steps)), grid, seeds)
     return w
 
 
@@ -391,6 +419,54 @@ class MultiplierPath:
         return self.grid.horizon
 
 
+def _clock_columns(grid: TimeGrid, coeffs: CoefficientPair, gamma: float) -> tuple:
+    """The per-interval factors of :func:`_fill_multiplier` on ``grid``, computed
+    once per sweep: f, g dt, 1/2 f^2 dt, dt, and the clock exponent gamma - 1."""
+    if gamma < 1.0:
+        raise InvalidInputError("clock exponent gamma must be >= 1")
+    f_vals, g_vals = coeffs.values_on(grid)
+    dt = np.diff(grid.nodes)
+    return f_vals, g_vals * dt, 0.5 * f_vals**2 * dt, dt, gamma - 1.0
+
+
+def _fill_multiplier(logh, h, H, w: np.ndarray, scratch: np.ndarray, columns: tuple) -> None:
+    """Fill log h, h and H of the Brownian rows ``w`` in place.
+
+    ``scratch`` has shape (rows, steps) and ``columns`` comes from
+    :func:`_clock_columns`.  The operations and their order are those of
+    ``g dt + f diff(w) - 1/2 f^2 dt``, its running sum, ``exp``, and the
+    running sum of ``h[:, :-1] ** (gamma - 1) * dt``, so every value has the
+    bits of that expression.
+    """
+    f_vals, g_dt, half_f2_dt, dt, power = columns
+    np.subtract(w[:, 1:], w[:, :-1], out=scratch)
+    np.multiply(f_vals, scratch, out=scratch)
+    np.add(g_dt, scratch, out=scratch)
+    np.subtract(scratch, half_f2_dt, out=scratch)
+    logh[:, 0] = 0.0
+    np.cumsum(scratch, axis=1, out=logh[:, 1:])
+    with np.errstate(over="ignore"):
+        np.exp(logh, out=h)
+    # Reductions in place of elementwise tests: a NaN fails the first, as it
+    # fails h > 0, and an empty block passes both.
+    if not np.minimum.reduce(h, None, initial=np.inf) > 0.0:
+        raise InvalidInputError(
+            "multiplier underflowed to zero; shorten the horizon or the drift"
+        )
+    if not np.maximum.reduce(h, None, initial=0.0) < np.inf:
+        raise InvalidInputError(
+            "multiplier overflowed to infinity; shorten the horizon or the drift"
+        )
+    # The in-place operator picks numpy's function for the exponent (square,
+    # sqrt, ... or power) exactly as ``h ** (gamma - 1)`` does.
+    np.copyto(scratch, h[:, :-1])
+    H[:, 0] = 0.0
+    with np.errstate(over="ignore"):
+        scratch **= power
+        scratch *= dt
+        np.cumsum(scratch, axis=1, out=H[:, 1:])
+
+
 def multiplier_block(
     w: np.ndarray, grid: TimeGrid, coeffs: CoefficientPair, gamma: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -399,26 +475,9 @@ def multiplier_block(
     ``w`` has shape (rows, steps + 1); the three results have its shape.
     ``gamma`` >= 1 is the homogeneity degree of the clock.
     """
-    if gamma < 1.0:
-        raise InvalidInputError("clock exponent gamma must be >= 1")
-    f_vals, g_vals = coeffs.values_on(grid)
-    dt = np.diff(grid.nodes)
-    dlog = g_vals * dt + f_vals * np.diff(w, axis=1) - 0.5 * f_vals**2 * dt
-    logh = np.zeros_like(w)
-    np.cumsum(dlog, axis=1, out=logh[:, 1:])
-    with np.errstate(over="ignore"):
-        h = np.exp(logh)
-    if not np.all(h > 0.0):
-        raise InvalidInputError(
-            "multiplier underflowed to zero; shorten the horizon or the drift"
-        )
-    if not np.all(np.isfinite(h)):
-        raise InvalidInputError(
-            "multiplier overflowed to infinity; shorten the horizon or the drift"
-        )
-    H = np.zeros_like(w)
-    with np.errstate(over="ignore"):
-        np.cumsum(h[:, :-1] ** (gamma - 1.0) * dt, axis=1, out=H[:, 1:])
+    columns = _clock_columns(grid, coeffs, gamma)
+    logh, h, H = np.empty(w.shape), np.empty(w.shape), np.empty(w.shape)
+    _fill_multiplier(logh, h, H, w, np.empty((w.shape[0], grid.steps)), columns)
     return logh, h, H
 
 

@@ -139,8 +139,12 @@ def barenblatt_state(grid: SpatialGrid, p: BarenblattParams, t0: float) -> Field
 
 def _bound(peak: float, m: float, scale: float, rate: float) -> float:
     """The monotonicity bound on dt for a field whose largest value is ``peak``,
-    with ``scale = safety * dx**2`` and ``rate = 2 * dim * m``."""
-    denom = rate * peak ** (m - 1.0) if peak > 0.0 else 0.0
+    with ``scale = safety * dx**2`` and ``rate = 2 * dim * m``.  A peak whose
+    power leaves the float range gives 0, which the march rejects."""
+    try:
+        denom = rate * peak ** (m - 1.0) if peak > 0.0 else 0.0
+    except OverflowError:
+        denom = math.inf
     return scale / max(denom, _DENOM_FLOOR)
 
 
@@ -159,26 +163,35 @@ def _window(u: np.ndarray) -> tuple:
 
 
 def _work(u: np.ndarray) -> tuple:
-    """Buffers for :func:`_advance` on rows shaped like ``u``, with the views it
-    reads: u**m, the face fluxes between two zero columns (the no-flux walls
-    or the window's edges), and the divergence."""
-    rows, cells = u.shape
-    um, padded, div = np.empty_like(u), np.zeros((rows, cells + 1)), np.empty_like(u)
-    return um, um[:, 1:], um[:, :-1], padded[:, 1:-1], padded[:, 1:], padded[:, :-1], div
+    """Buffers for :func:`_advance` on a window shaped like ``u`` (one row of
+    columns, or rows of them), with the views it reads: u**m, the face fluxes
+    between two zero columns (the no-flux walls or the window's edges), the
+    divergence, the bits of ``u`` itself as uint64, and a uint64 scalar for
+    their maximum with its float64 view."""
+    um, padded, div = np.empty_like(u), np.zeros(u.shape[:-1] + (u.shape[-1] + 1,)), np.empty_like(u)
+    top = np.empty((), dtype=np.uint64)
+    return (
+        um, um[..., 1:], um[..., :-1], padded[..., 1:-1], padded[..., 1:], padded[..., :-1], div,
+        u.view(np.uint64), top, top.view(np.float64),
+    )
 
 
 def _advance(u: np.ndarray, m: float, dt: float, dx: float, areas, volumes: np.ndarray, work: tuple):
-    """Advance every row of ``u`` by one explicit step of length dt, in place.
+    """Advance ``u`` (one row of columns, or rows of them) by one explicit step
+    of length dt, in place; ``work`` comes from :func:`_work` on ``u``.
 
     ``u`` holds whole columns of the field, ``volumes`` their cell volumes and
     ``areas`` the faces between them (None on a cartesian grid, whose faces
-    all have area 1; multiplying by 1.0 is exact).  The flux is
+    all have area 1 and whose volumes all equal dx; multiplying by 1.0 and
+    dividing by dx in place of a volume are exact).  The flux is
     (A * diff(u**m)) / dx and the update u + (dt * div) / volume, in that
-    order, so a row's bits do not depend on the other rows.  Negative values
-    are zeroed; returns the mass that zeroed per row, or None when no value
-    went negative.
+    order, so a row's bits do not depend on the other rows.
+
+    Returns ``(peak, lost)``: the largest value after the step, with the bits
+    of ``float(np.max(u))``, and the mass that zeroing negative values
+    removed per row, or None when no value went negative.
     """
-    um, um_right, um_left, flux, flux_right, flux_left, div = work
+    um, um_right, um_left, flux, flux_right, flux_left, div, bits, top, top_value = work
     np.power(u, m, out=um)
     np.subtract(um_right, um_left, out=flux)
     if areas is not None:
@@ -186,16 +199,23 @@ def _advance(u: np.ndarray, m: float, dt: float, dx: float, areas, volumes: np.n
     np.divide(flux, dx, out=flux)
     np.subtract(flux_right, flux_left, out=div)
     np.multiply(dt, div, out=div)
-    np.divide(div, volumes, out=div)
+    np.divide(div, dx if areas is None else volumes, out=div)
     np.add(u, div, out=u)
-    if not np.minimum.reduce(u, None) < 0.0:
-        return None
-    lost = []
-    for row in u:
-        negative = row < 0.0
-        lost.append(float(-np.dot(row[negative], volumes[negative])) if negative.any() else 0.0)
-        row[negative] = 0.0
-    return lost
+    # Floats with the sign bit clear order as their bits do, so the largest
+    # bit pattern has its sign bit clear exactly when no value carries a sign,
+    # and is then the largest value.
+    np.maximum.reduce(bits, None, out=top)
+    peak = float(top_value)
+    if math.copysign(1.0, peak) > 0.0:
+        return peak, None
+    lost = None
+    if np.minimum.reduce(u, None) < 0.0:
+        lost = []
+        for row in np.atleast_2d(u):
+            negative = row < 0.0
+            lost.append(float(-np.dot(row[negative], volumes[negative])) if negative.any() else 0.0)
+            row[negative] = 0.0
+    return float(np.maximum.reduce(u, None)), lost
 
 
 @dataclass(frozen=True, eq=False)
@@ -322,6 +342,8 @@ def _march(initials: tuple, m: float, horizon: float, cfl_safety: float, snapsho
             raise InvalidInputError(f"snapshot times {a!r} and {b!r} are too close to tell apart")
 
     u = np.stack([st.values for st in initials])
+    # One state steps on 1-d views, which numpy iterates with less overhead.
+    field = u[0] if len(initials) == 1 else u
     snaps = np.empty((len(initials), len(targets) + 1, grid.cells))
     times = []
     t = t0
@@ -331,6 +353,12 @@ def _march(initials: tuple, m: float, horizon: float, cfl_safety: float, snapsho
     dx = grid.dx
     scale, rate = cfl_safety * dx**2, 2.0 * grid.dim * m
     areas = None if grid.kind == "cartesian" else grid.face_areas
+    # _bound falls as the peak grows, so the bound of the largest value is the
+    # least of the rows' bounds and the update is monotone for every row.
+    # Each step returns the next peak; outside the window every value is +0.0,
+    # so the window's largest value is the field's up to the sign of a zero,
+    # which _bound does not read.
+    peak = float(np.maximum.reduce(u, None))
     # An overflowing step leaves inf or NaN in u, which the next step's peak
     # check or the table's own check reports; numpy need not warn as well.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -340,12 +368,9 @@ def _march(initials: tuple, m: float, horizon: float, cfl_safety: float, snapsho
                     # Outside the window every value stays +0.0 for the next
                     # _WINDOW_PAD steps, so marching the window alone keeps every bit.
                     lo, hi = _window(u)
-                    window, volumes = u[:, lo:hi], grid.volumes[lo:hi]
+                    window, volumes = field[..., lo:hi], grid.volumes[lo:hi]
                     inner = None if areas is None else areas[lo + 1 : hi]
                     work = _work(window)
-                # _bound falls as the peak grows, so the bound of the largest value
-                # is the least of the rows' bounds and the update is monotone for every row.
-                peak = float(np.maximum.reduce(window, None))
                 if not math.isfinite(peak):
                     raise InvalidInputError("field values must be finite and nonnegative")
                 dt = min(target - t, _bound(peak, m, scale, rate))
@@ -353,7 +378,7 @@ def _march(initials: tuple, m: float, horizon: float, cfl_safety: float, snapsho
                     raise InvalidInputError("dt must be positive")
                 if steps_taken == 1:
                     _check_budget(u, m, scale, rate, grid, horizon - t)
-                lost = _advance(window, m, dt, dx, inner, volumes, work)
+                peak, lost = _advance(window, m, dt, dx, inner, volumes, work)
                 if lost is not None:
                     clamped = [c + x for c, x in zip(clamped, lost)]
                 t += dt

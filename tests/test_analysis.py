@@ -25,6 +25,7 @@ from spmelab import (
     box_state,
     comparison_check,
     eval_on_centers,
+    evolve,
     interp_H,
     interp_h,
     interp_mass,
@@ -43,6 +44,7 @@ from spmelab import (
     support_experiment,
     support_radius,
     sweep_paths,
+    table_solution,
     weak_form_residual,
 )
 from spmelab import analysis
@@ -728,7 +730,7 @@ def test_block_clocks_reject_out_of_range_times_before_drawing(monkeypatch, time
     def no_draw(*args):
         raise AssertionError("a path was drawn before the probe times were checked")
 
-    monkeypatch.setattr(analysis, "brownian_block", no_draw)
+    monkeypatch.setattr(analysis, "_fill_brownian", no_draw)
     with pytest.raises(OutOfRangeError) as block:
         analysis._clocks(cfg, times)
     assert str(block.value) == str(per_path.value)
@@ -782,6 +784,25 @@ def test_weak_form_residual_evaluates_a_broadcasting_base_once():
     assert calls == [(33, 1)]
     per_time = weak_form_residual(_affine_clock_sample(lambda s, x: _ramp(float(s), x)), 2.0, phi, 1.0)
     assert residual == pytest.approx(per_time, rel=1e-12, abs=1e-15)
+
+
+def test_weak_form_residual_reads_a_table_base_once():
+    # A table base puts the shape of x after that of s, so the one call gives
+    # (33, 1, 1, n); array reads of a table have the bits of scalar ones.
+    table = evolve(box_state(line_grid(cells=64), 1.0, 1.5), 2.0, 2.0, 0.4, tuple(np.linspace(0.05, 1.95, 39)))
+    base = table_solution(table)
+    calls = []
+
+    def counted(s, x):
+        calls.append(np.shape(s))
+        return base.evaluate(s, x)
+
+    phi = Bump(center=1.0, width=0.8)
+    residual = weak_form_residual(_affine_clock_sample(counted), 2.0, phi, 1.0)
+    assert calls == [(33, 1)]
+    # float(s) of a column raises TypeError, so this base is read one clock value at a time.
+    per_value = weak_form_residual(_affine_clock_sample(lambda s, x: base.evaluate(float(s), x)), 2.0, phi, 1.0)
+    assert residual > 0.0 and np.float64(residual).tobytes() == np.float64(per_value).tobytes()
 
 
 @pytest.mark.parametrize(

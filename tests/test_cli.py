@@ -404,14 +404,24 @@ def test_clock_overflow_exits_with_status_two_and_no_warning(tmp_path, capsys, r
     assert not recwarn.list
 
 
-def test_overflowing_march_exits_with_status_two_in_one_line(tmp_path, capsys, recwarn):
+@pytest.mark.parametrize(
+    "m,message",
+    [
+        # u**2 overflows in the first step, and the next step's peak is not finite.
+        (2, "field values must be finite and nonnegative"),
+        # 1e200**2 leaves the float range inside the step bound, which becomes 0.
+        (3, "dt must be positive"),
+    ],
+    ids=["2", "3"],
+)
+def test_overflowing_march_exits_with_status_two_in_one_line(tmp_path, capsys, recwarn, m, message):
     cfg = write_config(
         tmp_path, "overflow.ini",
-        "command = evolve\nheight = 1e200\nhorizon = 1\ntimes = 0.25, 0.5\n"
+        f"command = evolve\nm = {m}\nheight = 1e200\nhorizon = 1\ntimes = 0.25, 0.5\n"
         f"out = {tmp_path / 'out'}\n",
     )
     assert main(["--config", cfg]) == 2
-    assert capsys.readouterr().err == "error: field values must be finite and nonnegative\n"
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not recwarn.list
 
 

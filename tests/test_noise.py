@@ -31,7 +31,7 @@ from spmelab import (
     sample_brownian,
     still_path,
 )
-from spmelab import noise
+from spmelab import analysis, noise
 from spmelab.analysis import _clock_blocks
 from spmelab.noise import brownian_block, locate_times, multiplier_block, read_block
 
@@ -296,6 +296,25 @@ def test_mix_seed_is_a_dispersing_bijection_prefix():
     assert len(seeds) == 10_000
     assert mix_seed(MASTER, 7) == mix_seed(MASTER, 7)
     assert 0 <= mix_seed(2**70, 3) < 2**64
+
+
+@pytest.mark.parametrize("master", [0, 1, 2**63, 2**64 - 1, 2**70 + 5, -3])
+def test_vectorised_seeds_equal_mix_seed_across_block_edges(monkeypatch, master):
+    # A 256-step sweep takes 255 rows per block; the ranges reach both sides of its edges.
+    for start, stop in ((0, 1), (0, 255), (250, 260), (255, 510), (10_195, 10_205)):
+        seeds = noise._mix_seeds(master, start, stop)
+        assert seeds.dtype == np.uint64
+        assert seeds.tolist() == [mix_seed(master, i) for i in range(start, stop)]
+    # A sweep in 7-row blocks draws every row, across the block edges, as one block of all rows.
+    grid = TimeGrid.uniform(1.0, 12)
+    monkeypatch.setattr(analysis, "BLOCK_VALUES", 7 * 13)
+    rows = np.empty((20, 13))
+
+    def take(start, w, logh, h, H):
+        rows[start:start + w.shape[0]] = w
+
+    _clock_blocks(grid, CoefficientPair.constant(1.0, 0.0), 2.0, master, 20, take)
+    assert rows.tobytes() == brownian_block(grid, [mix_seed(master, i) for i in range(20)]).tobytes()
 
 
 def test_multiplier_underflow_raises():

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 import time
 
 import numpy as np
@@ -42,9 +43,12 @@ def line_grid(lo=-6.0, hi=6.0, cells=200) -> SpatialGrid:
 def _advance_box(u, m, dt, grid):
     """One step of the marching kernel on the whole box, in place, with the
     face areas the loop passes: none on a cartesian grid, the inner faces on
-    a radial one.  Returns the kernel's clamp record."""
+    a radial one.  Checks that the peak it returns has the bits of the
+    stepped field's largest value; returns the kernel's clamp record."""
     areas = None if grid.kind == "cartesian" else grid.face_areas[1:-1]
-    return solver._advance(u, m, dt, grid.dx, areas, grid.volumes, solver._work(u))
+    peak, lost = solver._advance(u, m, dt, grid.dx, areas, grid.volumes, solver._work(u))
+    assert _bits(peak) == _bits(float(np.max(u)))
+    return lost
 
 
 def _kernel_step(state, m, safety=0.4):
@@ -630,8 +634,8 @@ def test_array_march_equals_the_scalar_loop_on_random_data(case):
 
 
 @settings(max_examples=60, deadline=None)
-@given(march_cases(), st.floats(0.01, 1.0))
-def test_step_equals_the_first_written_update_bitwise(case, fraction):
+@given(march_cases(), st.floats(0.01, 1.0), st.booleans())
+def test_step_equals_the_first_written_update_bitwise(case, fraction, one_row):
     initials, m, _, safety, _ = case
     # Negative zeros next to positive ones: the first update turned them into 0.0.
     values = initials[0].values
@@ -639,9 +643,10 @@ def test_step_equals_the_first_written_update_bitwise(case, fraction):
     grid = initials[0].grid
     dt = fraction * _first_bound(values, grid, m, safety)
     want, clamped = _first_update(values, grid, m, dt)
-    u = values[None, :].copy()
+    # The march steps one state on a 1-d view and several as rows.
+    u = values.copy() if one_row else values[None, :].copy()
     lost = _advance_box(u, m, dt, grid)
-    assert _bits(u[0]) == _bits(want)
+    assert _bits(u) == _bits(want)
     assert lost is None and clamped == 0.0
 
 
@@ -660,6 +665,9 @@ def test_advance_clamps_rows_like_the_first_written_update(m):
     assert lost is not None and lost[0] > 0.0 and lost[1] == 0.0
     assert _bits(u) == _bits(np.stack([w[0] for w in want]))
     assert _bits(lost) == _bits([w[1] for w in want])
+    one = rows[0].copy()
+    assert _bits(_advance_box(one, m, dt, grid)) == _bits(lost[:1])
+    assert _bits(one) == _bits(u[0])
 
 
 def test_march_errors_match_the_scalar_loop(monkeypatch):
@@ -861,10 +869,94 @@ def test_advance_on_a_window_equals_the_whole_box_bitwise(kind):
     u = rows.copy()
     window = u[:, 10:27]
     areas = None if kind == "cartesian" else grid.face_areas[11:27]
-    lost = solver._advance(window, 2.0, dt, grid.dx, areas, grid.volumes[10:27], solver._work(window))
+    peak, lost = solver._advance(window, 2.0, dt, grid.dx, areas, grid.volumes[10:27], solver._work(window))
+    assert _bits(peak) == _bits(float(np.max(window)))
     assert lost_whole is not None and max(lost_whole) > 0.0
     assert _bits(u) == _bits(whole)
     assert _bits(lost) == _bits(lost_whole)
+
+
+# ---------------------------------------------------------------------------
+# One reduction per step: the step reads its peak from the uint64 bits of the
+# stepped window, and only a set sign bit (a negative value, -0.0 or a
+# negative NaN) takes the min, clamp and max path.
+# ---------------------------------------------------------------------------
+
+
+def _special_rows(case):
+    """Grid, m, rows and dt of one step whose input or result holds a special value."""
+    if case == "negative_zero":
+        grid = line_grid(lo=-4.0, hi=4.0, cells=16)
+        rows = np.zeros((2, grid.cells))
+        rows[:, 6:10] = [[1.0, 2.0, 0.5, 1.0], [0.2, 0.0, 0.3, 0.1]]
+        rows[:, ::3] = np.where(rows[:, ::3] == 0.0, -0.0, rows[:, ::3])
+        return grid, 3.0, rows, 0.5 * min(_first_bound(r, grid, 3.0, 1.0) for r in rows)
+    # A coarse mesh keeps the fluxes finite until u**m overflows.
+    grid = line_grid(lo=-100.0, hi=100.0, cells=8)
+    rows = np.zeros((1, grid.cells))
+    # One huge cell sends +inf to its neighbours and -inf (clamped) to
+    # itself; two make inf - inf, a NaN with the sign bit set.
+    rows[0, 3 : 4 + (case == "nan")] = 1e200
+    return grid, 2.0, rows, _first_bound(rows[0], grid, 2.0, 0.4)
+
+
+@pytest.mark.parametrize("case", ["negative_zero", "inf", "nan"])
+def test_step_peak_and_clamp_hold_on_special_values(case):
+    grid, m, rows, dt = _special_rows(case)
+    with np.errstate(all="ignore"):
+        want = [_first_update(r, grid, m, dt) for r in rows]
+        u = rows.copy()
+        lost = _advance_box(u, m, dt, grid)
+        one = rows[0].copy()
+        lost_one = _advance_box(one, m, dt, grid)
+    np.testing.assert_array_equal(u, np.stack([w[0] for w in want]))
+    assert _bits(one) == _bits(u[0])
+    if case == "negative_zero":
+        assert np.signbit(rows).any() and not np.signbit(u).any()
+        assert lost is None and lost_one is None
+    elif case == "inf":
+        assert np.isposinf(u).any() and not np.isnan(u).any()
+        assert lost == lost_one == [math.inf]
+    else:
+        # A NaN makes the minimum NaN, so nothing is clamped.
+        assert np.isnan(u).any() and np.signbit(u).any()
+        assert lost is None and lost_one is None
+
+
+@pytest.mark.parametrize("n_states", [1, 2])
+def test_march_on_negative_zeros_equals_the_scalar_loop(n_states):
+    grid, m, rows, _ = _special_rows("negative_zero")
+    initials = tuple(FieldState(grid=grid, time=0.0, values=r) for r in rows[:n_states])
+    want, dts = _reference_march(initials, m, 0.05, 0.4, (0.01, 0.02))
+    assert_same_tables(evolve_together(initials, m, 0.05, 0.4, (0.01, 0.02)), want, dts)
+
+
+@pytest.mark.parametrize("n_states", [1, 2])
+def test_march_over_the_bound_clamps_like_the_scalar_loop(monkeypatch, n_states):
+    # Eight times the bound drives values negative; both loops take the same steps.
+    bound, first_bound = solver._bound, _first_bound
+    monkeypatch.setattr(solver, "_bound", lambda *args: 8.0 * bound(*args))
+    monkeypatch.setattr(sys.modules[__name__], "_first_bound", lambda *args: 8.0 * first_bound(*args))
+    grid = SpatialGrid(kind="radial", lo=0.0, hi=3.0, cells=24, dim=3)
+    rng = np.random.default_rng(5)
+    initials = tuple(
+        FieldState(grid=grid, time=0.0, values=rng.uniform(0.0, 2.0, grid.cells) * (rng.random(grid.cells) < 0.6))
+        for _ in range(n_states)
+    )
+    horizon = 2.5 * min(_first_bound(st.values, grid, 2.0, 1.0) for st in initials)
+    want, dts = _reference_march(initials, 2.0, horizon, 1.0, ())
+    got = evolve_together(initials, 2.0, horizon, 1.0, ())
+    assert_same_tables(got, want, dts)
+    assert got[0].clamped_total > 0.0
+
+
+@pytest.mark.parametrize("case", ["inf", "nan"])
+def test_march_that_overflows_to_inf_or_nan_fails_in_one_error(case):
+    # The first step overflows; the second finds a peak that is not finite.
+    grid, m, rows, _ = _special_rows(case)
+    initial = FieldState(grid=grid, time=0.0, values=rows[0])
+    with pytest.raises(InvalidInputError, match="field values must be finite and nonnegative"):
+        evolve(initial, m, 1.0, 0.4, ())
 
 
 # ---------------------------------------------------------------------------
@@ -908,3 +1000,30 @@ def test_paired_march_keeps_the_larger_state_bitwise(case):
     assert _bits(paired.times) == _bits(alone.times)
     assert _bits(paired.values) == _bits(alone.values)
     assert (paired.steps, paired.dt_min, paired.dt_max) == (alone.steps, alone.dt_min, alone.dt_max)
+
+
+@st.composite
+def ordered_marches(draw):
+    """Data low <= high pointwise, equal on part of the grid, on a cartesian or
+    radial grid, marched together for up to 40 steps."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cells = draw(st.integers(8, 32))
+    if draw(st.booleans()):
+        grid = SpatialGrid(kind="radial", lo=0.0, hi=4.0, cells=cells, dim=draw(st.integers(2, 3)))
+    else:
+        grid = SpatialGrid(kind="cartesian", lo=-4.0, hi=4.0, cells=cells)
+    low = rng.uniform(0.0, 2.0, cells) * (rng.random(cells) < 0.6)
+    high = low + rng.uniform(0.0, 1.0, cells) * (rng.random(cells) < 0.5)
+    m = draw(st.floats(1.1, 4.0))
+    horizon = draw(st.integers(1, 40)) * _first_bound(high, grid, m, 0.4)
+    snaps = tuple(horizon * np.array(draw(st.lists(st.sampled_from([0.1, 0.25, 0.5, 0.9]), max_size=3))))
+    return tuple(FieldState(grid=grid, time=0.0, values=v) for v in (low, high)), m, horizon, snaps
+
+
+@settings(max_examples=20, deadline=None)
+@given(ordered_marches())
+def test_paired_march_keeps_ordered_data_ordered_at_every_snapshot(case):
+    initials, m, horizon, snaps = case
+    low, high = evolve_together(initials, m, horizon, 0.4, snaps)
+    assert low.steps > 0
+    assert np.all(low.values <= high.values)
