@@ -46,7 +46,7 @@ def _advance_box(u, m, dt, grid):
     a radial one.  Checks that the peak it returns has the bits of the
     stepped field's largest value; returns the kernel's clamp record."""
     areas = None if grid.kind == "cartesian" else grid.face_areas[1:-1]
-    peak, lost = solver._advance(u, m, dt, grid.dx, areas, grid.volumes, solver._work(u))
+    peak, lost = solver._advance(u, dt, areas, grid.volumes, solver._work(u, grid.dx, m))
     assert _bits(peak) == _bits(float(np.max(u)))
     return lost
 
@@ -857,6 +857,32 @@ def test_cell_steps_count_the_window_and_fill_a_full_box():
 
 
 @pytest.mark.parametrize("kind", ["cartesian", "radial"])
+def test_cell_steps_sum_each_window_times_its_steps(monkeypatch, kind):
+    # Step counts that are not a multiple of _WINDOW_PAD leave the last window short.
+    if kind == "cartesian":
+        grid = line_grid(cells=400)
+        initial, m, horizon = box_state(grid, 1.0, 0.2), 2.0, 0.06
+    else:
+        grid = SpatialGrid(kind="radial", lo=0.0, hi=8.0, cells=320, dim=3)
+        initial, m, horizon = FieldState(grid, 0.0, np.where(grid.centers < 0.5, 1.5, 0.0)), 1.5, 0.05
+    widths = []
+    window = solver._window
+
+    def recorded(u):
+        lo, hi = window(u)
+        widths.append(hi - lo)
+        return lo, hi
+
+    monkeypatch.setattr(solver, "_window", recorded)
+    table = evolve(initial, m, horizon, 0.4, (0.5 * horizon,))
+    pad = solver._WINDOW_PAD
+    assert table.steps % pad != 0 and len(widths) == -(-table.steps // pad)
+    assert len(set(widths)) > 1 and max(widths) < grid.cells
+    taken = [min(pad, table.steps - pad * k) for k in range(len(widths))]
+    assert table.cell_steps == sum(w * n for w, n in zip(widths, taken))
+
+
+@pytest.mark.parametrize("kind", ["cartesian", "radial"])
 def test_advance_on_a_window_equals_the_whole_box_bitwise(kind):
     # An over-bound dt clamps, so the window's lost mass is checked too.
     grid = SpatialGrid(kind=kind, lo=0.0 if kind == "radial" else -3.0, hi=3.0, cells=40, dim=1 + (kind == "radial"))
@@ -869,7 +895,7 @@ def test_advance_on_a_window_equals_the_whole_box_bitwise(kind):
     u = rows.copy()
     window = u[:, 10:27]
     areas = None if kind == "cartesian" else grid.face_areas[11:27]
-    peak, lost = solver._advance(window, 2.0, dt, grid.dx, areas, grid.volumes[10:27], solver._work(window))
+    peak, lost = solver._advance(window, dt, areas, grid.volumes[10:27], solver._work(window, grid.dx, 2.0))
     assert _bits(peak) == _bits(float(np.max(window)))
     assert lost_whole is not None and max(lost_whole) > 0.0
     assert _bits(u) == _bits(whole)
@@ -877,9 +903,9 @@ def test_advance_on_a_window_equals_the_whole_box_bitwise(kind):
 
 
 # ---------------------------------------------------------------------------
-# One reduction per step: the step reads its peak from the uint64 bits of the
-# stepped window, and only a set sign bit (a negative value, -0.0 or a
-# negative NaN) takes the min, clamp and max path.
+# One peak read per step: the step takes the value at argmax of the stepped
+# window's uint64 bits, and only a set sign bit on that value (a negative
+# value, -0.0 or a negative NaN) takes the min, clamp and max path.
 # ---------------------------------------------------------------------------
 
 

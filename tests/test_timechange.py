@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spmelab import (
     BarenblattParams,
@@ -97,6 +99,35 @@ def test_round_trip_recovers_the_base_on_seeded_paths():
                 recovered = inverse_transform(sample, float(s), x)
                 truth = barenblatt(params, float(s), x)
                 worst = max(worst, abs(recovered - truth) / max(1.0, abs(truth)))
+    assert worst <= 1e-8
+
+
+@st.composite
+def coefficient_tables(draw):
+    """A clock grid, 1-4 coefficient pieces breaking on its nodes, m and a seed."""
+    grid = TimeGrid.uniform(1.0, 64)
+    pieces = draw(st.integers(1, 4))
+    inner = draw(st.lists(st.integers(1, grid.steps - 1), min_size=pieces - 1, max_size=pieces - 1, unique=True))
+    breaks = grid.nodes[[0, *sorted(inner)]]
+    f = draw(st.lists(st.floats(-1.5, 1.5), min_size=pieces, max_size=pieces))
+    g = draw(st.lists(st.floats(-1.0, 1.0), min_size=pieces, max_size=pieces))
+    m = draw(st.sampled_from([1.5, 2.0, 3.0]))
+    return grid, CoefficientPair(breaks, f, g), m, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(coefficient_tables())
+def test_round_trip_recovers_the_base_over_random_coefficient_tables(case):
+    grid, coeffs, m, seed = case
+    params = BarenblattParams(m=m, d=1, b=1.0)
+    clock = multiplier_path(sample_brownian(grid, seed), coeffs, gamma=m)
+    sample = StochasticFieldSample(base=barenblatt_solution(params), clock=clock)
+    top = float(clock.H[-1])
+    worst = 0.0
+    for s in np.linspace(0.05 * top, 0.95 * top, 12):
+        for x in (0.0, 0.3, -0.8):
+            truth = barenblatt(params, float(s), x)
+            worst = max(worst, abs(inverse_transform(sample, float(s), x) - truth) / max(1.0, abs(truth)))
     assert worst <= 1e-8
 
 
