@@ -23,10 +23,7 @@ from .noise import (
     CoefficientPair,
     MultiplierPath,
     TimeGrid,
-    _clock_columns,
-    _fill_brownian,
-    _fill_multiplier,
-    _mix_seeds,
+    _clock_blocks,
     limit_distribution,
     locate_times,
     mix_seed,
@@ -49,10 +46,6 @@ from .timechange import StochasticFieldSample
 # with N_SNAPSHOTS geometrically spaced snapshots.
 TABLE_MARGIN = 1.05
 N_SNAPSHOTS = 160
-
-# Clock sweeps sample paths in blocks of BLOCK_VALUES // (steps + 1) rows (at
-# least one), so each block array holds about BLOCK_VALUES float64 values.
-BLOCK_VALUES = 65536
 
 # The profile checks pass when at least MIN_FRACTION of the paths decrease
 # strictly; the support portrait's decay check asks for median u(T, 0) <=
@@ -131,10 +124,10 @@ def _sample_stats(values) -> tuple[float, float, float]:
     return mean, math.sqrt(var / n), var
 
 
-def _report(cfg: McConfig, estimate, target, passed, rule, extras, provenance) -> McReport:
-    """The report of a check whose rule uses no standard error."""
+def _report(cfg: McConfig, estimate, stderr, target, passed, rule, extras, provenance) -> McReport:
+    """The report of a check over the paths of ``cfg``."""
     return McReport(
-        estimate=estimate, stderr=0.0, n=cfg.n_paths, target=target, passed=passed,
+        estimate=estimate, stderr=stderr, n=cfg.n_paths, target=target, passed=passed,
         rule=rule, extras=extras, provenance=provenance,
     )
 
@@ -193,25 +186,6 @@ class ClockSweep:
         return self.tables[0].t_first + self.H
 
 
-def _clock_blocks(grid: TimeGrid, coeffs: CoefficientPair, m: float, seed: int, n_paths: int, take) -> None:
-    """Call ``take(start, w, logh, h, H)`` per block of paths; row r is path ``start + r``.
-
-    The block arrays are allocated once per sweep and every block is drawn
-    into them in place, the last into their leading rows, so memory stays
-    bounded for any number of paths.  A block's arrays are therefore valid
-    only during its ``take`` call: ``take`` copies whatever it keeps.
-    """
-    rows = max(1, min(n_paths, BLOCK_VALUES // (grid.steps + 1)))
-    columns = _clock_columns(grid, coeffs, m)
-    w, logh, h, H = (np.empty((rows, grid.steps + 1)) for _ in range(4))
-    scratch = np.empty((rows, grid.steps))
-    for start in range(0, n_paths, rows):
-        n = min(rows, n_paths - start)
-        _fill_brownian(w[:n], scratch[:n], grid, _mix_seeds(seed, start, start + n))
-        _fill_multiplier(logh[:n], h[:n], H[:n], w[:n], scratch[:n], columns)
-        take(start, w[:n], logh[:n], h[:n], H[:n])
-
-
 def _clocks(cfg: McConfig, times) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """h and H of every path at the 1-d ``times``, and log h at the horizon.
 
@@ -252,18 +226,18 @@ def clock_sweep(cfg: McConfig, times, initials: tuple | None = None) -> ClockSwe
     return ClockSweep(h=h, H=H, logh_end=logh_end, max_clock=max_clock, tables=tables)
 
 
-def _mean_mass_verdict(cfg: McConfig, sweep: ClockSweep, column: int, t: float) -> tuple[list, dict]:
+def _mean_mass_verdict(cfg: McConfig, sweep: ClockSweep, column: int, t: float) -> tuple[list, tuple]:
     """Per-path h(t) * mass(U(H(t))) from one probe column, and the verdict on its mean.
 
-    The verdict holds the estimate, SE, path count, target
-    mass(U(0)) * exp(int_0^t g) and whether |estimate - target| <=
-    max(3 SE, 1e-9 target), keyed as the fields of :class:`McReport`.
+    The verdict is the estimate, its SE, the target mass(U(0)) * exp(int_0^t g)
+    and whether |estimate - target| <= max(3 SE, 1e-9 target), in the order
+    :func:`_report` takes them.
     """
     per_path = (sweep.h[:, column] * interp_mass(sweep.tables[0], sweep.table_times[:, column])).tolist()
     estimate, stderr, _ = _sample_stats(per_path)
     target = cfg.initial.mass * math.exp(cfg.coeffs.integral_g(t))
     passed = abs(estimate - target) <= max(3.0 * stderr, 1e-9 * abs(target))
-    return per_path, dict(estimate=estimate, stderr=stderr, n=cfg.n_paths, target=target, passed=passed)
+    return per_path, (estimate, stderr, target, passed)
 
 
 def mc_mean_mass(cfg: McConfig, t: float) -> McReport:
@@ -276,11 +250,9 @@ def mc_mean_mass(cfg: McConfig, t: float) -> McReport:
     """
     sweep = clock_sweep(cfg, [t])
     per_path, verdict = _mean_mass_verdict(cfg, sweep, 0, t)
-    return McReport(
-        **verdict,
-        rule="|estimate - target| <= max(3 SE, 1e-9 target)",
-        extras={"max_clock": sweep.max_clock, "t": t, "per_path": per_path},
-        provenance=_provenance(cfg, sweep.tables[0]),
+    return _report(
+        cfg, *verdict, "|estimate - target| <= max(3 SE, 1e-9 target)",
+        {"max_clock": sweep.max_clock, "t": t, "per_path": per_path}, _provenance(cfg, sweep.tables[0]),
     )
 
 
@@ -306,16 +278,10 @@ def mc_lp_bound(cfg: McConfig, p: float, t: float) -> McReport:
     mp = lp_power_sum(cfg.initial.values, cfg.initial.grid, p) ** (1.0 / p)
     rhs = mp * math.exp(cfg.coeffs.integral_g(t) + 0.5 * (p - 1.0) * cfg.coeffs.integral_f2(t))
     rel_stderr = stderr_p / mean_p if mean_p > 0.0 else 0.0
-    passed = lhs <= rhs * (1.0 + 3.0 * rel_stderr)
-    return McReport(
-        estimate=lhs,
-        stderr=stderr_p,
-        n=cfg.n_paths,
-        target=rhs,
-        passed=passed,
-        rule="lhs <= rhs * (1 + 3 relative SE)",
-        extras={"p": p, "t": t, "initial_lp": mp, "max_clock": sweep.max_clock, "per_path": per_path},
-        provenance=_provenance(cfg, table),
+    return _report(
+        cfg, lhs, stderr_p, rhs, lhs <= rhs * (1.0 + 3.0 * rel_stderr), "lhs <= rhs * (1 + 3 relative SE)",
+        {"p": p, "t": t, "initial_lp": mp, "max_clock": sweep.max_clock, "per_path": per_path},
+        _provenance(cfg, table),
     )
 
 
@@ -333,19 +299,14 @@ def limit_law_statistics(cfg: McConfig) -> McReport:
         raise InvalidInputError("the horizon must pass the coefficient cutoff")
     xis = _clocks(cfg, [])[2].tolist()
     mean, stderr, sample_var = _sample_stats(xis)
-    n = cfg.n_paths
-    band_half = 3.0 * claimed_var * math.sqrt(2.0 / (n - 1))
+    band_half = 3.0 * claimed_var * math.sqrt(2.0 / (cfg.n_paths - 1))
     band = (claimed_var - band_half, claimed_var + band_half)
     mean_ok = abs(mean - claimed_mean) <= 3.0 * stderr
     var_ok = band[0] <= sample_var <= band[1]
-    return McReport(
-        estimate=mean,
-        stderr=stderr,
-        n=n,
-        target=claimed_mean,
-        passed=bool(mean_ok and var_ok),
-        rule="mean at 3 SE and variance in the 3-sigma chi-square band",
-        extras={
+    return _report(
+        cfg, mean, stderr, claimed_mean, bool(mean_ok and var_ok),
+        "mean at 3 SE and variance in the 3-sigma chi-square band",
+        {
             "sample_var": sample_var,
             "claimed_var": claimed_var,
             "var_band": band,
@@ -353,7 +314,7 @@ def limit_law_statistics(cfg: McConfig) -> McReport:
             "var_ok": var_ok,
             "xis": xis,
         },
-        provenance=_provenance(cfg),
+        _provenance(cfg),
     )
 
 
@@ -507,7 +468,7 @@ def comparison_check(
         slack = min(slack, float(np.min(u_high + ORDER_TOL * np.maximum(1.0, np.abs(u_high)) - u_low)))
     rule = f"low <= high + tol max(1, |high|) at every probe and path, tol = {ORDER_TOL:g}"
     extras = {"max_clock": sweep.max_clock}
-    return _report(cfg, slack, 0.0, slack >= 0.0, rule, extras, _provenance(cfg, table_low))
+    return _report(cfg, slack, 0.0, 0.0, slack >= 0.0, rule, extras, _provenance(cfg, table_low))
 
 
 def maximum_check(
@@ -536,7 +497,7 @@ def maximum_check(
         slack = min(slack, float(np.min(u + ORDER_TOL)), float(np.min(cap - u)))
     rule = f"-tol <= u <= bound h + tol max(1, bound h) at every probe and path, bound = {bound:g}, tol = {ORDER_TOL:g}"
     extras = {"max_clock": sweep.max_clock}
-    return _report(cfg, slack, 0.0, slack >= 0.0, rule, extras, _provenance(cfg, sweep.tables[0]))
+    return _report(cfg, slack, 0.0, 0.0, slack >= 0.0, rule, extras, _provenance(cfg, sweep.tables[0]))
 
 
 def _profile_sweep(cfg: McConfig, probe_times, missing_initial: str) -> tuple:
@@ -547,8 +508,8 @@ def _profile_sweep(cfg: McConfig, probe_times, missing_initial: str) -> tuple:
     if cfg.initial is None:
         raise InvalidInputError(missing_initial)
     times = [float(t) for t in probe_times]
-    if len(times) < 2 or sorted(times) != times:
-        raise InvalidInputError("probe times must be increasing, at least two")
+    if len(times) < 2 or not all(a < b for a, b in zip(times, times[1:])):
+        raise InvalidInputError("probe times must be strictly increasing, at least two")
     sweep = clock_sweep(cfg, times)
     d = sweep.tables[0].grid.dim
     return times, sweep, BarenblattParams(m=cfg.m, d=d, b=mass_to_b(cfg.m, d, cfg.initial.mass))
@@ -585,14 +546,10 @@ def asymptotics_experiment(
         for row in zip(sweep.h.tolist(), sweep.H.tolist(), centre)
     ]
     passes, fraction, stderr = _decreasing_fraction(schedules)
-    return McReport(
-        estimate=fraction,
-        stderr=stderr,
-        n=cfg.n_paths,
-        target=1.0,
-        passed=fraction >= MIN_FRACTION,
-        rule=f"fraction of strictly decreasing scaled-error schedules >= {MIN_FRACTION:g}",
-        extras={
+    return _report(
+        cfg, fraction, stderr, 1.0, fraction >= MIN_FRACTION,
+        f"fraction of strictly decreasing scaled-error schedules >= {MIN_FRACTION:g}",
+        {
             "b": params.b,
             "probe_times": times,
             "first_schedule": schedules[0],
@@ -600,7 +557,7 @@ def asymptotics_experiment(
             "schedules": schedules,
             "pass_flags": passes,
         },
-        provenance=_provenance(cfg, sweep.tables[0]),
+        _provenance(cfg, sweep.tables[0]),
     )
 
 
@@ -629,14 +586,10 @@ def limit_profile_check(
     ]
     passes, fraction, stderr = _decreasing_fraction(distances)
     xi_mean, xi_stderr, xi_var = _sample_stats(xis)
-    return McReport(
-        estimate=fraction,
-        stderr=stderr,
-        n=cfg.n_paths,
-        target=1.0,
-        passed=fraction >= MIN_FRACTION,
-        rule=f"fraction of paths with strictly decreasing comparator distance >= {MIN_FRACTION:g}",
-        extras={
+    return _report(
+        cfg, fraction, stderr, 1.0, fraction >= MIN_FRACTION,
+        f"fraction of paths with strictly decreasing comparator distance >= {MIN_FRACTION:g}",
+        {
             "xi_mean": xi_mean,
             "xi_stderr": xi_stderr,
             "xi_var": xi_var,
@@ -647,7 +600,7 @@ def limit_profile_check(
             "pass_flags": passes,
             "xis": xis,
         },
-        provenance=_provenance(cfg, sweep.tables[0]),
+        _provenance(cfg, sweep.tables[0]),
     )
 
 
@@ -713,25 +666,23 @@ def support_experiment(
     provenance = _provenance(cfg, table, b_dominating=b_dom)
     return {
         "plateau": _report(
-            cfg, plateau, plateau_tol, plateau <= plateau_tol,
+            cfg, plateau, 0.0, plateau_tol, plateau <= plateau_tol,
             f"median of (H(T) - H(T/2)) / H(T/2) <= {plateau_tol:g}", {}, provenance,
         ),
         "support_bound": _report(
-            cfg, float(np.max(radii)), float(np.max(bounds)), bool(np.all(radii <= bounds)),
+            cfg, float(np.max(radii)), 0.0, float(np.max(bounds)), bool(np.all(radii <= bounds)),
             "support radius <= sqrt(2 m b / ((m - 1) beta)) (1 + H(T))^beta on every path",
             {"support_radii": radii, "support_bounds": bounds}, provenance,
         ),
         "domain": _report(
-            cfg, edge, 0.0, edge == 0.0, "field at the box edge of the last snapshot == 0", {}, provenance
+            cfg, edge, 0.0, 0.0, edge == 0.0, "field at the box edge of the last snapshot == 0", {}, provenance
         ),
-        "mean_mass": McReport(
-            **verdict,
-            rule=f"mean mass at t = {mass_check_time:g} within 3 SE",
-            extras={"t": mass_check_time, "naive_mass_at_horizon": naive_mass},
-            provenance=provenance,
+        "mean_mass": _report(
+            cfg, *verdict, f"mean mass at t = {mass_check_time:g} within 3 SE",
+            {"t": mass_check_time, "naive_mass_at_horizon": naive_mass}, provenance,
         ),
         "decay": _report(
-            cfg, center_median, decay_target, center_median <= decay_target,
+            cfg, center_median, 0.0, decay_target, center_median <= decay_target,
             f"median u(T, 0) <= {DECAY_FACTOR:g} u(0, 0)",
             {"decay_times": decay_times, "decay_medians": decay_medians, "center_initial": center_initial},
             provenance,

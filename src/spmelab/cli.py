@@ -22,7 +22,6 @@ import numpy as np
 from . import __version__
 from .analysis import (
     McConfig,
-    _clock_blocks,
     asymptotics_experiment,
     clock_sweep,
     limit_law_statistics,
@@ -39,7 +38,7 @@ from .exact import (
     linear_pressure_base,
     quadratic_pressure_solution,
 )
-from .noise import CoefficientPair, TimeGrid
+from .noise import CoefficientPair, TimeGrid, _clock_blocks
 from .solver import (
     FieldState,
     SpatialGrid,

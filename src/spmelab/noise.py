@@ -19,17 +19,16 @@ Reproducibility contract: every sampled object is a pure function of
 ``(grid, seed)`` and the coefficient tables.  Per-path seeds for Monte Carlo
 sweeps are derived as ``mix_seed(master, path_index)``, a fixed 64-bit mixing
 permutation applied to ``master XOR index``, and every path draws from its
-own generator.  The block functions (:func:`brownian_block`,
-:func:`multiplier_block`, :func:`read_block`) build many paths at once as
-rows of 2-d arrays with the same arithmetic as the one-path calls, so a
-path's bits do not depend on the block it is sampled in.  The first two
-allocate their arrays and call private fill helpers, which write a block in
-place with ``out=`` ufuncs; a Monte Carlo sweep calls the same helpers on
-arrays it allocates once and refills for every block.  A block's seeds come
-from one vectorised uint64 splitmix64 pass (``mix_seed`` stays as the scalar
-reference), are hashed into numpy's ``SeedSequence`` words in one uint32
-pass, and each row's words go to PCG64, which seeds itself from them exactly
-as from ``PCG64(seed)``.
+own generator.  :func:`_clock_blocks` samples many paths at once as rows of
+2-d arrays, allocated once per sweep and refilled for every block in place
+by private helpers with ``out=`` ufuncs; the one-path calls
+(:func:`sample_brownian`, :func:`multiplier_path`) run the same helpers on
+a single row, and :func:`read_block` reads rows with ``np.interp``'s
+arithmetic, so a path's bits do not depend on the block it is sampled in.
+A block's seeds come from one vectorised uint64 splitmix64 pass
+(``mix_seed`` stays as the scalar reference), are hashed into numpy's
+``SeedSequence`` words in one uint32 pass, and each row's words go to PCG64,
+which seeds itself from them exactly as from ``PCG64(seed)``.
 """
 from __future__ import annotations
 
@@ -350,21 +349,11 @@ def _fill_brownian(w: np.ndarray, scratch: np.ndarray, grid: TimeGrid, seeds: np
     np.cumsum(scratch, axis=1, out=w[:, 1:])
 
 
-def brownian_block(grid: TimeGrid, seeds) -> np.ndarray:
-    """Brownian paths on ``grid`` as the rows of a (len(seeds), steps + 1) array.
-
-    Row r draws its increments from its own PCG64 generator seeded with
-    ``seeds[r]``, so each row is a pure function of (grid, seed).
-    """
-    seeds = np.array([int(seed) & _MASK64 for seed in seeds], dtype=np.uint64)
-    w = np.empty((seeds.size, grid.nodes.size))
-    _fill_brownian(w, np.empty((seeds.size, grid.steps)), grid, seeds)
-    return w
-
-
 def sample_brownian(grid: TimeGrid, seed: int) -> NoisePath:
     """Sample one Brownian path on ``grid``; identical inputs give identical bits."""
-    return NoisePath(grid=grid, w=brownian_block(grid, [seed])[0], seed=seed)
+    w = np.empty((1, grid.nodes.size))
+    _fill_brownian(w, np.empty((1, grid.steps)), grid, np.array([int(seed) & _MASK64], dtype=np.uint64))
+    return NoisePath(grid=grid, w=w[0], seed=seed)
 
 
 def still_path(grid: TimeGrid) -> NoisePath:
@@ -467,32 +456,44 @@ def _fill_multiplier(logh, h, H, w: np.ndarray, scratch: np.ndarray, columns: tu
         np.cumsum(scratch, axis=1, out=H[:, 1:])
 
 
-def multiplier_block(
-    w: np.ndarray, grid: TimeGrid, coeffs: CoefficientPair, gamma: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """log h, h and H along each row of Brownian paths ``w`` on ``grid``.
-
-    ``w`` has shape (rows, steps + 1); the three results have its shape.
-    ``gamma`` >= 1 is the homogeneity degree of the clock.
-    """
-    columns = _clock_columns(grid, coeffs, gamma)
-    logh, h, H = np.empty(w.shape), np.empty(w.shape), np.empty(w.shape)
-    _fill_multiplier(logh, h, H, w, np.empty((w.shape[0], grid.steps)), columns)
-    return logh, h, H
-
-
 def multiplier_path(path: NoisePath, coeffs: CoefficientPair, gamma: float) -> MultiplierPath:
     """Build the multiplier and clock for homogeneity degree ``gamma`` >= 1."""
-    logh, h, H = (rows[0] for rows in multiplier_block(path.w[None, :], path.grid, coeffs, gamma))
+    columns = _clock_columns(path.grid, coeffs, gamma)
+    logh, h, H = (np.empty((1, path.w.size)) for _ in range(3))
+    _fill_multiplier(logh, h, H, path.w[None, :], np.empty((1, path.grid.steps)), columns)
     return MultiplierPath(
         grid=path.grid,
         gamma=float(gamma),
-        logh=_readonly(logh),
-        h=_readonly(h),
-        H=_readonly(H),
+        logh=_readonly(logh[0]),
+        h=_readonly(h[0]),
+        H=_readonly(H[0]),
         path=path,
         coeffs=coeffs,
     )
+
+
+# Clock sweeps sample paths in blocks of BLOCK_VALUES // (steps + 1) rows (at
+# least one), so each block array holds about BLOCK_VALUES float64 values.
+BLOCK_VALUES = 65536
+
+
+def _clock_blocks(grid: TimeGrid, coeffs: CoefficientPair, m: float, seed: int, n_paths: int, take) -> None:
+    """Call ``take(start, w, logh, h, H)`` per block of paths; row r is path ``start + r``.
+
+    The block arrays are allocated once per sweep and every block is drawn
+    into them in place, the last into their leading rows, so memory stays
+    bounded for any number of paths.  A block's arrays are therefore valid
+    only during its ``take`` call: ``take`` copies whatever it keeps.
+    """
+    rows = max(1, min(n_paths, BLOCK_VALUES // (grid.steps + 1)))
+    columns = _clock_columns(grid, coeffs, m)
+    w, logh, h, H = (np.empty((rows, grid.steps + 1)) for _ in range(4))
+    scratch = np.empty((rows, grid.steps))
+    for start in range(0, n_paths, rows):
+        n = min(rows, n_paths - start)
+        _fill_brownian(w[:n], scratch[:n], grid, _mix_seeds(seed, start, start + n))
+        _fill_multiplier(logh[:n], h[:n], H[:n], w[:n], scratch[:n], columns)
+        take(start, w[:n], logh[:n], h[:n], H[:n])
 
 
 def _check_time(horizon: float, t) -> np.ndarray:

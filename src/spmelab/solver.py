@@ -52,15 +52,31 @@ class SpatialGrid:
                 raise InvalidInputError("radial grids start at r = 0")
             if self.dim < 2:
                 raise InvalidInputError("radial grids are for dimension >= 2")
-        faces = np.linspace(self.lo, self.hi, self.cells + 1)
-        centers = 0.5 * (faces[:-1] + faces[1:])
-        if self.kind == "cartesian":
-            volumes = np.full(self.cells, self.dx)
-            areas = np.ones(self.cells + 1)
-        else:
-            area = sphere_area(self.dim)
-            volumes = area * (faces[1:] ** self.dim - faces[:-1] ** self.dim) / self.dim
-            areas = area * faces ** (self.dim - 1)
+        # Geometry that floats cannot hold is rejected here, before it turns
+        # into NaN masses or empty cells; the zero area of the r = 0 face is
+        # legitimate.
+        try:
+            area = sphere_area(self.dim) if self.kind == "radial" else 1.0
+        except OverflowError:
+            raise InvalidInputError(f"sphere area overflows in dimension {self.dim}; lower the dimension") from None
+        with np.errstate(all="ignore"):
+            faces = np.linspace(self.lo, self.hi, self.cells + 1)
+            centers = 0.5 * (faces[:-1] + faces[1:])
+            if self.kind == "cartesian":
+                volumes = np.full(self.cells, self.dx)
+                areas = np.ones(self.cells + 1)
+            else:
+                volumes = area * (faces[1:] ** self.dim - faces[:-1] ** self.dim) / self.dim
+                areas = area * faces ** (self.dim - 1)
+        if not (
+            math.isfinite(self.dx)
+            and all(np.isfinite(arr).all() for arr in (faces, centers, volumes, areas))
+            and volumes.min() > 0.0
+        ):
+            raise InvalidInputError(
+                "grid geometry does not fit in floating point (a width, cell volume or face area is "
+                "not finite, or a cell volume is zero); shrink the box or lower the dimension"
+            )
         for arr in (faces, centers, volumes, areas):
             arr.flags.writeable = False
         object.__setattr__(self, "_faces", faces)

@@ -47,7 +47,7 @@ from spmelab import (
     table_solution,
     weak_form_residual,
 )
-from spmelab import analysis
+from spmelab import analysis, noise
 from spmelab.analysis import TABLE_MARGIN
 
 MASTER = 20260815
@@ -219,7 +219,7 @@ def test_mc_mean_mass_is_block_size_invariant_bitwise(monkeypatch):
     whole = mc_mean_mass(cfg, 0.5)
     # 129 values per path: one row per block, then 7 rows (100 is no multiple of 7).
     for rows in (1, 7):
-        monkeypatch.setattr(analysis, "BLOCK_VALUES", rows * 129)
+        monkeypatch.setattr(noise, "BLOCK_VALUES", rows * 129)
         blocked = mc_mean_mass(cfg, 0.5)
         assert blocked.estimate == whole.estimate
         assert blocked.extras["per_path"] == whole.extras["per_path"]
@@ -442,6 +442,24 @@ def test_asymptotics_schedule_decreases_on_the_still_clock():
     assert errors[0] > errors[1] > errors[2]
     # f = g = 0: every path rides the one still clock.
     assert rep.extras["schedules"] == [errors, errors]
+
+
+@pytest.mark.parametrize("times", [(2.0, 2.0, 4.0, 8.0), (2.0, 4.0, 4.0), (2.0, float("nan"), 8.0)])
+def test_profile_checks_reject_times_that_do_not_strictly_increase_before_drawing(monkeypatch, times):
+    grid = SpatialGrid(kind="cartesian", lo=-9.0, hi=9.0, cells=240)
+    cfg = McConfig(
+        n_paths=2, master_seed=MASTER, grid=TimeGrid.uniform(8.0, 64),
+        coeffs=CoefficientPair.from_pieces([(0.0, 0.0)], [(0.0, 0.0)]), m=2.0,
+        initial=box_state(grid, 1.0, 1.0),
+    )
+
+    def no_draw(*args):
+        raise AssertionError("drew paths before checking the probe times")
+
+    monkeypatch.setattr(analysis, "_clock_blocks", no_draw)
+    for check in (asymptotics_experiment, limit_profile_check):
+        with pytest.raises(InvalidInputError, match="probe times must be strictly increasing"):
+            check(cfg, times)
 
 
 def test_limit_profile_check_mostly_attracts():
@@ -710,7 +728,7 @@ def test_block_clocks_match_the_per_path_reference_bitwise(monkeypatch, gamma, r
         1.5, 1.5 + 0.5 * slack, 0.5,           # the horizon, inside its slack, and back
     ]
     if rows is not None:
-        monkeypatch.setattr(analysis, "BLOCK_VALUES", rows * 97)
+        monkeypatch.setattr(noise, "BLOCK_VALUES", rows * 97)
     h, H, logh_end = analysis._clocks(cfg, times)
     clocks = [path_clock(cfg, i) for i in range(cfg.n_paths)]
     assert np.array_equal(h, np.array([interp_h(c, times) for c in clocks]))
@@ -730,7 +748,7 @@ def test_block_clocks_reject_out_of_range_times_before_drawing(monkeypatch, time
     def no_draw(*args):
         raise AssertionError("a path was drawn before the probe times were checked")
 
-    monkeypatch.setattr(analysis, "_fill_brownian", no_draw)
+    monkeypatch.setattr(noise, "_fill_brownian", no_draw)
     with pytest.raises(OutOfRangeError) as block:
         analysis._clocks(cfg, times)
     assert str(block.value) == str(per_path.value)

@@ -21,6 +21,7 @@ from spmelab import (
     analysis,
     barenblatt_mass,
     cli,
+    noise,
     parse_config,
 )
 from spmelab.cli import main
@@ -216,6 +217,17 @@ def test_asymptotics_run(tmp_path):
     assert per.shape == (2, 5)
 
 
+def test_asymptotics_with_a_repeated_time_is_an_error_not_a_failed_check(tmp_path, capsys):
+    cfg = write_config(
+        tmp_path, "asym.ini",
+        "command = asymptotics\nf = 0:0\ng = 0:0\nhorizon = 8\nsteps = 64\n"
+        "n_paths = 2\ngrid_lo = -9\ngrid_hi = 9\ncells = 240\ntimes = 2,2,4,8\n"
+        f"out = {tmp_path / 'out'}\n",
+    )
+    assert main(["--config", cfg]) == 2
+    assert capsys.readouterr().err == "error: probe times must be strictly increasing, at least two\n"
+
+
 def test_support_run_passes_all_five_checks(tmp_path):
     cfg = write_config(
         tmp_path, "support.ini",
@@ -289,7 +301,7 @@ def test_block_size_rerun_is_byte_identical(tmp_path, monkeypatch, capsys, body)
     assert "threads" not in want_out
     # 128 steps give 129 values per path: one row per block, then 7 rows (40 is no multiple of 7).
     for rows in (1, 7):
-        monkeypatch.setattr(analysis, "BLOCK_VALUES", rows * 129)
+        monkeypatch.setattr(noise, "BLOCK_VALUES", rows * 129)
         out = tmp_path / f"rows_{rows}"
         assert main(["--config", cfg, "--out", str(out)]) == 0
         assert _artifacts(out) == want
@@ -423,6 +435,30 @@ def test_overflowing_march_exits_with_status_two_in_one_line(tmp_path, capsys, r
     assert main(["--config", cfg]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not recwarn.list
+
+
+@pytest.mark.parametrize(
+    "geometry,message",
+    [
+        ("grid_kind = radial\ndim = 344\ngrid_lo = 0\ngrid_hi = 4\n", "sphere area overflows"),
+        ("grid_kind = radial\ndim = 160\ngrid_lo = 0\ngrid_hi = 100\n", "grid geometry does not fit"),
+        ("grid_kind = radial\ndim = 200\ngrid_lo = 0\ngrid_hi = 4\n", "grid geometry does not fit"),
+        ("grid_lo = -1e308\ngrid_hi = 1e308\n", "grid geometry does not fit"),
+    ],
+    ids=["sphere_area_overflow", "volume_overflow", "volume_underflow", "width_overflow"],
+)
+def test_grid_geometry_out_of_float_range_exits_with_status_two_in_one_line(
+    tmp_path, capsys, recwarn, geometry, message
+):
+    cfg = write_config(
+        tmp_path, "geometry.ini",
+        f"command = evolve\n{geometry}horizon = 1\ntimes = 0.25, 0.5\nout = {tmp_path / 'out'}\n",
+    )
+    assert main(["--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+    assert not recwarn.list
+    assert not (tmp_path / "out" / "mass_log.csv").exists()
 
 
 def _reference_fmt(value) -> str:
@@ -563,7 +599,7 @@ def test_path_files_hold_the_one_path_clocks_for_any_block_size(tmp_path, monkey
         tmp_path, "path.ini",
         f"command = path\nn_paths = 3\nsteps = 64\nf = 0:1, 0.5:0\nout = {out}\n",
     )
-    monkeypatch.setattr(analysis, "BLOCK_VALUES", rows * 65)
+    monkeypatch.setattr(noise, "BLOCK_VALUES", rows * 65)
     assert main(["--config", cfg]) == 0
     assert_path_files_hold_the_one_path_clocks(tmp_path, out, 3)
 

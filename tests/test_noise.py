@@ -31,9 +31,8 @@ from spmelab import (
     sample_brownian,
     still_path,
 )
-from spmelab import analysis, noise
-from spmelab.analysis import _clock_blocks
-from spmelab.noise import brownian_block, locate_times, multiplier_block, read_block
+from spmelab import noise
+from spmelab.noise import _clock_blocks, locate_times, read_block
 
 MASTER = 20260815
 
@@ -307,14 +306,14 @@ def test_vectorised_seeds_equal_mix_seed_across_block_edges(monkeypatch, master)
         assert seeds.tolist() == [mix_seed(master, i) for i in range(start, stop)]
     # A sweep in 7-row blocks draws every row, across the block edges, as one block of all rows.
     grid = TimeGrid.uniform(1.0, 12)
-    monkeypatch.setattr(analysis, "BLOCK_VALUES", 7 * 13)
+    monkeypatch.setattr(noise, "BLOCK_VALUES", 7 * 13)
     rows = np.empty((20, 13))
 
     def take(start, w, logh, h, H):
         rows[start:start + w.shape[0]] = w
 
     _clock_blocks(grid, CoefficientPair.constant(1.0, 0.0), 2.0, master, 20, take)
-    assert rows.tobytes() == brownian_block(grid, [mix_seed(master, i) for i in range(20)]).tobytes()
+    assert rows.tobytes() == np.stack([sample_brownian(grid, mix_seed(master, i)).w for i in range(20)]).tobytes()
 
 
 def test_multiplier_underflow_raises():
@@ -356,8 +355,13 @@ def test_block_rows_match_a_plain_one_path_formula_bitwise(gamma):
     grid = TimeGrid.uniform(2.0, 80)
     coeffs = CoefficientPair.from_pieces([(0.0, 0.9), (0.5, 0.0), (1.0, 1.4)], [(0.0, -0.2), (1.5, 0.6)])
     seeds = [mix_seed(MASTER, i) for i in range(9)]
-    w = brownian_block(grid, seeds)
-    logh, h, H = multiplier_block(w, grid, coeffs, gamma)
+    w, logh, h, H = (np.empty((9, grid.steps + 1)) for _ in range(4))
+
+    def take(start, *block):
+        for kept, rows in zip((w, logh, h, H), block):
+            kept[start:start + rows.shape[0]] = rows
+
+    _clock_blocks(grid, coeffs, gamma, MASTER, 9, take)
     f_vals, g_vals = coeffs.values_on(grid)
     dt = np.diff(grid.nodes)
     for r, seed in enumerate(seeds):
@@ -390,7 +394,8 @@ def assert_block_seeding_matches_numpy(seeds):
         assert np.random.PCG64(seed_words(row)).state == np.random.PCG64(seed).state
     grid = TimeGrid(np.array([0.0, 0.1, 0.35, 0.5, 0.9, 1.0, 1.7]))
     dt = np.diff(grid.nodes)
-    w = brownian_block(grid, seeds)
+    w = np.empty((len(seeds), grid.nodes.size))
+    noise._fill_brownian(w, np.empty((len(seeds), grid.steps)), grid, np.array(seeds, dtype=np.uint64))
     for seed, row in zip(seeds, w):
         increments = np.random.Generator(np.random.PCG64(seed)).standard_normal(dt.size) * np.sqrt(dt)
         assert row.tobytes() == np.concatenate(([0.0], np.cumsum(increments))).tobytes()
