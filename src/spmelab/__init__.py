@@ -48,7 +48,6 @@ from .timechange import (
 )
 from .exact import (
     BarenblattParams,
-    LinearPressureParams,
     QuadraticPressureParams,
     barenblatt,
     barenblatt_mass,
@@ -78,7 +77,6 @@ from .solver import (
     evolve_together,
     interp_mass,
     lp_power_sum,
-    residual,
     support_radius,
     table_solution,
 )
@@ -93,7 +91,6 @@ from .analysis import (
     maximum_check,
     mc_lp_bound,
     mc_mean_mass,
-    path_clock,
     support_experiment,
     sweep_paths,
     weak_form_residual,

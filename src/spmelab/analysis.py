@@ -21,7 +21,6 @@ from .errors import InvalidInputError, UnsupportedInputError
 from .exact import BarenblattParams, barenblatt, mass_to_b
 from .noise import (
     CoefficientPair,
-    MultiplierPath,
     TimeGrid,
     _clock_blocks,
     limit_distribution,
@@ -105,15 +104,12 @@ class McReport:
         raise TypeError("an McReport has no truth value; read its .passed")
 
 
-def path_clock(cfg: McConfig, index: int) -> MultiplierPath:
-    """Clock realisation for one path index (pure function of the config)."""
-    path = sample_brownian(cfg.grid, mix_seed(cfg.master_seed, index))
-    return multiplier_path(path, cfg.coeffs, gamma=cfg.m)
-
-
 def sweep_paths(cfg: McConfig, reduce_path) -> list:
     """``reduce_path(clock)`` for every path, in path-index order."""
-    return [reduce_path(path_clock(cfg, i)) for i in range(cfg.n_paths)]
+    return [
+        reduce_path(multiplier_path(sample_brownian(cfg.grid, mix_seed(cfg.master_seed, i)), cfg.coeffs, cfg.m))
+        for i in range(cfg.n_paths)
+    ]
 
 
 def _sample_stats(values) -> tuple[float, float, float]:
@@ -152,8 +148,6 @@ def _reference_tables(cfg: McConfig, span: float, initials: tuple) -> tuple:
     Each table's absolute time axis starts at the states' start time, so a
     clock value s is read at that time + s.
     """
-    if any(st is None for st in initials):
-        raise InvalidInputError("this sweep needs deterministic initial data")
     t0 = initials[0].time
     t_end = t0 + max(span, 1e-6)
     if t0 > 0.0:
@@ -191,7 +185,8 @@ def _clocks(cfg: McConfig, times) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     Paths are drawn in blocks of rows and only the probe columns and the last
     log h are kept; every value has the bits of the one-path calls
-    (:func:`path_clock` read by ``interp_h``/``interp_H``).  The times are
+    ``multiplier_path(sample_brownian(cfg.grid, mix_seed(cfg.master_seed, i)),
+    cfg.coeffs, cfg.m)`` read by ``interp_h``/``interp_H``.  The times are
     checked before any path is drawn.
     """
     grid, n = cfg.grid, cfg.n_paths
@@ -213,16 +208,19 @@ def clock_sweep(cfg: McConfig, times, initials: tuple | None = None) -> ClockSwe
     """Sample the clock of every path at ``times``, then solve once for the largest value.
 
     The solve starts from ``initials`` (states sharing one start time), by
-    default from ``cfg.initial`` alone.  An empty ``times`` is rejected before
-    any path is drawn.
+    default from ``cfg.initial`` alone.  Missing initial data and an empty
+    ``times`` are rejected before any path is drawn.
     """
+    initials = initials or (cfg.initial,)
+    if any(st is None for st in initials):
+        raise InvalidInputError("this sweep needs deterministic initial data")
     if not len(times):
         raise InvalidInputError("a clock sweep needs at least one probe time")
     h, H, logh_end = _clocks(cfg, times)
     max_clock = float(np.max(H))
     if not math.isfinite(max_clock):
         raise InvalidInputError("clock overflowed to infinity; shorten the horizon or the drift")
-    tables = _reference_tables(cfg, TABLE_MARGIN * max_clock, initials or (cfg.initial,))
+    tables = _reference_tables(cfg, TABLE_MARGIN * max_clock, initials)
     return ClockSweep(h=h, H=H, logh_end=logh_end, max_clock=max_clock, tables=tables)
 
 
@@ -403,6 +401,8 @@ def weak_form_residual(
     """
     clock = sample.clock
     nodes = clock.grid.nodes
+    if math.isnan(t):
+        raise InvalidInputError(f"query time {t} is not a number")
     if t < 0.0 or t > clock.horizon * (1.0 + 1e-12):
         raise InvalidInputError("query time outside the clock horizon")
     k_end = int(np.searchsorted(nodes, t * (1.0 + 1e-12), side="right")) - 1
@@ -500,13 +500,8 @@ def maximum_check(
     return _report(cfg, slack, 0.0, 0.0, slack >= 0.0, rule, extras, _provenance(cfg, sweep.tables[0]))
 
 
-def _profile_sweep(cfg: McConfig, probe_times, missing_initial: str) -> tuple:
-    """Checked probe times, the sweep at them, and the source profile of the initial mass.
-
-    ``missing_initial`` is the message raised when ``cfg`` has no initial data.
-    """
-    if cfg.initial is None:
-        raise InvalidInputError(missing_initial)
+def _profile_sweep(cfg: McConfig, probe_times) -> tuple:
+    """Checked probe times, the sweep at them, and the source profile of the initial mass."""
     times = [float(t) for t in probe_times]
     if len(times) < 2 or not all(a < b for a, b in zip(times, times[1:])):
         raise InvalidInputError("probe times must be strictly increasing, at least two")
@@ -538,7 +533,7 @@ def asymptotics_experiment(
     so the fraction collapses to 0 or 1 and the recorded schedule is the
     deterministic decay curve itself.
     """
-    times, sweep, params = _profile_sweep(cfg, probe_times, "the asymptotics experiment needs initial data")
+    times, sweep, params = _profile_sweep(cfg, probe_times)
     exponent = params.beta * params.d
     centre = eval_on_centers(sweep.tables[0], sweep.table_times, x0).tolist()
     schedules = [
@@ -576,7 +571,7 @@ def limit_profile_check(
     to the mean and variance of its limit law.
     """
     claimed_mean, claimed_var = limit_distribution(cfg.coeffs)
-    times, sweep, params = _profile_sweep(cfg, probe_times, "the attractor check needs initial data")
+    times, sweep, params = _profile_sweep(cfg, probe_times)
     m = cfg.m
     u_paths = (sweep.h * eval_on_centers(sweep.tables[0], sweep.table_times, x0)).tolist()
     xis = sweep.logh_end.tolist()
@@ -622,8 +617,6 @@ def support_experiment(
     """
     if cfg.m != 2.0:
         raise UnsupportedInputError("the bounded-support experiment is specific to m = 2")
-    if cfg.initial is None:
-        raise InvalidInputError("the experiment needs compact initial data")
     horizon = cfg.grid.horizon
     if not 0.0 < mass_check_time <= horizon:
         raise InvalidInputError("mass check time must lie inside the horizon")

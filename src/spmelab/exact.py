@@ -194,37 +194,23 @@ def quadratic_pressure(p: QuadraticPressureParams, t: float, x):
     return _maybe_float(val)
 
 
-@dataclass(frozen=True)
-class LinearPressureParams:
-    """Parameters of the one-dimensional travelling profile with linear pressure."""
-
-    m: float
-
-    def __post_init__(self):
-        if self.m <= 1.0:
-            raise InvalidInputError("linear-pressure solution needs m > 1")
-
-
 def linear_pressure_base(m: float) -> DeterministicSolution:
-    """Deterministic base U(s, x) = ((m-1)/m * max(s + x, 0))**(1/(m-1)), d = 1."""
-    p = LinearPressureParams(m)
+    """Deterministic base U(s, x) = ((m-1)/m * max(s + x, 0))**(1/(m-1)), d = 1, for m > 1."""
+    if m <= 1.0:
+        raise InvalidInputError("linear-pressure solution needs m > 1")
 
     def evaluate(s, x):
-        val = ((p.m - 1.0) / p.m * np.maximum(np.asarray(s) + np.asarray(x, dtype=float), 0.0)) ** (
-            1.0 / (p.m - 1.0)
+        val = ((m - 1.0) / m * np.maximum(np.asarray(s) + np.asarray(x, dtype=float), 0.0)) ** (
+            1.0 / (m - 1.0)
         )
         return _maybe_float(val)
 
     return DeterministicSolution(evaluate=evaluate, interval=TimeInterval(0.0, math.inf), tag="linear-pressure")
 
 
-def linear_pressure(p: LinearPressureParams, clock: MultiplierPath, t: float, x):
-    """Noisy travelling profile u(t, x) = ((m-1)/m * max(H(t) + x, 0))**(1/(m-1)) h(t)."""
-    s = interp_H(clock, t)
-    val = ((p.m - 1.0) / p.m * np.maximum(s + np.asarray(x, dtype=float), 0.0)) ** (
-        1.0 / (p.m - 1.0)
-    ) * interp_h(clock, t)
-    return _maybe_float(val)
+def linear_pressure(m: float, clock: MultiplierPath, t: float, x):
+    """Noisy travelling profile u(t, x) = ((m-1)/m * max(H(t) + x, 0))**(1/(m-1)) h(t), for m > 1."""
+    return linear_pressure_base(m).evaluate(interp_H(clock, t), x) * interp_h(clock, t)
 
 
 def pressure(u, m: float):

@@ -109,11 +109,6 @@ class TimeGrid:
     def steps(self) -> int:
         return self.nodes.size - 1
 
-    def same_nodes(self, other: "TimeGrid") -> bool:
-        return self.nodes.size == other.nodes.size and bool(
-            np.array_equal(self.nodes, other.nodes)
-        )
-
 
 @dataclass(frozen=True, eq=False)
 class CoefficientPair:
@@ -192,6 +187,8 @@ class CoefficientPair:
         return self.f_values[idx], self.g_values[idx]
 
     def _integral(self, values: np.ndarray, t: float) -> float:
+        if math.isnan(t):
+            raise InvalidInputError(f"integration time {t} is not a number")
         if t < 0.0:
             raise InvalidInputError("integration time must be nonnegative")
         uppers = np.append(self.breaks[1:], np.inf)
@@ -499,7 +496,10 @@ def _clock_blocks(grid: TimeGrid, coeffs: CoefficientPair, m: float, seed: int, 
 def _check_time(horizon: float, t) -> np.ndarray:
     arr = np.asarray(t, dtype=float)
     slack = _ALIGN_TOL * max(1.0, horizon)
-    if np.any(arr < -slack) or np.any(arr > horizon + slack):
+    # One test for both faults: a NaN fails every comparison, so it is never inside.
+    if not np.all((arr >= -slack) & (arr <= horizon + slack)):
+        if np.isnan(arr).any():
+            raise InvalidInputError(f"time {arr} is not a number")
         raise OutOfRangeError(
             f"time {arr} outside the sampled horizon [0, {horizon}]"
         )
@@ -566,7 +566,9 @@ def inverse_clock(clock: MultiplierPath, s):
     arr = np.asarray(s, dtype=float)
     top = float(clock.H[-1])
     slack = _ALIGN_TOL * max(1.0, top)
-    if np.any(arr < -slack) or np.any(arr > top + slack):
+    if not np.all((arr >= -slack) & (arr <= top + slack)):
+        if np.isnan(arr).any():
+            raise InvalidInputError(f"clock value {arr} is not a number")
         raise OutOfRangeError(f"clock value {arr} outside the sampled range [0, {top}]")
     out = np.interp(np.clip(arr, 0.0, top), clock.H, clock.grid.nodes)
     return float(out) if np.isscalar(s) or np.ndim(s) == 0 else out
@@ -574,6 +576,8 @@ def inverse_clock(clock: MultiplierPath, s):
 
 def hitting_time(clock: MultiplierPath, level: float) -> float | None:
     """First time the clock reaches ``level``; None if it never does on the horizon."""
+    if math.isnan(level):
+        raise InvalidInputError(f"clock level {level} is not a number")
     if level < 0.0:
         raise InvalidInputError("clock levels are nonnegative")
     if level == 0.0:

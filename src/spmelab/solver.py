@@ -429,10 +429,13 @@ def _bracket(table: SnapshotTable, t):
     times = table.times
     arr = np.asarray(t, dtype=float)
     slack = 1e-9 * max(1.0, table.t_last)
-    outside = (arr < times[0] - slack) | (arr > times[-1] + slack)
-    if np.any(outside):
+    # One test for both faults: a NaN fails every comparison, so it is never inside.
+    inside = (arr >= times[0] - slack) & (arr <= times[-1] + slack)
+    if not np.all(inside):
+        if np.isnan(arr).any():
+            raise InvalidInputError("time nan is not a number")
         raise OutOfRangeError(
-            f"time {float(arr[outside].flat[0]):.6g} outside the stored range "
+            f"time {float(arr[~inside].flat[0]):.6g} outside the stored range "
             f"[{times[0]:.6g}, {times[-1]:.6g}]"
         )
     arr = np.clip(arr, times[0], times[-1])
@@ -535,29 +538,3 @@ def lp_power_sum(values, grid: SpatialGrid, p: float) -> float:
     """Discrete integral of u**p (volume-weighted power sum) of cell values on the grid."""
     return float(np.dot(np.asarray(values, dtype=float) ** p, grid.volumes))
 
-
-def residual(evaluator, m: float, t: float, x, dt: float, dx: float) -> float:
-    """Central-difference defect u_t - lap(u^m) of a pointwise evaluator.
-
-    ``x`` may be a scalar (one dimension) or a length-d vector; the Laplacian
-    stencil steps along every coordinate axis.  Evaluator domain errors
-    surface as invalid input.
-    """
-    if dt <= 0.0 or dx <= 0.0:
-        raise InvalidInputError("stencil widths must be positive")
-    point = np.atleast_1d(np.asarray(x, dtype=float))
-
-    def ev(tt, pp):
-        try:
-            return float(evaluator(tt, pp if pp.size > 1 else float(pp[0])))
-        except OutOfRangeError as exc:
-            raise InvalidInputError(f"stencil left the evaluator domain: {exc}") from exc
-
-    ut = (ev(t + dt, point) - ev(t - dt, point)) / (2.0 * dt)
-    lap = 0.0
-    center = ev(t, point) ** m
-    for axis in range(point.size):
-        shift = np.zeros_like(point)
-        shift[axis] = dx
-        lap += (ev(t, point + shift) ** m - 2.0 * center + ev(t, point - shift) ** m) / dx**2
-    return ut - lap

@@ -36,7 +36,6 @@ from spmelab import (
     evolve,
     forward_transform,
     hitting_time,
-    interp_H,
     inverse_transform,
     limit_law_statistics,
     maximum_check,
@@ -48,9 +47,9 @@ from spmelab import (
     sample_brownian,
     still_path,
     support_experiment,
-    sweep_paths,
     weak_form_residual,
 )
+from spmelab import analysis
 
 MASTER = 20260815
 
@@ -67,7 +66,7 @@ def sized_box_config(coeffs, n_paths, horizon, steps, height=1.0, spread=1.0):
     """Two-stage setup: sweep the clocks first, then size the spatial box."""
     grid_t = TimeGrid.uniform(horizon, steps)
     pre = McConfig(n_paths=n_paths, master_seed=MASTER, grid=grid_t, coeffs=coeffs, m=2.0)
-    h_max = max(sweep_paths(pre, lambda c: interp_H(c, horizon)))
+    h_max = float(np.max(analysis._clocks(pre, [horizon])[1]))
     half = envelope_half_width(height, spread, 2.0, 1, h_max)
     cells = int(math.ceil(2.0 * half / 0.1 / 8.0)) * 8
     grid_x = SpatialGrid(kind="cartesian", lo=-half, hi=half, cells=cells)

@@ -38,7 +38,6 @@ from spmelab import (
     mc_lp_bound,
     mc_mean_mass,
     multiplier_path,
-    path_clock,
     sample_brownian,
     still_path,
     support_experiment,
@@ -49,6 +48,8 @@ from spmelab import (
 )
 from spmelab import analysis, noise
 from spmelab.analysis import TABLE_MARGIN
+
+from conftest import one_path_clock
 
 MASTER = 20260815
 
@@ -79,16 +80,18 @@ def test_mc_config_validation():
     assert McConfig(n_paths=4, master_seed=1, grid=grid, coeffs=coeffs, m=2.0, cfl_safety=1.0).cfl_safety == 1.0
 
 
-def test_path_clock_is_a_pure_function_of_the_config():
+def test_clocks_are_a_pure_function_of_the_config():
     grid = TimeGrid.uniform(1.0, 64)
     coeffs = CoefficientPair.constant(1.0, 0.0)
     a = McConfig(n_paths=4, master_seed=MASTER, grid=grid, coeffs=coeffs, m=2.0)
     b = McConfig(n_paths=4, master_seed=MASTER, grid=grid, coeffs=coeffs, m=2.0)
-    assert np.array_equal(path_clock(a, 2).logh, path_clock(b, 2).logh)
+    times = [0.3, 1.0]
+    clocks_a = analysis._clocks(a, times)
+    assert [x.tobytes() for x in clocks_a] == [x.tobytes() for x in analysis._clocks(b, times)]
     other = McConfig(n_paths=4, master_seed=MASTER + 1, grid=grid, coeffs=coeffs, m=2.0)
-    assert not np.array_equal(path_clock(a, 2).logh, path_clock(other, 2).logh)
+    assert all(np.all(x != y) for x, y in zip(clocks_a, analysis._clocks(other, times)))
     out = sweep_paths(a, lambda c: float(c.h[-1]))
-    assert len(out) == 4 and all(isinstance(v, float) for v in out)
+    assert all(isinstance(v, float) for v in out) and out == clocks_a[0][:, 1].tolist()
 
 
 def test_bump_shape_and_laplacian():
@@ -495,7 +498,7 @@ def test_support_experiment_with_persistent_noise():
     grid_t = TimeGrid.uniform(30.0, 1200)
     coeffs = CoefficientPair.constant(1.0, 0.0)
     pre = McConfig(n_paths=60, master_seed=MASTER, grid=grid_t, coeffs=coeffs, m=m)
-    h_max = max(sweep_paths(pre, lambda c: interp_H(c, 30.0)))
+    h_max = float(np.max(analysis._clocks(pre, [30.0])[1]))
     half = prefactor * (1.0 + 1.05 * h_max) ** beta * 1.15
     cells = int(math.ceil(2.0 * half / 0.1 / 8.0)) * 8
     grid = SpatialGrid(kind="cartesian", lo=-half, hi=half, cells=cells)
@@ -561,7 +564,7 @@ def test_support_experiment_validation():
 
 
 def scalar_reference(cfg, times):
-    clocks = [path_clock(cfg, i) for i in range(cfg.n_paths)]
+    clocks = [one_path_clock(cfg, i) for i in range(cfg.n_paths)]
     span = max(interp_H(c, t) for c in clocks for t in times)
     return clocks, analysis._reference_tables(cfg, TABLE_MARGIN * span, (cfg.initial,))[0]
 
@@ -669,7 +672,7 @@ def test_limit_profile_check_matches_the_scalar_reference_bitwise():
 def test_limit_law_statistics_match_the_scalar_reference_bitwise():
     coeffs = CoefficientPair.from_pieces([(0.0, 1.0), (1.0, 0.0)], [(0.0, 0.0)])
     cfg = McConfig(n_paths=50, master_seed=MASTER, grid=TimeGrid.uniform(2.0, 64), coeffs=coeffs, m=2.0)
-    xis = [float(path_clock(cfg, i).logh[-1]) for i in range(cfg.n_paths)]
+    xis = [float(one_path_clock(cfg, i).logh[-1]) for i in range(cfg.n_paths)]
     rep = limit_law_statistics(cfg)
     assert (rep.estimate, rep.stderr, rep.extras["sample_var"]) == sample_stats(xis)
 
@@ -730,7 +733,7 @@ def test_block_clocks_match_the_per_path_reference_bitwise(monkeypatch, gamma, r
     if rows is not None:
         monkeypatch.setattr(noise, "BLOCK_VALUES", rows * 97)
     h, H, logh_end = analysis._clocks(cfg, times)
-    clocks = [path_clock(cfg, i) for i in range(cfg.n_paths)]
+    clocks = [one_path_clock(cfg, i) for i in range(cfg.n_paths)]
     assert np.array_equal(h, np.array([interp_h(c, times) for c in clocks]))
     assert np.array_equal(H, np.array([interp_H(c, times) for c in clocks]))
     assert np.array_equal(logh_end, np.array([c.logh[-1] for c in clocks]))
@@ -743,7 +746,7 @@ def test_block_clocks_reject_out_of_range_times_before_drawing(monkeypatch, time
     cfg = McConfig(n_paths=5, master_seed=MASTER, grid=TimeGrid.uniform(1.0, 16),
                    coeffs=CoefficientPair.constant(1.0, 0.0), m=2.0)
     with pytest.raises(OutOfRangeError) as per_path:
-        interp_h(path_clock(cfg, 0), times)
+        interp_h(one_path_clock(cfg, 0), times)
 
     def no_draw(*args):
         raise AssertionError("a path was drawn before the probe times were checked")
@@ -759,10 +762,60 @@ def test_block_clocks_fail_like_the_per_path_clock(g, message):
     cfg = McConfig(n_paths=5, master_seed=MASTER, grid=TimeGrid.uniform(1.0, 16),
                    coeffs=CoefficientPair.constant(1.0, g), m=2.0)
     with pytest.raises(InvalidInputError) as per_path:
-        path_clock(cfg, 0)
+        one_path_clock(cfg, 0)
     with pytest.raises(InvalidInputError) as block:
         analysis._clocks(cfg, [1.0])
     assert message in str(block.value) and str(block.value) == str(per_path.value)
+
+
+def _no_draw(*args):
+    raise AssertionError("a path was drawn before the inputs were checked")
+
+
+def _small_sweep_config(**kwargs):
+    coeffs = CoefficientPair.from_pieces([(0.0, 1.0), (0.5, 0.0)], [(0.0, 0.0)])
+    return McConfig(n_paths=5, master_seed=MASTER, grid=TimeGrid.uniform(1.0, 16), coeffs=coeffs, m=2.0, **kwargs)
+
+
+@pytest.mark.parametrize(
+    "sweep",
+    [
+        lambda cfg: analysis._clocks(cfg, [0.5, math.nan]),
+        lambda cfg: mc_mean_mass(cfg, math.nan),
+        lambda cfg: mc_lp_bound(cfg, 2.0, math.nan),
+        lambda cfg: comparison_check(cfg, cfg.initial, cfg.initial, [(0.5, 0.0), (math.nan, 0.0)]),
+        lambda cfg: maximum_check(cfg, 1.0, [(math.nan, 0.0)]),
+    ],
+    ids=["clocks", "mc_mean_mass", "mc_lp_bound", "comparison_check", "maximum_check"],
+)
+def test_nan_probe_times_are_invalid_input_before_drawing(monkeypatch, sweep):
+    cfg = _small_sweep_config(initial=box_state(line_grid(cells=40), 1.0, 1.0))
+    monkeypatch.setattr(noise, "_fill_brownian", _no_draw)
+    with pytest.raises(InvalidInputError, match=r"time \[(0.5 )?nan\] is not a number"):
+        sweep(cfg)
+
+
+def test_weak_form_residual_rejects_a_nan_time():
+    with pytest.raises(InvalidInputError, match="query time nan is not a number"):
+        weak_form_residual(_affine_clock_sample(_ramp), 2.0, Bump(center=1.0, width=0.8), math.nan)
+
+
+@pytest.mark.parametrize(
+    "sweep",
+    [
+        lambda cfg: mc_mean_mass(cfg, 1.0),
+        lambda cfg: mc_lp_bound(cfg, 2.0, 1.0),
+        lambda cfg: asymptotics_experiment(cfg, [0.5, 1.0]),
+        lambda cfg: limit_profile_check(cfg, [0.5, 1.0]),
+        lambda cfg: support_experiment(cfg, mass_check_time=0.5),
+    ],
+    ids=["mc_mean_mass", "mc_lp_bound", "asymptotics", "limit_profile", "support"],
+)
+def test_missing_initial_data_fails_before_any_path_is_drawn(monkeypatch, sweep):
+    cfg = _small_sweep_config()
+    monkeypatch.setattr(analysis, "_clock_blocks", _no_draw)
+    with pytest.raises(InvalidInputError, match="this sweep needs deterministic initial data"):
+        sweep(cfg)
 
 
 def test_clock_overflow_fails_before_any_table_is_built(monkeypatch):

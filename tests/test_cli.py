@@ -18,13 +18,14 @@ from spmelab import (
     CoefficientPair,
     McConfig,
     TimeGrid,
-    analysis,
     barenblatt_mass,
     cli,
     noise,
     parse_config,
 )
 from spmelab.cli import main
+
+from conftest import one_path_clock
 
 
 def write_config(tmp_path, name, body) -> str:
@@ -580,13 +581,13 @@ def test_every_artifact_matches_the_per_cell_reference_writer(tmp_path, monkeypa
 
 def assert_path_files_hold_the_one_path_clocks(tmp_path, out, n_paths):
     run = parse_config((out / "config.echo.ini").read_text())
-    # path_clock reads the seed, grid, coefficients and m; McConfig's two-path floor is for sweeps.
+    # one_path_clock reads the seed, grid, coefficients and m; McConfig's two-path floor is for sweeps.
     mc = McConfig(
         n_paths=max(n_paths, 2), master_seed=run.seed, grid=TimeGrid.uniform(run.horizon, run.steps),
         coeffs=CoefficientPair.from_pieces(run.f, run.g), m=run.m,
     )
     for i in range(n_paths):
-        clock = analysis.path_clock(mc, i)
+        clock = one_path_clock(mc, i)
         want = tmp_path / f"want_{i}.csv"
         reference_write_csv(want, ("t", "w", "h", "H"), (clock.grid.nodes, clock.path.w, clock.h, clock.H))
         assert (out / f"path_{i:03d}.csv").read_bytes() == want.read_bytes()

@@ -12,7 +12,7 @@ from spmelab import (
     BlowUpError,
     CoefficientPair,
     InvalidInputError,
-    LinearPressureParams,
+    OutOfRangeError,
     QuadraticPressureParams,
     TimeGrid,
     barenblatt,
@@ -30,7 +30,6 @@ from spmelab import (
     pressure,
     pressure_commutation_check,
     quadratic_pressure,
-    residual,
     sample_brownian,
     self_similar,
     sphere_area,
@@ -39,6 +38,33 @@ from spmelab import (
 )
 
 MASTER = 20260815
+
+
+def residual(evaluator, m: float, t: float, x, dt: float, dx: float) -> float:
+    """Central-difference defect u_t - lap(u^m) of a pointwise evaluator.
+
+    ``x`` may be a scalar (one dimension) or a length-d vector; the Laplacian
+    stencil steps along every coordinate axis.  Evaluator domain errors
+    surface as invalid input.
+    """
+    if dt <= 0.0 or dx <= 0.0:
+        raise InvalidInputError("stencil widths must be positive")
+    point = np.atleast_1d(np.asarray(x, dtype=float))
+
+    def ev(tt, pp):
+        try:
+            return float(evaluator(tt, pp if pp.size > 1 else float(pp[0])))
+        except OutOfRangeError as exc:
+            raise InvalidInputError(f"stencil left the evaluator domain: {exc}") from exc
+
+    ut = (ev(t + dt, point) - ev(t - dt, point)) / (2.0 * dt)
+    lap = 0.0
+    center = ev(t, point) ** m
+    for axis in range(point.size):
+        shift = np.zeros_like(point)
+        shift[axis] = dx
+        lap += (ev(t, point + shift) ** m - 2.0 * center + ev(t, point - shift) ** m) / dx**2
+    return ut - lap
 
 
 def identity_clock(horizon: float = 1.0, steps: int = 64):
@@ -166,6 +192,24 @@ def test_quadratic_pressure_blow_up_instant_and_values():
         quadratic_pressure(p, -0.01, 1.0)
 
 
+def test_pointwise_residual_oracle_and_negative_control():
+    p = BarenblattParams(m=2.0, d=1, b=1.0)
+
+    def profile(tt, xx):
+        return barenblatt(p, tt, xx)
+
+    res = [abs(residual(profile, 2.0, 1.0, 0.5, dt=1e-3 / 2**k, dx=1e-2 / 2**k)) for k in range(3)]
+    assert res[-1] < res[0]
+    assert res[-1] <= 1e-6
+
+    def heat_kernel(tt, xx):
+        return math.exp(-(xx**2) / (4.0 * tt)) / math.sqrt(4.0 * math.pi * tt)
+
+    assert abs(residual(heat_kernel, 2.0, 1.0, 0.5, dt=1e-4, dx=1e-3)) >= 0.01
+    with pytest.raises(InvalidInputError):
+        residual(profile, 2.0, 1.0, 0.5, dt=0.0, dx=1e-2)
+
+
 def test_quadratic_pressure_residual_decays_at_second_order():
     p = QuadraticPressureParams(m=2.0, d=1, q=1.0)
     t, x = p.t_blowup / 2.0, 1.0
@@ -180,21 +224,22 @@ def test_quadratic_pressure_residual_decays_at_second_order():
 
 
 def test_linear_pressure_clamp_and_half_height():
-    params = LinearPressureParams(m=2.0)
     clock = identity_clock()
-    assert linear_pressure(params, clock, 0.5, -0.75) == 0.0
-    assert linear_pressure(params, clock, 1.0, 0.0) == pytest.approx(0.5, rel=1e-15)
+    assert linear_pressure(2.0, clock, 0.5, -0.75) == 0.0
+    assert linear_pressure(2.0, clock, 1.0, 0.0) == pytest.approx(0.5, rel=1e-15)
     drift_clock = multiplier_path(
         still_path(TimeGrid.uniform(4.0, 4096)), CoefficientPair.constant(0.0, 0.3), gamma=2.0
     )
     t_star = inverse_clock(drift_clock, 1.0)
     expected = interp_h(drift_clock, t_star) / 2.0
-    assert linear_pressure(params, drift_clock, t_star, 0.0) == pytest.approx(expected, rel=1e-12)
+    assert linear_pressure(2.0, drift_clock, t_star, 0.0) == pytest.approx(expected, rel=1e-12)
     base = linear_pressure_base(2.0)
     assert base.evaluate(0.5, -0.75) == 0.0
     assert base.evaluate(1.0, 1.0) == pytest.approx(1.0, rel=1e-15)
-    with pytest.raises(InvalidInputError):
-        LinearPressureParams(m=1.0)
+    with pytest.raises(InvalidInputError, match="needs m > 1"):
+        linear_pressure(1.0, clock, 0.5, 0.0)
+    with pytest.raises(InvalidInputError, match="needs m > 1"):
+        linear_pressure_base(1.0)
 
 
 def test_pressure_round_trips_and_m2_doubling():
@@ -286,6 +331,23 @@ def test_pressure_commutation_m2_pathwise_and_m3_with_noise():
     assert clock_gap3 <= 1e-8
     with pytest.raises(InvalidInputError):
         pressure_commutation_check(base3, 2.0, clock3, probes3)
+
+
+@pytest.mark.parametrize(
+    "read",
+    [
+        lambda clock: linear_pressure(2.0, clock, math.nan, 0.0),
+        lambda clock: stochastic_barenblatt(BarenblattParams(m=2.0, d=1, b=1.0), clock, math.nan, 0.0),
+        lambda clock: pressure_commutation_check(
+            barenblatt_solution(BarenblattParams(m=2.0, d=1, b=1.0)), 2.0, clock, [(0.5, 0.0), (math.nan, 0.0)]
+        ),
+    ],
+    ids=["linear_pressure", "stochastic_barenblatt", "pressure_commutation_check"],
+)
+def test_nan_times_are_invalid_input(read):
+    clock = multiplier_path(sample_brownian(TimeGrid.uniform(1.0, 16), MASTER), CoefficientPair.constant(1.0, 0.0), 2.0)
+    with pytest.raises(InvalidInputError, match="time nan is not a number"):
+        read(clock)
 
 
 def test_catalogue_values_are_nonnegative():

@@ -53,8 +53,6 @@ def test_time_grid_validation():
     grid = TimeGrid.uniform(2.0, 8)
     assert grid.horizon == 2.0
     assert grid.steps == 8
-    assert grid.same_nodes(TimeGrid.uniform(2.0, 8))
-    assert not grid.same_nodes(TimeGrid.uniform(2.0, 16))
 
 
 def test_noise_path_validation():
@@ -343,6 +341,24 @@ def test_interp_guards_outside_horizon():
         interp_h(clock, 1.5)
     with pytest.raises(OutOfRangeError):
         interp_H(clock, -0.5)
+
+
+@pytest.mark.parametrize(
+    "read, message",
+    [
+        (lambda c: interp_h(c, math.nan), "time nan is not a number"),
+        (lambda c: interp_H(c, np.array([0.5, math.nan])), r"time \[0.5 nan\] is not a number"),
+        (lambda c: inverse_clock(c, math.nan), "clock value nan is not a number"),
+        (lambda c: hitting_time(c, math.nan), "clock level nan is not a number"),
+        (lambda c: multiplier_moment(c.coeffs, 2.0, math.nan), "integration time nan is not a number"),
+    ],
+    ids=["interp_h", "interp_H", "inverse_clock", "hitting_time", "multiplier_moment"],
+)
+def test_nan_times_and_clock_values_are_invalid_input(read, message):
+    grid = TimeGrid.uniform(1.0, 16)
+    clock = multiplier_path(sample_brownian(grid, MASTER), CoefficientPair.constant(1.0, 0.0), gamma=2.0)
+    with pytest.raises(InvalidInputError, match=message):
+        read(clock)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@ PUBLIC_NAMES = [
     "DeterministicSolution",
     "FieldState",
     "InvalidInputError",
-    "LinearPressureParams",
     "McConfig",
     "McReport",
     "MultiplierPath",
@@ -67,13 +66,11 @@ PUBLIC_NAMES = [
     "multiplier_moment",
     "multiplier_path",
     "parse_config",
-    "path_clock",
     "pressure",
     "pressure_commutation_check",
     "quadratic_pressure",
     "quadratic_pressure_solution",
     "refine_brownian",
-    "residual",
     "sample_brownian",
     "self_similar",
     "serialize_config",

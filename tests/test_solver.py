@@ -29,7 +29,6 @@ from spmelab import (
     evolve_together,
     interp_mass,
     lp_power_sum,
-    residual,
     support_radius,
     table_solution,
 )
@@ -379,24 +378,6 @@ def test_support_radius_threshold_monotone():
     assert support_radius(FieldState(grid=grid, time=0.0, values=np.zeros_like(grid.centers))) == 0.0
 
 
-def test_pointwise_residual_oracle_and_negative_control():
-    p = BarenblattParams(m=2.0, d=1, b=1.0)
-
-    def profile(tt, xx):
-        return barenblatt(p, tt, xx)
-
-    res = [abs(residual(profile, 2.0, 1.0, 0.5, dt=1e-3 / 2**k, dx=1e-2 / 2**k)) for k in range(3)]
-    assert res[-1] < res[0]
-    assert res[-1] <= 1e-6
-
-    def heat_kernel(tt, xx):
-        return math.exp(-(xx**2) / (4.0 * tt)) / math.sqrt(4.0 * math.pi * tt)
-
-    assert abs(residual(heat_kernel, 2.0, 1.0, 0.5, dt=1e-4, dx=1e-3)) >= 0.01
-    with pytest.raises(InvalidInputError):
-        residual(profile, 2.0, 1.0, 0.5, dt=0.0, dx=1e-2)
-
-
 # ---------------------------------------------------------------------------
 # Table readers at arrays of times: each element equals the scalar read, bit
 # for bit, and the scalar read equals the plain bracket-and-np.interp rule.
@@ -488,6 +469,23 @@ def test_one_out_of_range_time_fails_the_whole_array_read(case, late):
     ):
         with pytest.raises(OutOfRangeError):
             read()
+
+
+@pytest.mark.parametrize(
+    "read",
+    [
+        lambda table: interp_mass(table, math.nan),
+        lambda table: interp_mass(table, np.array([0.5, math.nan])),
+        lambda table: eval_on_centers(table, math.nan, 0.0),
+        lambda table: dense_values(table, math.nan),
+        lambda table: table_solution(table).evaluate(math.nan, 0.0),
+    ],
+    ids=["interp_mass", "interp_mass_array", "eval_on_centers", "dense_values", "table_solution"],
+)
+def test_nan_table_times_are_invalid_input(read):
+    table = evolve(box_state(line_grid(cells=32), 1.0, 1.0), 2.0, 1.0, 0.4, (0.5,))
+    with pytest.raises(InvalidInputError, match="time nan is not a number"):
+        read(table)
 
 
 # ---------------------------------------------------------------------------

@@ -176,6 +176,15 @@ def test_query_below_the_base_validity_window_is_rejected():
         forward_transform(base, clock, 0.0, 0.0)
 
 
+def test_nan_times_are_invalid_input_before_the_window_is_read():
+    base = barenblatt_solution(BarenblattParams(m=2.0, d=1, b=1.0))
+    clock = multiplier_path(sample_brownian(TimeGrid.uniform(1.0, 16), MASTER), CoefficientPair.constant(1.0, 0.0), 2.0)
+    with pytest.raises(InvalidInputError, match="time nan is not a number"):
+        forward_transform(base, clock, math.nan, 0.0)
+    with pytest.raises(InvalidInputError, match="clock value nan is not a number"):
+        inverse_transform(StochasticFieldSample(base=base, clock=clock), math.nan, 0.0)
+
+
 def test_homogeneity_degree_matrix():
     assert check_homogeneity("heat", 1.0)
     assert check_homogeneity("pme", 3.0, m=3.0)
