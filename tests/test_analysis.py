@@ -167,6 +167,8 @@ def test_weak_form_residual_input_checks():
         weak_form_residual(sample, 2.0, phi, -0.5)
     with pytest.raises(InvalidInputError):
         weak_form_residual(sample, 2.0, phi, 1.5)
+    with pytest.raises(InvalidInputError, match="query time nan is not a number"):
+        weak_form_residual(sample, 2.0, phi, math.nan)
 
 
 def test_clock_sweep_table_covers_the_largest_clock_value():
@@ -793,11 +795,6 @@ def test_nan_probe_times_are_invalid_input_before_drawing(monkeypatch, sweep):
     monkeypatch.setattr(noise, "_fill_brownian", _no_draw)
     with pytest.raises(InvalidInputError, match=r"time \[(0.5 )?nan\] is not a number"):
         sweep(cfg)
-
-
-def test_weak_form_residual_rejects_a_nan_time():
-    with pytest.raises(InvalidInputError, match="query time nan is not a number"):
-        weak_form_residual(_affine_clock_sample(_ramp), 2.0, Bump(center=1.0, width=0.8), math.nan)
 
 
 @pytest.mark.parametrize(
