@@ -81,8 +81,8 @@ class McConfig:
     def __post_init__(self):
         if self.n_paths < 2:
             raise InvalidInputError("Monte Carlo sweeps need at least 2 paths")
-        if self.m <= 1.0:
-            raise InvalidInputError("the noisy equation is posed for m > 1")
+        if not self.m > 1.0:
+            raise InvalidInputError(f"the noisy equation is posed for m > 1, not {self.m}")
         if not 0.0 < self.cfl_safety <= 1.0:
             raise InvalidInputError("cfl_safety must lie in (0, 1]")
 
@@ -262,8 +262,8 @@ def mc_lp_bound(cfg: McConfig, p: float, t: float) -> McReport:
     pathwise.  The comparison allows Monte Carlo noise through a
     3-relative-standard-error inflation of the right side.
     """
-    if p < 1.0:
-        raise InvalidInputError("the bound is stated for p >= 1")
+    if not p >= 1.0:
+        raise InvalidInputError(f"the bound is stated for p >= 1, not {p}")
     sweep = clock_sweep(cfg, [t])
     table = sweep.tables[0]
     grid = table.grid
@@ -293,7 +293,7 @@ def limit_law_statistics(cfg: McConfig) -> McReport:
     """
     claimed_mean, claimed_var = limit_distribution(cfg.coeffs)
     cutoff = float(cfg.coeffs.breaks[-1])
-    if cfg.grid.horizon <= cutoff:
+    if not cfg.grid.horizon > cutoff:
         raise InvalidInputError("the horizon must pass the coefficient cutoff")
     xis = _clocks(cfg, [])[2].tolist()
     mean, stderr, sample_var = _sample_stats(xis)
@@ -332,8 +332,8 @@ class Bump:
     width: float
 
     def __post_init__(self):
-        if self.width <= 0.0:
-            raise InvalidInputError("bump width must be positive")
+        if not self.width > 0.0:
+            raise InvalidInputError(f"bump width must be positive, not {self.width}")
 
     @property
     def lo(self) -> float:
@@ -401,10 +401,8 @@ def weak_form_residual(
     """
     clock = sample.clock
     nodes = clock.grid.nodes
-    if math.isnan(t):
-        raise InvalidInputError(f"query time {t} is not a number")
-    if t < 0.0 or t > clock.horizon * (1.0 + 1e-12):
-        raise InvalidInputError("query time outside the clock horizon")
+    if not 0.0 <= t <= clock.horizon * (1.0 + 1e-12):
+        raise InvalidInputError(f"query time must lie in the clock horizon [0, {clock.horizon:g}], not {t}")
     k_end = int(np.searchsorted(nodes, t * (1.0 + 1e-12), side="right")) - 1
     k_end = max(k_end, 0)
     xs, wts = _simpson(phi.lo, phi.hi, N_QUAD)
@@ -456,7 +454,7 @@ def comparison_check(
         raise InvalidInputError("both initial states must share one grid")
     if initial_low.time != initial_high.time:
         raise InvalidInputError("both initial states must share one start time")
-    if np.any(initial_low.values > initial_high.values):
+    if not np.all(initial_low.values <= initial_high.values):
         raise InvalidInputError("initial ordering violated: expected low <= high")
     sweep = clock_sweep(cfg, [float(t) for t, _ in probes], (initial_low, initial_high))
     table_low, table_high = sweep.tables
@@ -486,8 +484,8 @@ def maximum_check(
     """
     if cfg.initial is None:
         raise InvalidInputError("maximum check needs initial data")
-    if float(np.max(cfg.initial.values)) > bound:
-        raise InvalidInputError("the bound must dominate the initial data")
+    if not float(np.max(cfg.initial.values)) <= bound:
+        raise InvalidInputError(f"the bound must dominate the initial data, not {bound}")
     sweep = clock_sweep(cfg, [float(t) for t, _ in probes])
     slack = math.inf
     for k, (_, x) in enumerate(probes):

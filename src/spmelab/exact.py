@@ -46,12 +46,12 @@ class BarenblattParams:
     b: float
 
     def __post_init__(self):
-        if self.m <= 1.0:
-            raise InvalidInputError("Barenblatt profile needs m > 1")
+        if not self.m > 1.0:
+            raise InvalidInputError(f"Barenblatt profile needs m > 1, not {self.m}")
         if self.d < 1:
             raise InvalidInputError("dimension must be >= 1")
-        if self.b <= 0.0:
-            raise InvalidInputError("profile scale b must be positive")
+        if not self.b > 0.0:
+            raise InvalidInputError(f"profile scale b must be positive, not {self.b}")
 
     @property
     def beta(self) -> float:
@@ -63,8 +63,8 @@ class BarenblattParams:
 
     def support_radius(self, t: float) -> float:
         """Free-boundary radius at time t > 0."""
-        if t <= 0.0:
-            raise InvalidInputError("the profile is defined for t > 0")
+        if not t > 0.0:
+            raise InvalidInputError(f"the profile is defined for t > 0, not {t}")
         return math.sqrt(2.0 * self.m * self.b / ((self.m - 1.0) * self.beta)) * t**self.beta
 
 
@@ -74,8 +74,8 @@ def barenblatt(p: BarenblattParams, t, x):
     Broadcasts over both arguments; every entry of t must be positive.
     """
     ts = np.asarray(t, dtype=float)
-    if np.any(ts <= 0.0):
-        raise InvalidInputError("the profile is defined for t > 0")
+    if not np.all(ts > 0.0):
+        raise InvalidInputError(f"the profile is defined for t > 0, not {ts}")
     r2 = _radius2(x, p.d)
     arg = p.b - ((p.m - 1.0) / (2.0 * p.m)) * p.beta * r2 / ts ** (2.0 * p.beta)
     val = ts ** (-p.alpha) * np.maximum(arg, 0.0) ** (1.0 / (p.m - 1.0))
@@ -98,8 +98,8 @@ def barenblatt_mass(p: BarenblattParams) -> float:
 
 def mass_to_b(m: float, d: int, mass: float) -> float:
     """Profile scale b whose total mass equals ``mass`` (analytic inversion)."""
-    if mass <= 0.0:
-        raise InvalidInputError("mass must be positive")
+    if not mass > 0.0:
+        raise InvalidInputError(f"mass must be positive, not {mass}")
     beta = 1.0 / ((m - 1.0) * d + 2.0)
     return (mass / _unit_mass(m, d)) ** (2.0 * beta * (m - 1.0))
 
@@ -162,12 +162,12 @@ class QuadraticPressureParams:
     q: float
 
     def __post_init__(self):
-        if self.m <= 1.0:
-            raise InvalidInputError("quadratic-pressure solution needs m > 1")
+        if not self.m > 1.0:
+            raise InvalidInputError(f"quadratic-pressure solution needs m > 1, not {self.m}")
         if self.d < 1:
             raise InvalidInputError("dimension must be >= 1")
-        if self.q <= 0.0:
-            raise InvalidInputError("initial pressure curvature q must be positive")
+        if not self.q > 0.0:
+            raise InvalidInputError(f"initial pressure curvature q must be positive, not {self.q}")
 
     @property
     def t_unit(self) -> float:
@@ -181,9 +181,9 @@ class QuadraticPressureParams:
 
 def quadratic_pressure(p: QuadraticPressureParams, t: float, x):
     """Value of the blow-up solution on 0 <= t < t_blowup."""
-    if t < 0.0:
-        raise InvalidInputError("the solution starts at t = 0")
-    if t >= p.t_blowup:
+    if not t >= 0.0:
+        raise InvalidInputError(f"the solution starts at t = 0, not {t}")
+    if not t < p.t_blowup:
         raise BlowUpError(
             f"time {t:.6g} is at or past the blow-up instant {p.t_blowup:.6g}",
             base_time=p.t_blowup,
@@ -196,8 +196,8 @@ def quadratic_pressure(p: QuadraticPressureParams, t: float, x):
 
 def linear_pressure_base(m: float) -> DeterministicSolution:
     """Deterministic base U(s, x) = ((m-1)/m * max(s + x, 0))**(1/(m-1)), d = 1, for m > 1."""
-    if m <= 1.0:
-        raise InvalidInputError("linear-pressure solution needs m > 1")
+    if not m > 1.0:
+        raise InvalidInputError(f"linear-pressure solution needs m > 1, not {m}")
 
     def evaluate(s, x):
         val = ((m - 1.0) / m * np.maximum(np.asarray(s) + np.asarray(x, dtype=float), 0.0)) ** (
@@ -216,8 +216,8 @@ def linear_pressure(m: float, clock: MultiplierPath, t: float, x):
 def pressure(u, m: float):
     """Pressure variable V = m/(m-1) * u**(m-1)."""
     arr = np.asarray(u, dtype=float)
-    if np.any(arr < 0.0):
-        raise InvalidInputError("pressure needs a nonnegative field")
+    if not np.all(arr >= 0.0):
+        raise InvalidInputError(f"pressure needs a nonnegative field, not {arr}")
     val = m / (m - 1.0) * arr ** (m - 1.0)
     return _maybe_float(val)
 
@@ -225,8 +225,8 @@ def pressure(u, m: float):
 def inverse_pressure(v, m: float):
     """Invert the pressure map: u = ((m-1)/m * V)**(1/(m-1))."""
     arr = np.asarray(v, dtype=float)
-    if np.any(arr < 0.0):
-        raise InvalidInputError("pressure values are nonnegative")
+    if not np.all(arr >= 0.0):
+        raise InvalidInputError(f"pressure values must be nonnegative, not {arr}")
     val = ((m - 1.0) / m * arr) ** (1.0 / (m - 1.0))
     return _maybe_float(val)
 
@@ -245,11 +245,11 @@ def self_similar(
     The same-degree scaling keeps it a solution; useful for building
     dominating envelopes in comparison arguments.
     """
-    if scale_t <= 0.0 or scale_x <= 0.0:
-        raise InvalidInputError("scale factors must be positive")
+    if not (scale_t > 0.0 and scale_x > 0.0):
+        raise InvalidInputError(f"scale factors must be positive, not {scale_t} and {scale_x}")
     shifted_t = scale_t * t + t0
-    if shifted_t <= 0.0:
-        raise InvalidInputError("shifted time must be positive")
+    if not shifted_t > 0.0:
+        raise InvalidInputError(f"shifted time scale_t * t + t0 must be positive, not {shifted_t}")
     shifted_x = scale_x * np.asarray(x, dtype=float) + np.asarray(x0, dtype=float)
     factor = (scale_t / scale_x**2) ** (1.0 / (p.m - 1.0))
     val = factor * barenblatt(p, shifted_t, shifted_x)
@@ -280,8 +280,8 @@ def stochastic_barenblatt(p: BarenblattParams, clock: MultiplierPath, t: float, 
     Written out explicitly (not through the generic transform) so the two
     routes can be compared against each other in tests.
     """
-    if t <= 0.0:
-        raise InvalidInputError("the noisy profile starts after t = 0 (clock at 0)")
+    if not t > 0.0:
+        raise InvalidInputError(f"the noisy profile starts after t = 0 (clock at 0), not at t = {t}")
     s = interp_H(clock, t)
     return barenblatt(p, s, x) * interp_h(clock, t)
 

@@ -43,7 +43,7 @@ from .errors import InvalidInputError, OutOfRangeError, UnsupportedInputError
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 
 # Absolute slack used when matching coefficient breakpoints to mesh nodes and
-# when validating query times against the horizon.
+# when checking a read against its range.
 _ALIGN_TOL = 1e-9
 
 
@@ -97,8 +97,8 @@ class TimeGrid:
 
     @classmethod
     def uniform(cls, horizon: float, steps: int) -> "TimeGrid":
-        if horizon <= 0.0 or steps < 1:
-            raise InvalidInputError("uniform grid needs horizon > 0 and steps >= 1")
+        if not (horizon > 0.0 and steps >= 1):
+            raise InvalidInputError(f"uniform grid needs horizon > 0 and steps >= 1, not {horizon} and {steps}")
         return cls(np.linspace(0.0, float(horizon), int(steps) + 1))
 
     @property
@@ -128,7 +128,7 @@ class CoefficientPair:
         gv = np.array(self.g_values, dtype=float)
         if br.ndim != 1 or br.size < 1 or br[0] != 0.0:
             raise InvalidInputError("coefficient breaks must start at t = 0")
-        if br.size > 1 and not np.all(np.diff(br) > 0.0):
+        if not np.all(np.diff(br) > 0.0):
             raise InvalidInputError("coefficient breaks must be strictly increasing")
         if fv.shape != br.shape or gv.shape != br.shape:
             raise InvalidInputError("coefficient values must match the breaks")
@@ -179,7 +179,7 @@ class CoefficientPair:
         inner = self.breaks[(self.breaks > 0.0) & (self.breaks <= grid.horizon + _ALIGN_TOL)]
         if inner.size:
             gaps = np.min(np.abs(grid.nodes[None, :] - inner[:, None]), axis=1)
-            if np.any(gaps > _ALIGN_TOL * max(1.0, grid.horizon)):
+            if not np.all(gaps <= _ALIGN_TOL * max(1.0, grid.horizon)):
                 raise InvalidInputError(
                     "coefficient breakpoints do not lie on the time grid"
                 )
@@ -187,10 +187,8 @@ class CoefficientPair:
         return self.f_values[idx], self.g_values[idx]
 
     def _integral(self, values: np.ndarray, t: float) -> float:
-        if math.isnan(t):
-            raise InvalidInputError(f"integration time {t} is not a number")
-        if t < 0.0:
-            raise InvalidInputError("integration time must be nonnegative")
+        if not t >= 0.0:
+            raise InvalidInputError(f"integration time must be nonnegative, not {t}")
         uppers = np.append(self.breaks[1:], np.inf)
         seg = np.clip(np.minimum(uppers, t) - np.minimum(self.breaks, t), 0.0, None)
         return float(np.dot(seg, values))
@@ -408,8 +406,8 @@ class MultiplierPath:
 def _clock_columns(grid: TimeGrid, coeffs: CoefficientPair, gamma: float) -> tuple:
     """The per-interval factors of :func:`_fill_multiplier` on ``grid``, computed
     once per sweep: f, g dt, 1/2 f^2 dt, dt, and the clock exponent gamma - 1."""
-    if gamma < 1.0:
-        raise InvalidInputError("clock exponent gamma must be >= 1")
+    if not gamma >= 1.0:
+        raise InvalidInputError(f"clock exponent gamma must be >= 1, not {gamma}")
     f_vals, g_vals = coeffs.values_on(grid)
     dt = np.diff(grid.nodes)
     return f_vals, g_vals * dt, 0.5 * f_vals**2 * dt, dt, gamma - 1.0
@@ -493,17 +491,21 @@ def _clock_blocks(grid: TimeGrid, coeffs: CoefficientPair, m: float, seed: int, 
         take(start, w[:n], logh[:n], h[:n], H[:n])
 
 
-def _check_time(horizon: float, t) -> np.ndarray:
-    arr = np.asarray(t, dtype=float)
-    slack = _ALIGN_TOL * max(1.0, horizon)
-    # One test for both faults: a NaN fails every comparison, so it is never inside.
-    if not np.all((arr >= -slack) & (arr <= horizon + slack)):
+def _inside(values, lo: float, hi: float, what: str, where: str) -> np.ndarray:
+    """``values`` as a float array clipped to [lo, hi], once every entry lies
+    in [lo, hi] up to the slack ``_ALIGN_TOL * max(1, hi)``.
+
+    One test serves both faults, since a NaN fails every comparison: a NaN
+    raises :class:`InvalidInputError`, any other entry outside the range
+    :class:`OutOfRangeError`, and each message names ``what`` and the values.
+    """
+    arr = np.asarray(values, dtype=float)
+    slack = _ALIGN_TOL * max(1.0, hi)
+    if not np.all((arr >= lo - slack) & (arr <= hi + slack)):
         if np.isnan(arr).any():
-            raise InvalidInputError(f"time {arr} is not a number")
-        raise OutOfRangeError(
-            f"time {arr} outside the sampled horizon [0, {horizon}]"
-        )
-    return np.clip(arr, 0.0, horizon)
+            raise InvalidInputError(f"{what} {arr} is not a number")
+        raise OutOfRangeError(f"{what} {arr} outside {where} [{lo:g}, {hi:g}]")
+    return np.clip(arr, lo, hi)
 
 
 def locate_times(grid: TimeGrid, times) -> tuple[np.ndarray, np.ndarray]:
@@ -512,7 +514,7 @@ def locate_times(grid: TimeGrid, times) -> tuple[np.ndarray, np.ndarray]:
     Returns the times clipped to [0, horizon] and the index j of the last node
     at or before each, the pair :func:`read_block` takes.
     """
-    x = _check_time(grid.horizon, times)
+    x = _inside(times, 0.0, grid.horizon, "time", "the sampled horizon")
     return x, np.searchsorted(grid.nodes, x, side="right") - 1
 
 
@@ -546,14 +548,14 @@ def read_block(values: np.ndarray, grid: TimeGrid, located) -> np.ndarray:
 
 def interp_h(clock: MultiplierPath, t):
     """Multiplier h(t), linear between grid nodes."""
-    arr = _check_time(clock.horizon, t)
+    arr = _inside(t, 0.0, clock.horizon, "time", "the sampled horizon")
     out = np.interp(arr, clock.grid.nodes, clock.h)
     return float(out) if np.isscalar(t) or np.ndim(t) == 0 else out
 
 
 def interp_H(clock: MultiplierPath, t):
     """Clock H(t), linear between grid nodes (the exact left-endpoint continuation)."""
-    arr = _check_time(clock.horizon, t)
+    arr = _inside(t, 0.0, clock.horizon, "time", "the sampled horizon")
     out = np.interp(arr, clock.grid.nodes, clock.H)
     return float(out) if np.isscalar(t) or np.ndim(t) == 0 else out
 
@@ -563,23 +565,15 @@ def inverse_clock(clock: MultiplierPath, s):
 
     The clock is strictly increasing (h > 0), so the inverse is unique.
     """
-    arr = np.asarray(s, dtype=float)
-    top = float(clock.H[-1])
-    slack = _ALIGN_TOL * max(1.0, top)
-    if not np.all((arr >= -slack) & (arr <= top + slack)):
-        if np.isnan(arr).any():
-            raise InvalidInputError(f"clock value {arr} is not a number")
-        raise OutOfRangeError(f"clock value {arr} outside the sampled range [0, {top}]")
-    out = np.interp(np.clip(arr, 0.0, top), clock.H, clock.grid.nodes)
+    arr = _inside(s, 0.0, float(clock.H[-1]), "clock value", "the sampled range")
+    out = np.interp(arr, clock.H, clock.grid.nodes)
     return float(out) if np.isscalar(s) or np.ndim(s) == 0 else out
 
 
 def hitting_time(clock: MultiplierPath, level: float) -> float | None:
     """First time the clock reaches ``level``; None if it never does on the horizon."""
-    if math.isnan(level):
-        raise InvalidInputError(f"clock level {level} is not a number")
-    if level < 0.0:
-        raise InvalidInputError("clock levels are nonnegative")
+    if not level >= 0.0:
+        raise InvalidInputError(f"clock level must be nonnegative, not {level}")
     if level == 0.0:
         return 0.0
     if level > float(clock.H[-1]):
@@ -593,8 +587,6 @@ def multiplier_moment(coeffs: CoefficientPair, p: float, t: float) -> float:
     Equals exp(p int_0^t g + p(p-1)/2 int_0^t f^2); the piecewise-constant
     tables make both integrals exact.
     """
-    if t < 0.0:
-        raise InvalidInputError("moment time must be nonnegative")
     return math.exp(p * coeffs.integral_g(t) + 0.5 * p * (p - 1.0) * coeffs.integral_f2(t))
 
 

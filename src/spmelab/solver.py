@@ -18,8 +18,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidInputError, OutOfRangeError, StabilityError
+from .errors import InvalidInputError, StabilityError
 from .exact import BarenblattParams, _radius2, barenblatt, sphere_area
+from .noise import _inside
 from .timechange import DeterministicSolution, TimeInterval
 
 _DENOM_FLOOR = 1e-12
@@ -118,9 +119,9 @@ class FieldState:
         arr = np.array(self.values, dtype=float)
         if arr.shape != (self.grid.cells,):
             raise InvalidInputError("field values must match the grid cells")
-        if self.time < 0.0:
-            raise InvalidInputError("field time must be nonnegative")
-        if np.any(arr < 0.0) or not np.all(np.isfinite(arr)):
+        if not self.time >= 0.0:
+            raise InvalidInputError(f"field time must be nonnegative, not {self.time}")
+        if not np.all(np.isfinite(arr) & (arr >= 0.0)):
             raise InvalidInputError("field values must be finite and nonnegative")
         arr.flags.writeable = False
         object.__setattr__(self, "values", arr)
@@ -132,8 +133,8 @@ class FieldState:
 
 def box_state(grid: SpatialGrid, height: float, half_width: float, time: float = 0.0) -> FieldState:
     """Indicator-box initial data of the given height on |x| <= half_width."""
-    if height < 0.0 or half_width <= 0.0:
-        raise InvalidInputError("box needs height >= 0 and half_width > 0")
+    if not (height >= 0.0 and half_width > 0.0):
+        raise InvalidInputError(f"box needs height >= 0 and half_width > 0, not {height} and {half_width}")
     values = np.where(np.abs(grid.centers) <= half_width, height, 0.0)
     return FieldState(grid=grid, time=time, values=values)
 
@@ -262,12 +263,12 @@ class SnapshotTable:
         times = np.array(self.times, dtype=float)
         if times.ndim != 1 or times.size < 1 or not np.all(np.diff(times) > 0.0):
             raise InvalidInputError("snapshots must be stored at increasing times")
-        if times[0] < 0.0:
-            raise InvalidInputError("field time must be nonnegative")
+        if not times[0] >= 0.0:
+            raise InvalidInputError(f"field time must be nonnegative, not {times[0]}")
         values = np.array(self.values, dtype=float)
         if values.shape != (times.size, self.grid.cells):
             raise InvalidInputError("field values must match the grid cells")
-        if np.any(values < 0.0) or not np.all(np.isfinite(values)):
+        if not np.all(np.isfinite(values) & (values >= 0.0)):
             raise InvalidInputError("field values must be finite and nonnegative")
         # One np.dot per row, as FieldState.mass: values @ volumes may sum in another order.
         masses = np.array([np.dot(row, self.grid.volumes) for row in values])
@@ -327,7 +328,7 @@ def _check_budget(u: np.ndarray, m: float, scale: float, rate: float, grid: Spat
     """
     volumes = grid.volumes
     mean = (1.0 - 1e-6) * float(np.max(u @ volumes)) / float(np.sum(volumes))
-    if span > (_MAX_STEPS - 1) * _bound(mean, m, scale, rate):
+    if not span <= (_MAX_STEPS - 1) * _bound(mean, m, scale, rate):
         raise StabilityError("step budget exhausted before reaching the horizon")
 
 
@@ -344,18 +345,18 @@ def _march(initials: tuple, m: float, horizon: float, cfl_safety: float, snapsho
         raise InvalidInputError("horizon must exceed the initial time")
     targets = sorted({float(s) for s in snapshot_times} | {horizon})
     for s in targets:
-        if s < t0 - 1e-12 or s > horizon + 1e-12:
-            raise InvalidInputError("snapshot times must lie between the initial time and the horizon")
+        if not t0 - 1e-12 <= s <= horizon + 1e-12:
+            raise InvalidInputError(f"snapshot times must lie between the initial time and the horizon, not {s}")
 
-    if m <= 1.0:
-        raise InvalidInputError("the solver handles m > 1")
+    if not m > 1.0:
+        raise InvalidInputError(f"the solver handles m > 1, not {m}")
     grid = initials[0].grid
     if any(st.grid != grid for st in initials):
         raise InvalidInputError("paired evolution needs a common grid")
     eps = 1e-12 * max(1.0, abs(horizon))
     targets = [s for s in targets if s > t0 + eps]
     for a, b in zip(targets, targets[1:]):
-        if b - a <= eps:
+        if not b - a > eps:
             raise InvalidInputError(f"snapshot times {a!r} and {b!r} are too close to tell apart")
 
     u = np.stack([st.values for st in initials])
@@ -427,18 +428,7 @@ def _march(initials: tuple, m: float, horizon: float, cfl_safety: float, snapsho
 def _bracket(table: SnapshotTable, t):
     """Bracketing snapshot indices (a, b) and weight lam for one time or an array of times."""
     times = table.times
-    arr = np.asarray(t, dtype=float)
-    slack = 1e-9 * max(1.0, table.t_last)
-    # One test for both faults: a NaN fails every comparison, so it is never inside.
-    inside = (arr >= times[0] - slack) & (arr <= times[-1] + slack)
-    if not np.all(inside):
-        if np.isnan(arr).any():
-            raise InvalidInputError("time nan is not a number")
-        raise OutOfRangeError(
-            f"time {float(arr[~inside].flat[0]):.6g} outside the stored range "
-            f"[{times[0]:.6g}, {times[-1]:.6g}]"
-        )
-    arr = np.clip(arr, times[0], times[-1])
+    arr = _inside(t, times[0], table.t_last, "time", "the stored range")
     if times.size == 1:
         a = b = np.zeros(arr.shape, dtype=np.intp)
         lam = np.zeros(arr.shape)

@@ -160,8 +160,8 @@ def check_homogeneity(
     if fields is None:
         fields = _default_fields()
     for lam in lambdas:
-        if lam <= 0.0:
-            raise InvalidInputError("scale factors must be positive")
+        if not lam > 0.0:
+            raise InvalidInputError(f"scale factors must be positive, not {lam}")
     for values, dx in fields:
         v = np.asarray(values, dtype=float)
         if v.ndim != 1 or v.size < 3:
@@ -170,6 +170,6 @@ def check_homogeneity(
         for lam in lambdas:
             scaled = op(lam * v, dx, m)
             target = lam**gamma * base
-            if np.max(np.abs(scaled - target)) > tol * (1.0 + np.max(np.abs(target))):
+            if not np.max(np.abs(scaled - target)) <= tol * (1.0 + np.max(np.abs(target))):
                 return False
     return True

@@ -167,7 +167,7 @@ def test_weak_form_residual_input_checks():
         weak_form_residual(sample, 2.0, phi, -0.5)
     with pytest.raises(InvalidInputError):
         weak_form_residual(sample, 2.0, phi, 1.5)
-    with pytest.raises(InvalidInputError, match="query time nan is not a number"):
+    with pytest.raises(InvalidInputError, match=r"query time must lie in the clock horizon \[0, 1\], not nan"):
         weak_form_residual(sample, 2.0, phi, math.nan)
 
 

@@ -346,7 +346,7 @@ def test_pressure_commutation_m2_pathwise_and_m3_with_noise():
 )
 def test_nan_times_are_invalid_input(read):
     clock = multiplier_path(sample_brownian(TimeGrid.uniform(1.0, 16), MASTER), CoefficientPair.constant(1.0, 0.0), 2.0)
-    with pytest.raises(InvalidInputError, match="time nan is not a number"):
+    with pytest.raises(InvalidInputError, match="time nan is not a number|not at t = nan"):
         read(clock)
 
 

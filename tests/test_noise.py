@@ -349,8 +349,8 @@ def test_interp_guards_outside_horizon():
         (lambda c: interp_h(c, math.nan), "time nan is not a number"),
         (lambda c: interp_H(c, np.array([0.5, math.nan])), r"time \[0.5 nan\] is not a number"),
         (lambda c: inverse_clock(c, math.nan), "clock value nan is not a number"),
-        (lambda c: hitting_time(c, math.nan), "clock level nan is not a number"),
-        (lambda c: multiplier_moment(c.coeffs, 2.0, math.nan), "integration time nan is not a number"),
+        (lambda c: hitting_time(c, math.nan), "clock level must be nonnegative, not nan"),
+        (lambda c: multiplier_moment(c.coeffs, 2.0, math.nan), "integration time must be nonnegative, not nan"),
     ],
     ids=["interp_h", "interp_H", "inverse_clock", "hitting_time", "multiplier_moment"],
 )
