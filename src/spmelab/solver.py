@@ -428,7 +428,7 @@ def _march(initials: tuple, m: float, horizon: float, cfl_safety: float, snapsho
 def _bracket(table: SnapshotTable, t):
     """Bracketing snapshot indices (a, b) and weight lam for one time or an array of times."""
     times = table.times
-    arr = _inside(t, times[0], table.t_last, "time", "the stored range")
+    arr = _inside(t, table.t_first, table.t_last, "time", "the stored range")
     if times.size == 1:
         a = b = np.zeros(arr.shape, dtype=np.intp)
         lam = np.zeros(arr.shape)

@@ -50,12 +50,11 @@ SOURCE = BarenblattParams(m=2.0, d=1, b=1.0)
 GRID = SpatialGrid(kind="cartesian", lo=-6.0, hi=6.0, cells=32)
 
 
-def _config(**kwargs) -> McConfig:
-    fields = dict(
+def _config(m: float = 2.0) -> McConfig:
+    return McConfig(
         n_paths=5, master_seed=MASTER, grid=TimeGrid.uniform(1.0, 16),
-        coeffs=CoefficientPair.constant(1.0, 0.0), m=2.0, initial=box_state(GRID, 1.0, 1.0),
+        coeffs=CoefficientPair.constant(1.0, 0.0), m=m, initial=box_state(GRID, 1.0, 1.0),
     )
-    return McConfig(**{**fields, **kwargs})
 
 
 def _no_work(*args):
