@@ -51,7 +51,6 @@ from .exact import (
     QuadraticPressureParams,
     barenblatt,
     barenblatt_mass,
-    barenblatt_mass_quadrature,
     barenblatt_solution,
     inverse_pressure,
     linear_pressure,

@@ -332,6 +332,8 @@ class Bump:
     width: float
 
     def __post_init__(self):
+        if not math.isfinite(self.center):
+            raise InvalidInputError(f"bump center must be finite, not {self.center}")
         if not self.width > 0.0:
             raise InvalidInputError(f"bump width must be positive, not {self.width}")
 
@@ -389,16 +391,12 @@ def weak_form_residual(
     Computes |(u, phi)(t) - (u, phi)(0) - sum (u^m, lap phi) dt
     - sum (u, phi)(f dw + g dt)| with left-endpoint sums on the clock's own
     mesh; t snaps down to the nearest grid node.  Spatial inner products use
-    a fixed Simpson rule with ``N_QUAD`` nodes over the bump's support.
-
-    The base is evaluated once on a column of clock values against a row of
-    positions.  A base that broadcasts s against x returns shape (k, n) from
-    that call; one whose result puts the shape of x after that of s, as
-    ``table_solution`` does, returns (k, 1, 1, n), which is read as (k, n).
-    A base that does neither, so that this call raises ValueError or
-    TypeError or returns another shape, is evaluated at one clock value at a
-    time; any other error propagates.
+    a fixed Simpson rule with ``N_QUAD`` nodes over the bump's support.  The
+    base is evaluated once, on a column of clock values against a row of
+    positions.
     """
+    if not m > 1.0:
+        raise InvalidInputError(f"the noisy equation is posed for m > 1, not {m}")
     clock = sample.clock
     nodes = clock.grid.nodes
     if not 0.0 <= t <= clock.horizon * (1.0 + 1e-12):
@@ -410,16 +408,9 @@ def weak_form_residual(
     lapv = phi.laplacian(xs) * wts
     hs = clock.h[: k_end + 1]
     Hs = clock.H[: k_end + 1]
-    try:
-        base_vals = np.asarray(sample.base.evaluate(Hs[:, None], xs[None, :]), dtype=float)
-    except (ValueError, TypeError):
-        base_vals = None
-    if base_vals is not None and base_vals.shape == (k_end + 1, 1, 1, xs.size):
-        base_vals = base_vals.reshape(k_end + 1, xs.size)
-    if base_vals is None or base_vals.shape != (k_end + 1, xs.size):
-        base_vals = np.vstack(
-            [np.asarray(sample.base.evaluate(float(s), xs), dtype=float) for s in Hs]
-        )
+    base_vals = np.asarray(sample.base.evaluate(Hs[:, None], xs[None, :]), dtype=float)
+    if base_vals.shape != (k_end + 1, xs.size):
+        raise InvalidInputError(f"base values have shape {base_vals.shape}, not {(k_end + 1, xs.size)}")
     paired = hs * (base_vals @ phiv)
     diffused = hs**m * ((base_vals**m) @ lapv)
     dtv = np.diff(nodes[: k_end + 1])
@@ -435,6 +426,14 @@ def weak_form_residual(
 # ---------------------------------------------------------------------------
 # Order, bound, and attractor experiments.
 # ---------------------------------------------------------------------------
+
+def _finite_positions(positions) -> np.ndarray:
+    """``positions`` as a float array once every one is finite; called before any path is drawn."""
+    xs = np.asarray(positions, dtype=float)
+    if not np.all(np.isfinite(xs)):
+        raise InvalidInputError(f"probe positions must be finite, not {xs}")
+    return xs
+
 
 def comparison_check(
     cfg: McConfig,
@@ -456,14 +455,12 @@ def comparison_check(
         raise InvalidInputError("both initial states must share one start time")
     if not np.all(initial_low.values <= initial_high.values):
         raise InvalidInputError("initial ordering violated: expected low <= high")
+    xs = _finite_positions([x for _, x in probes])
     sweep = clock_sweep(cfg, [float(t) for t, _ in probes], (initial_low, initial_high))
     table_low, table_high = sweep.tables
-    slack = math.inf
-    for k, (_, x) in enumerate(probes):
-        h, s = sweep.h[:, k], sweep.table_times[:, k]
-        u_low = h * eval_on_centers(table_low, s, float(x))
-        u_high = h * eval_on_centers(table_high, s, float(x))
-        slack = min(slack, float(np.min(u_high + ORDER_TOL * np.maximum(1.0, np.abs(u_high)) - u_low)))
+    u_low = sweep.h * eval_on_centers(table_low, sweep.table_times, xs)
+    u_high = sweep.h * eval_on_centers(table_high, sweep.table_times, xs)
+    slack = float(np.min(u_high + ORDER_TOL * np.maximum(1.0, np.abs(u_high)) - u_low))
     rule = f"low <= high + tol max(1, |high|) at every probe and path, tol = {ORDER_TOL:g}"
     extras = {"max_clock": sweep.max_clock}
     return _report(cfg, slack, 0.0, 0.0, slack >= 0.0, rule, extras, _provenance(cfg, table_low))
@@ -486,23 +483,22 @@ def maximum_check(
         raise InvalidInputError("maximum check needs initial data")
     if not float(np.max(cfg.initial.values)) <= bound:
         raise InvalidInputError(f"the bound must dominate the initial data, not {bound}")
+    xs = _finite_positions([x for _, x in probes])
     sweep = clock_sweep(cfg, [float(t) for t, _ in probes])
-    slack = math.inf
-    for k, (_, x) in enumerate(probes):
-        h = sweep.h[:, k]
-        u = h * eval_on_centers(sweep.tables[0], sweep.table_times[:, k], float(x))
-        cap = bound * h + ORDER_TOL * np.maximum(1.0, bound * h)
-        slack = min(slack, float(np.min(u + ORDER_TOL)), float(np.min(cap - u)))
+    u = sweep.h * eval_on_centers(sweep.tables[0], sweep.table_times, xs)
+    cap = bound * sweep.h + ORDER_TOL * np.maximum(1.0, bound * sweep.h)
+    slack = min(float(np.min(u + ORDER_TOL)), float(np.min(cap - u)))
     rule = f"-tol <= u <= bound h + tol max(1, bound h) at every probe and path, bound = {bound:g}, tol = {ORDER_TOL:g}"
     extras = {"max_clock": sweep.max_clock}
     return _report(cfg, slack, 0.0, 0.0, slack >= 0.0, rule, extras, _provenance(cfg, sweep.tables[0]))
 
 
-def _profile_sweep(cfg: McConfig, probe_times) -> tuple:
+def _profile_sweep(cfg: McConfig, probe_times, x0: float) -> tuple:
     """Checked probe times, the sweep at them, and the source profile of the initial mass."""
     times = [float(t) for t in probe_times]
     if len(times) < 2 or not all(a < b for a, b in zip(times, times[1:])):
         raise InvalidInputError("probe times must be strictly increasing, at least two")
+    _finite_positions(x0)
     sweep = clock_sweep(cfg, times)
     d = sweep.tables[0].grid.dim
     return times, sweep, BarenblattParams(m=cfg.m, d=d, b=mass_to_b(cfg.m, d, cfg.initial.mass))
@@ -531,7 +527,7 @@ def asymptotics_experiment(
     so the fraction collapses to 0 or 1 and the recorded schedule is the
     deterministic decay curve itself.
     """
-    times, sweep, params = _profile_sweep(cfg, probe_times)
+    times, sweep, params = _profile_sweep(cfg, probe_times, x0)
     exponent = params.beta * params.d
     centre = eval_on_centers(sweep.tables[0], sweep.table_times, x0).tolist()
     schedules = [
@@ -569,7 +565,7 @@ def limit_profile_check(
     to the mean and variance of its limit law.
     """
     claimed_mean, claimed_var = limit_distribution(cfg.coeffs)
-    times, sweep, params = _profile_sweep(cfg, probe_times)
+    times, sweep, params = _profile_sweep(cfg, probe_times, x0)
     m = cfg.m
     u_paths = (sweep.h * eval_on_centers(sweep.tables[0], sweep.table_times, x0)).tolist()
     xis = sweep.logh_end.tolist()

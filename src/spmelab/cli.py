@@ -221,7 +221,7 @@ def _run_transform(cfg: RunConfig, outdir: Path) -> dict:
     mc = _mc_config(cfg)
     probe_times = [t for t in cfg.times if t > 0.0] or [cfg.horizon]
     sweep = clock_sweep(mc, probe_times)
-    values = sweep.h[:, :, None] * eval_on_centers(sweep.tables[0], sweep.table_times, cfg.points)
+    values = sweep.h[:, :, None] * eval_on_centers(sweep.tables[0], sweep.table_times[:, :, None], cfg.points)
     n_paths, n_times, n_points = values.shape
     csv_path = outdir / "samples.csv"
     _write_csv(

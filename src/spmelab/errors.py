@@ -30,7 +30,7 @@ class BlowUpError(OutOfRangeError):
 
 
 class StabilityError(SpmeError):
-    """An explicit time step exceeds the stability bound."""
+    """The march cannot reach its horizon within the step budget."""
 
 
 class UnsupportedInputError(SpmeError):

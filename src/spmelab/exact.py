@@ -104,55 +104,6 @@ def mass_to_b(m: float, d: int, mass: float) -> float:
     return (mass / _unit_mass(m, d)) ** (2.0 * beta * (m - 1.0))
 
 
-def _adaptive_midpoint(fn, a: float, b: float, tol: float) -> float:
-    """Adaptive midpoint quadrature with one Richardson correction.
-
-    The open rule never evaluates the endpoints, which tolerates the
-    square-root behaviour of the integrand at the free boundary.  Intervals
-    are halved at most 48 times.
-    """
-
-    def recurse(lo, hi, whole, tol, depth):
-        mid = 0.5 * (lo + hi)
-        left = fn(0.5 * (lo + mid)) * (mid - lo)
-        right = fn(0.5 * (mid + hi)) * (hi - mid)
-        if depth <= 0 or abs(left + right - whole) <= 3.0 * tol:
-            return left + right + (left + right - whole) / 3.0
-        return recurse(lo, mid, left, 0.5 * tol, depth - 1) + recurse(
-            mid, hi, right, 0.5 * tol, depth - 1
-        )
-
-    whole = fn(0.5 * (a + b)) * (b - a)
-    return recurse(a, b, whole, tol, 48)
-
-
-def barenblatt_mass_quadrature(p: BarenblattParams, t: float = 1.0, rel_tol: float = 1e-9) -> float:
-    """Total mass by adaptive radial quadrature over the compact support.
-
-    Independent cross-check of :func:`barenblatt_mass`: it integrates the
-    pointwise values instead of evaluating the Gamma-function formula.
-    """
-    r_max = p.support_radius(t)
-    area = sphere_area(p.d)
-    # barenblatt(p, t, r) in scalar arithmetic, with its operation order.  The
-    # powers of t go through numpy as there: its array power can differ from
-    # the scalar one in the last bit.
-    ts = np.asarray(t, dtype=float)
-    scale, height = float(ts ** (2.0 * p.beta)), float(ts ** (-p.alpha))
-    spread = (p.m - 1.0) / (2.0 * p.m) * p.beta
-    power = 1.0 / (p.m - 1.0)
-
-    def integrand(r: float) -> float:
-        arg = p.b - spread * (r * r) / scale
-        return area * r ** (p.d - 1) * (height * max(arg, 0.0) ** power)
-
-    coarse = sum(
-        integrand(r) for r in np.linspace(r_max / 128.0, r_max * (1 - 1.0 / 128.0), 64)
-    ) * (r_max / 64.0)
-    tol = rel_tol * max(abs(coarse), 1e-300)
-    return _adaptive_midpoint(integrand, 0.0, r_max, tol)
-
-
 @dataclass(frozen=True)
 class QuadraticPressureParams:
     """Parameters of the blow-up solution with quadratic initial pressure q|x|^2."""
@@ -179,18 +130,19 @@ class QuadraticPressureParams:
         return self.t_unit / self.q
 
 
-def quadratic_pressure(p: QuadraticPressureParams, t: float, x):
-    """Value of the blow-up solution on 0 <= t < t_blowup."""
-    if not t >= 0.0:
-        raise InvalidInputError(f"the solution starts at t = 0, not {t}")
-    if not t < p.t_blowup:
+def quadratic_pressure(p: QuadraticPressureParams, t, x):
+    """Value of the blow-up solution on 0 <= t < t_blowup; broadcasts over t and x."""
+    ts = np.asarray(t, dtype=float)
+    if not np.all(ts >= 0.0):
+        raise InvalidInputError(f"the solution starts at t = 0, not {ts}")
+    if not np.all(ts < p.t_blowup):
         raise BlowUpError(
-            f"time {t:.6g} is at or past the blow-up instant {p.t_blowup:.6g}",
+            f"time {np.max(ts):.6g} is at or past the blow-up instant {p.t_blowup:.6g}",
             base_time=p.t_blowup,
             hitting_time=None,
         )
     r2 = _radius2(x, p.d)
-    val = (p.t_unit * r2 / (p.t_blowup - t)) ** (1.0 / (p.m - 1.0))
+    val = (p.t_unit * r2 / (p.t_blowup - ts)) ** (1.0 / (p.m - 1.0))
     return _maybe_float(val)
 
 

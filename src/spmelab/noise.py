@@ -587,6 +587,8 @@ def multiplier_moment(coeffs: CoefficientPair, p: float, t: float) -> float:
     Equals exp(p int_0^t g + p(p-1)/2 int_0^t f^2); the piecewise-constant
     tables make both integrals exact.
     """
+    if not math.isfinite(p):
+        raise InvalidInputError(f"moment order p must be finite, not {p}")
     return math.exp(p * coeffs.integral_g(t) + 0.5 * p * (p - 1.0) * coeffs.integral_f2(t))
 
 

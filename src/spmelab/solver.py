@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidInputError, StabilityError
-from .exact import BarenblattParams, _radius2, barenblatt, sphere_area
+from .exact import BarenblattParams, _maybe_float, _radius2, barenblatt, sphere_area
 from .noise import _inside
 from .timechange import DeterministicSolution, TimeInterval
 
@@ -439,9 +439,9 @@ def _bracket(table: SnapshotTable, t):
     return a, b, lam
 
 
-def _cells_at(table: SnapshotTable, t, cells: np.ndarray) -> np.ndarray:
-    """Values of the listed cells at time(s) t, shape ``shape(t) + (cells.size,)``."""
-    a, b, lam = (v[..., None] for v in _bracket(table, t))
+def _cells_at(table: SnapshotTable, bracket, cells) -> np.ndarray:
+    """Values of ``cells`` at the bracketed times, their shapes broadcast."""
+    a, b, lam = bracket
     return (1.0 - lam) * table.values[a, cells] + lam * table.values[b, cells]
 
 
@@ -450,7 +450,7 @@ def dense_values(table: SnapshotTable, t) -> np.ndarray:
 
     An array of times gives one row of cell values per time.
     """
-    return _cells_at(table, t, np.arange(table.grid.cells))
+    return _cells_at(table, [v[..., None] for v in _bracket(table, t)], np.arange(table.grid.cells))
 
 
 def interp_mass(table: SnapshotTable, t):
@@ -464,15 +464,14 @@ def eval_on_centers(table: SnapshotTable, t, positions) -> np.ndarray:
     """Field at time t and the given positions, linear between cell centers.
 
     Positions outside the domain evaluate to 0; between the outermost cell
-    center and the boundary the edge value is held.  An array of times gives
-    shape ``shape(t) + shape(positions)``.  Only the two cells around each
-    position are read, with ``np.interp``'s arithmetic, so each value equals
-    the one a scalar time gives, bit for bit.
+    center and the boundary the edge value is held.  Times and positions
+    broadcast against each other as numpy arrays do.  Only the two cells
+    around each position are read, with ``np.interp``'s arithmetic, so each
+    value equals the one a scalar time gives, bit for bit.
     """
     g = table.grid
     centers = g.centers
-    shape = np.shape(positions)
-    pos = np.asarray(positions, dtype=float).reshape(-1)
+    pos = np.asarray(positions, dtype=float)
     if g.kind == "radial":
         pos = np.abs(pos)
     # As np.interp: the edge value outside [c_0, c_last], the node value on a
@@ -480,15 +479,12 @@ def eval_on_centers(table: SnapshotTable, t, positions) -> np.ndarray:
     k = np.clip(np.searchsorted(centers, pos, side="right") - 1, 0, centers.size - 1)
     k1 = np.minimum(k + 1, centers.size - 1)
     on_node = (pos <= centers[0]) | (pos >= centers[-1]) | (pos == centers[k])
-    pair = _cells_at(table, t, np.concatenate((k, k1)))
-    near, far = pair[..., : pos.size], pair[..., pos.size :]
+    bracket = _bracket(table, t)
+    near, far = _cells_at(table, bracket, k), _cells_at(table, bracket, k1)
     slope = (far - near) / np.where(on_node, 1.0, centers[k1] - centers[k])
     out = np.where(on_node, near, slope * (pos - centers[k]) + near)
-    if g.kind == "cartesian":
-        out = np.where((pos < g.lo) | (pos > g.hi), 0.0, out)
-    else:
-        out = np.where(pos > g.hi, 0.0, out)
-    return out.reshape(np.shape(t) + shape)
+    # A radial position is a radius, never below lo = 0.
+    return np.where((pos < g.lo) | (pos > g.hi), 0.0, out)
 
 
 def table_solution(table: SnapshotTable) -> DeterministicSolution:
@@ -496,9 +492,9 @@ def table_solution(table: SnapshotTable) -> DeterministicSolution:
 
     Points follow :mod:`spmelab.exact`: on a 1-d table, signed coordinates of
     any shape; on a radial table of dimension d > 1, a signed scalar radius
-    or an array whose last axis of length d holds one point per row.  A
-    scalar time and a scalar point give a float; otherwise the shape is
-    ``shape(s)`` followed by the shape of the points (without that last axis).
+    or an array whose last axis of length d holds one point per row.  Times
+    and points (without that last axis) broadcast against each other as
+    numpy arrays do, and a scalar time with a scalar point gives a float.
     """
     dim = table.grid.dim
 
@@ -506,8 +502,7 @@ def table_solution(table: SnapshotTable) -> DeterministicSolution:
         points = np.asarray(x, dtype=float)
         if dim > 1 and points.ndim:
             points = np.sqrt(_radius2(points, dim))
-        out = eval_on_centers(table, s, points)
-        return float(out) if out.ndim == 0 else out
+        return _maybe_float(eval_on_centers(table, s, points))
 
     return DeterministicSolution(
         evaluate=evaluate,
@@ -525,6 +520,8 @@ def support_radius(state: FieldState) -> float:
 
 
 def lp_power_sum(values, grid: SpatialGrid, p: float) -> float:
-    """Discrete integral of u**p (volume-weighted power sum) of cell values on the grid."""
+    """Discrete integral of u**p (volume-weighted power sum) of cell values on the grid; p > 0."""
+    if not p > 0.0:
+        raise InvalidInputError(f"the power sum needs p > 0, not {p}")
     return float(np.dot(np.asarray(values, dtype=float) ** p, grid.volumes))
 

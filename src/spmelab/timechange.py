@@ -45,8 +45,9 @@ class TimeInterval:
 class DeterministicSolution:
     """A deterministic space-time field with a validity window and a label.
 
-    ``evaluate(s, x)`` must accept numpy arrays in ``x`` (and broadcast over
-    ``s`` where possible); scalar queries return floats.
+    ``evaluate(s, x)`` takes numpy arrays: times and positions broadcast
+    against each other as numpy arrays do, and a scalar time with a scalar
+    point gives a float.
     """
 
     evaluate: Callable
@@ -156,6 +157,8 @@ def check_homogeneity(
     """
     if rhs not in _RHS:
         raise InvalidInputError(f"unknown right-hand side {rhs!r}")
+    if not math.isfinite(gamma):
+        raise InvalidInputError(f"homogeneity degree gamma must be finite, not {gamma}")
     op = _RHS[rhs]
     if fields is None:
         fields = _default_fields()

@@ -11,7 +11,7 @@ import math
 import time
 
 import numpy as np
-from conftest import record_criterion
+from conftest import barenblatt_mass_quadrature, record_criterion
 
 from spmelab import (
     BarenblattParams,
@@ -28,7 +28,6 @@ from spmelab import (
     asymptotics_experiment,
     barenblatt,
     barenblatt_mass,
-    barenblatt_mass_quadrature,
     barenblatt_solution,
     barenblatt_state,
     box_state,

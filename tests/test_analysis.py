@@ -620,6 +620,29 @@ def test_mc_lp_bound_matches_the_scalar_reference_bitwise():
     assert mc_lp_bound(cfg, 3.0, 1.0).extras["per_path"] == want
 
 
+def test_order_checks_match_the_per_probe_reference_bitwise():
+    grid = line_grid(cells=80)
+    low, high = box_state(grid, 0.5, 0.8), box_state(grid, 1.0, 1.2)
+    cfg = McConfig(
+        n_paths=6, master_seed=MASTER, grid=TimeGrid.uniform(0.5, 64),
+        coeffs=CoefficientPair.constant(1.0, 0.2), m=2.0, initial=high,
+    )
+    probes = [(0.25, 0.0), (0.5, 0.7), (0.5, -1.1), (0.125, 2.5)]
+    clocks = [one_path_clock(cfg, i) for i in range(cfg.n_paths)]
+    span = max(interp_H(c, t) for c in clocks for t, _ in probes)
+    table_low, table_high = analysis._reference_tables(cfg, TABLE_MARGIN * span, (low, high))
+    tol, slack_order, slack_cap = analysis.ORDER_TOL, math.inf, math.inf
+    for t, x in probes:
+        for c in clocks:
+            h, s = interp_h(c, t), interp_H(c, t)
+            u_low, u_high = h * float(eval_on_centers(table_low, s, x)), h * float(eval_on_centers(table_high, s, x))
+            slack_order = min(slack_order, u_high + tol * max(1.0, abs(u_high)) - u_low)
+            cap = 1.5 * h + tol * max(1.0, 1.5 * h)
+            slack_cap = min(slack_cap, u_high + tol, cap - u_high)
+    assert comparison_check(cfg, low, high, probes).estimate == slack_order
+    assert maximum_check(cfg, 1.5, probes).estimate == slack_cap
+
+
 def test_asymptotics_schedules_match_the_scalar_reference_bitwise():
     cfg = McConfig(
         n_paths=8, master_seed=MASTER, grid=TimeGrid.uniform(4.0, 64),
@@ -840,6 +863,11 @@ def _ramp(s, x):
     return 0.5 * np.maximum(np.asarray(s) + np.asarray(x, dtype=float), 0.0)
 
 
+def _one_clock_value_at_a_time(evaluate):
+    """A base that reads ``evaluate`` at one clock value at a time and stacks the rows."""
+    return lambda s, x: np.vstack([evaluate(float(v), np.ravel(x)) for v in np.ravel(s)])
+
+
 def test_weak_form_residual_evaluates_a_broadcasting_base_once():
     calls = []
 
@@ -850,49 +878,51 @@ def test_weak_form_residual_evaluates_a_broadcasting_base_once():
     phi = Bump(center=1.0, width=0.8)
     residual = weak_form_residual(_affine_clock_sample(evaluate), 2.0, phi, 1.0)
     assert calls == [(33, 1)]
-    per_time = weak_form_residual(_affine_clock_sample(lambda s, x: _ramp(float(s), x)), 2.0, phi, 1.0)
+    per_time = weak_form_residual(_affine_clock_sample(_one_clock_value_at_a_time(_ramp)), 2.0, phi, 1.0)
     assert residual == pytest.approx(per_time, rel=1e-12, abs=1e-15)
 
 
 def test_weak_form_residual_reads_a_table_base_once():
-    # A table base puts the shape of x after that of s, so the one call gives
-    # (33, 1, 1, n); array reads of a table have the bits of scalar ones.
+    # A table base broadcasts s against x, and array reads of a table have
+    # the bits of scalar ones.
     table = evolve(box_state(line_grid(cells=64), 1.0, 1.5), 2.0, 2.0, 0.4, tuple(np.linspace(0.05, 1.95, 39)))
     base = table_solution(table)
     calls = []
 
     def counted(s, x):
-        calls.append(np.shape(s))
-        return base.evaluate(s, x)
+        out = base.evaluate(s, x)
+        calls.append((np.shape(s), np.shape(out)))
+        return out
 
     phi = Bump(center=1.0, width=0.8)
     residual = weak_form_residual(_affine_clock_sample(counted), 2.0, phi, 1.0)
-    assert calls == [(33, 1)]
-    # float(s) of a column raises TypeError, so this base is read one clock value at a time.
-    per_value = weak_form_residual(_affine_clock_sample(lambda s, x: base.evaluate(float(s), x)), 2.0, phi, 1.0)
+    assert calls == [((33, 1), (33, analysis.N_QUAD))]
+    per_value = weak_form_residual(_affine_clock_sample(_one_clock_value_at_a_time(base.evaluate)), 2.0, phi, 1.0)
     assert residual > 0.0 and np.float64(residual).tobytes() == np.float64(per_value).tobytes()
 
 
 @pytest.mark.parametrize(
-    "evaluate",
+    "evaluate, error, message",
     [
-        lambda s, x: _ramp(float(s), x),
-        lambda s, x: _ramp(s, x) if s >= 0.0 else 0.0 * x,
-        lambda s, x: _ramp(np.ravel(s)[0], x),
+        (lambda s, x: _ramp(float(s), x), TypeError, None),
+        (lambda s, x: _ramp(s, x) if s >= 0.0 else 0.0 * x, ValueError, "truth value"),
+        (lambda s, x: _ramp(np.ravel(s)[0], x), InvalidInputError, r"shape \(1, 513\), not \(33, 513\)"),
     ],
     ids=["type_error", "value_error", "wrong_shape"],
 )
-def test_weak_form_residual_falls_back_to_one_clock_value_at_a_time(evaluate):
+def test_weak_form_residual_rejects_a_base_that_does_not_broadcast(evaluate, error, message):
+    # A base whose one call raises propagates that error; one that returns
+    # another shape than (clock values, positions) is invalid input.
     calls = []
 
     def counted(s, x):
         calls.append(np.ndim(s))
         return evaluate(s, x)
 
-    phi = Bump(center=1.0, width=0.8)
-    residual = weak_form_residual(_affine_clock_sample(counted), 2.0, phi, 1.0)
-    assert calls == [2] + [0] * 33
-    assert residual == pytest.approx(weak_form_residual(_affine_clock_sample(_ramp), 2.0, phi, 1.0), rel=1e-12, abs=1e-15)
+    with pytest.raises(error, match=message) as err:
+        weak_form_residual(_affine_clock_sample(counted), 2.0, Bump(center=1.0, width=0.8), 1.0)
+    assert type(err.value) is error
+    assert calls == [2]
 
 
 def test_weak_form_residual_propagates_other_base_errors():

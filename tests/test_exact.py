@@ -6,7 +6,6 @@ import math
 import numpy as np
 import pytest
 
-from spmelab import exact
 from spmelab import (
     BarenblattParams,
     BlowUpError,
@@ -17,7 +16,6 @@ from spmelab import (
     TimeGrid,
     barenblatt,
     barenblatt_mass,
-    barenblatt_mass_quadrature,
     barenblatt_solution,
     forward_transform,
     inverse_clock,
@@ -36,6 +34,8 @@ from spmelab import (
     still_path,
     stochastic_barenblatt,
 )
+
+from conftest import adaptive_midpoint, barenblatt_mass_quadrature
 
 MASTER = 20260815
 
@@ -149,7 +149,7 @@ def test_mass_quadrature_integrates_the_profile_bitwise(m, d, b, t):
         return sphere_area(d) * r ** (d - 1) * barenblatt(p, t, r)
 
     coarse = sum(integrand(r) for r in np.linspace(r_max / 128.0, r_max * (1 - 1.0 / 128.0), 64)) * (r_max / 64.0)
-    want = exact._adaptive_midpoint(integrand, 0.0, r_max, 1e-6 * max(abs(coarse), 1e-300))
+    want = adaptive_midpoint(integrand, 0.0, r_max, 1e-6 * max(abs(coarse), 1e-300))
     assert barenblatt_mass_quadrature(p, t=t, rel_tol=1e-6).hex() == want.hex()
 
 

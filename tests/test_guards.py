@@ -25,36 +25,51 @@ from spmelab import (
     McConfig,
     QuadraticPressureParams,
     SpatialGrid,
+    StochasticFieldSample,
     TimeGrid,
+    asymptotics_experiment,
     barenblatt,
     barenblatt_solution,
     box_state,
     check_homogeneity,
+    comparison_check,
     evolve,
     interp_H,
     interp_mass,
     inverse_pressure,
+    limit_profile_check,
     linear_pressure_base,
+    lp_power_sum,
     mass_to_b,
+    maximum_check,
     mc_lp_bound,
+    multiplier_moment,
     multiplier_path,
     pressure,
     quadratic_pressure,
     sample_brownian,
     self_similar,
+    still_path,
+    weak_form_residual,
 )
 
 MASTER = 20260815
 NAN = math.nan
 SOURCE = BarenblattParams(m=2.0, d=1, b=1.0)
 GRID = SpatialGrid(kind="cartesian", lo=-6.0, hi=6.0, cells=32)
+COMPACT = CoefficientPair.from_pieces([(0.0, 1.0), (0.5, 0.0)], [(0.0, 0.0)])
 
 
-def _config(m: float = 2.0) -> McConfig:
+def _config(m: float = 2.0, coeffs: CoefficientPair = CoefficientPair.constant(1.0, 0.0)) -> McConfig:
     return McConfig(
         n_paths=5, master_seed=MASTER, grid=TimeGrid.uniform(1.0, 16),
-        coeffs=CoefficientPair.constant(1.0, 0.0), m=m, initial=box_state(GRID, 1.0, 1.0),
+        coeffs=coeffs, m=m, initial=box_state(GRID, 1.0, 1.0),
     )
+
+
+def _sample() -> StochasticFieldSample:
+    clock = multiplier_path(still_path(TimeGrid.uniform(1.0, 16)), CoefficientPair.constant(0.0, 0.3), 2.0)
+    return StochasticFieldSample(base=linear_pressure_base(2.0), clock=clock)
 
 
 def _no_work(*args):
@@ -84,13 +99,30 @@ def _no_work(*args):
         (lambda: mc_lp_bound(_config(), NAN, 0.5), "p >= 1, not nan"),
         (lambda: check_homogeneity("heat", 1.0, lambdas=(NAN,)), "scale factors must be positive, not nan"),
         (lambda: _config(m=NAN), "m > 1, not nan"),
+        (lambda: multiplier_moment(CoefficientPair.constant(1.0, 0.0), NAN, 1.0), "p must be finite, not nan"),
+        (lambda: Bump(center=NAN, width=1.0), "center must be finite, not nan"),
+        (lambda: lp_power_sum(np.ones(GRID.cells), GRID, NAN), "p > 0, not nan"),
+        (lambda: check_homogeneity("heat", NAN), "gamma must be finite, not nan"),
+        (lambda: weak_form_residual(_sample(), NAN, Bump(center=0.0, width=1.0), 0.5), "m > 1, not nan"),
+        (
+            lambda: comparison_check(_config(), box_state(GRID, 0.5, 1.0), _config().initial, [(0.25, 0.0), (0.5, NAN)]),
+            r"probe positions must be finite, not \[ 0\. nan\]",
+        ),
+        (lambda: maximum_check(_config(), 1.0, [(0.5, NAN)]), r"probe positions must be finite, not \[nan\]"),
+        (lambda: asymptotics_experiment(_config(), [0.5, 1.0], x0=NAN), "probe positions must be finite, not nan"),
+        (
+            lambda: limit_profile_check(_config(coeffs=COMPACT), [0.5, 1.0], x0=NAN),
+            "probe positions must be finite, not nan",
+        ),
     ],
     ids=[
         "barenblatt", "support_radius", "quadratic_pressure", "self_similar", "barenblatt_solution",
         "evolve_snapshot_time", "FieldState_time", "box_state_time", "evolve_m",
         "BarenblattParams_m", "BarenblattParams_b", "QuadraticPressureParams_q", "Bump_width",
         "linear_pressure_base", "mass_to_b", "pressure", "inverse_pressure", "mc_lp_bound_p",
-        "check_homogeneity_lambda", "McConfig_m",
+        "check_homogeneity_lambda", "McConfig_m", "multiplier_moment_p", "Bump_center", "lp_power_sum_p",
+        "check_homogeneity_gamma", "weak_form_residual_m", "comparison_check_position", "maximum_check_position",
+        "asymptotics_x0", "limit_profile_x0",
     ],
 )
 def test_nan_arguments_are_invalid_input_naming_the_argument(monkeypatch, call, message):
@@ -166,10 +198,3 @@ def test_every_float_guard_is_written_as_its_valid_condition():
     assert not flagged, "write these as `if not <valid condition>: raise`, which a NaN fails:\n" + "\n".join(flagged)
     stale = set(ALLOWED) - {(name, text) for name, text, _ in found}
     assert not stale, f"allowlist entries that match no guard: {sorted(stale)}"
-
-
-
-def test_a_nan_degree_fails_the_homogeneity_check():
-    # A NaN gap fails the valid condition gap <= tol (1 + max|target|), so the check reports False.
-    assert check_homogeneity("heat", 1.0)
-    assert not check_homogeneity("heat", NAN)

@@ -34,7 +34,6 @@ PUBLIC_NAMES = [
     "asymptotics_experiment",
     "barenblatt",
     "barenblatt_mass",
-    "barenblatt_mass_quadrature",
     "barenblatt_solution",
     "barenblatt_state",
     "box_state",
@@ -98,7 +97,6 @@ def test_public_names_are_the_listed_ones():
 DEFAULTED_PARAMETERS = {
     "apply_overrides": ["seed", "out"],
     "asymptotics_experiment": ["x0"],
-    "barenblatt_mass_quadrature": ["t", "rel_tol"],
     "box_state": ["time"],
     "check_homogeneity": ["fields", "lambdas", "m", "tol"],
     "limit_profile_check": ["x0"],

@@ -439,13 +439,13 @@ def test_array_reads_equal_stacked_scalar_reads_bitwise(case):
     table, ts, positions = case
     masses = interp_mass(table, ts)
     rows = dense_values(table, ts)
-    points = eval_on_centers(table, ts, positions)
+    points = eval_on_centers(table, ts[:, None], positions)
     assert rows.shape == (ts.size, table.grid.cells)
     assert points.shape == (ts.size, positions.size)
     assert np.array_equal(masses, np.array([interp_mass(table, float(t)) for t in ts]))
     assert np.array_equal(rows, np.stack([dense_values(table, float(t)) for t in ts]))
     assert np.array_equal(points, np.stack([eval_on_centers(table, float(t), positions) for t in ts]))
-    grid_2d = ts.reshape(-1, 1)
+    grid_2d = ts.reshape(-1, 1, 1)
     assert np.array_equal(eval_on_centers(table, grid_2d, positions[:3]), points[:, None, :3])
     for t in ts:
         dense, mass = _reference_dense(table, float(t))

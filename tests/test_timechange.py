@@ -16,20 +16,25 @@ from spmelab import (
     InvalidInputError,
     StochasticFieldSample,
     TimeGrid,
+    SpatialGrid,
     TimeInterval,
     barenblatt,
     barenblatt_solution,
+    box_state,
     check_homogeneity,
+    evolve,
     forward_transform,
     interp_H,
     interp_h,
     inverse_clock,
     inverse_transform,
+    linear_pressure_base,
     multiplier_path,
     quadratic_pressure_solution,
     QuadraticPressureParams,
     sample_brownian,
     still_path,
+    table_solution,
 )
 
 MASTER = 20260815
@@ -54,6 +59,44 @@ def test_identity_clock_reproduces_the_base_exactly():
 
 def base_params() -> BarenblattParams:
     return BarenblattParams(m=2.0, d=1, b=1.0)
+
+
+def _table_base(grid: SpatialGrid):
+    return table_solution(evolve(box_state(grid, 1.0, 1.0), 2.0, 1.0, 0.4, (0.25, 0.5)))
+
+
+LINE = np.linspace(-2.5, 2.5, 9)
+PLANE = np.array([[1.5, 2.0], [-0.5, 0.25], [0.0, 0.0], [2.0, -2.0], [4.5, 0.0], [0.3, -0.4]])
+
+
+@pytest.mark.parametrize(
+    "make_base, times, points",
+    [
+        (lambda: barenblatt_solution(base_params()), np.linspace(0.5, 2.0, 5), LINE),
+        (
+            lambda: quadratic_pressure_solution(QuadraticPressureParams(m=2.0, d=1, q=1.0)),
+            np.linspace(0.0, 0.08, 5),
+            LINE,
+        ),
+        (lambda: linear_pressure_base(2.0), np.linspace(0.0, 1.0, 5), LINE),
+        (lambda: _table_base(SpatialGrid(kind="cartesian", lo=-2.0, hi=2.0, cells=32)), np.linspace(0.0, 1.0, 7), LINE),
+        (
+            lambda: _table_base(SpatialGrid(kind="radial", lo=0.0, hi=3.0, cells=24, dim=2)),
+            np.linspace(0.0, 1.0, 7),
+            PLANE,
+        ),
+    ],
+    ids=["barenblatt", "quadratic_pressure", "linear_pressure", "table_cartesian", "table_radial_d2"],
+)
+def test_every_base_broadcasts_times_against_points(make_base, times, points):
+    # A column of times against a row of points gives (times, points), with
+    # the bits of one scalar call per entry.
+    base = make_base()
+    grid = base.evaluate(times[:, None], points[None, :])
+    scalar = [[base.evaluate(float(s), x) for x in points] for s in times]
+    assert all(type(v) is float for row in scalar for v in row)
+    assert grid.shape == (times.size, len(points))
+    assert np.array_equal(grid, np.array(scalar))
 
 
 def test_momentum_base_with_unit_noise_matches_independent_formula():
