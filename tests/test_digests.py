@@ -44,6 +44,11 @@ CONFIGS = {
         "n_paths = 4\nsteps = 64\nhorizon = 0.5\ntimes = 0.25, 0.5\npoints = -1, 0, 0.5, 3.9\n"
     ),
     "exact_nan": "command = exact\nm = nan\n",
+    # Times between clock nodes and points between cell centres.
+    "transform_offnode": (
+        "command = transform\nn_paths = 6\nsteps = 64\nhorizon = 0.5\n"
+        "times = 0.1, 0.3, 0.45\npoints = -0.7, 0.05, 0.34, 2.9\n"
+    ),
 }
 
 
