@@ -23,6 +23,7 @@ from .noise import (
     CoefficientPair,
     TimeGrid,
     _clock_blocks,
+    _maybe_float,
     limit_distribution,
     locate_times,
     mix_seed,
@@ -190,14 +191,14 @@ def _clocks(cfg: McConfig, times) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     checked before any path is drawn.
     """
     grid, n = cfg.grid, cfg.n_paths
-    located = locate_times(grid, times)
-    h, H = np.empty((n, located[0].size)), np.empty((n, located[0].size))
+    x = locate_times(grid, times)
+    h, H = np.empty((n, x.size)), np.empty((n, x.size))
     logh_end = np.empty(n)
 
     def take(start, w, logh, h_rows, H_rows):
         block = slice(start, start + w.shape[0])
-        h[block] = read_block(h_rows, grid, located)
-        H[block] = read_block(H_rows, grid, located)
+        h[block] = read_block(h_rows, grid, x)
+        H[block] = read_block(H_rows, grid, x)
         logh_end[block] = logh[:, -1]
 
     _clock_blocks(grid, cfg.coeffs, cfg.m, cfg.master_seed, n, take)
@@ -262,8 +263,8 @@ def mc_lp_bound(cfg: McConfig, p: float, t: float) -> McReport:
     pathwise.  The comparison allows Monte Carlo noise through a
     3-relative-standard-error inflation of the right side.
     """
-    if not p >= 1.0:
-        raise InvalidInputError(f"the bound is stated for p >= 1, not {p}")
+    if not 1.0 <= p < math.inf:
+        raise InvalidInputError(f"the bound is stated for finite p >= 1, not {p}")
     sweep = clock_sweep(cfg, [t])
     table = sweep.tables[0]
     grid = table.grid
@@ -336,6 +337,8 @@ class Bump:
             raise InvalidInputError(f"bump center must be finite, not {self.center}")
         if not self.width > 0.0:
             raise InvalidInputError(f"bump width must be positive, not {self.width}")
+        if not self.hi - self.lo < math.inf:
+            raise InvalidInputError(f"bump width {self.width} spans more than a float holds")
 
     @property
     def lo(self) -> float:
@@ -354,7 +357,7 @@ class Bump:
         out = np.zeros_like(s)
         inside = s < 1.0
         out[inside] = np.exp(1.0 - 1.0 / (1.0 - s[inside]))
-        return float(out[0]) if np.ndim(x) == 0 else out.reshape(np.shape(x))
+        return _maybe_float(out.reshape(np.shape(x)))
 
     def laplacian(self, x):
         """Second derivative in one dimension, exact on the support."""
@@ -368,7 +371,7 @@ class Bump:
         phi_ss = phi * (1.0 / one**4 - 2.0 / one**3)
         w2 = self.width**2
         out[inside] = phi_ss * 4.0 * si / w2 + phi_s * 2.0 / w2
-        return float(out[0]) if np.ndim(x) == 0 else out.reshape(np.shape(x))
+        return _maybe_float(out.reshape(np.shape(x)))
 
 
 def _simpson(a: float, b: float, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -611,6 +614,8 @@ def support_experiment(
     """
     if cfg.m != 2.0:
         raise UnsupportedInputError("the bounded-support experiment is specific to m = 2")
+    if not plateau_tol >= 0.0:
+        raise InvalidInputError(f"plateau tolerance must be nonnegative, not {plateau_tol}")
     horizon = cfg.grid.horizon
     if not 0.0 < mass_check_time <= horizon:
         raise InvalidInputError("mass check time must lie inside the horizon")

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BlowUpError, InvalidInputError
-from .noise import CoefficientPair, MultiplierPath, interp_h, interp_H, multiplier_path
+from .noise import CoefficientPair, MultiplierPath, _maybe_float, interp_h, interp_H, multiplier_path
 from .timechange import DeterministicSolution, TimeInterval
 
 
@@ -24,12 +24,6 @@ def _radius2(x, d: int):
     if arr.shape[-1] != d:
         raise InvalidInputError(f"point has shape {arr.shape}, expected last axis {d}")
     return np.sum(arr * arr, axis=-1)
-
-
-def _maybe_float(value):
-    if np.ndim(value) == 0:
-        return float(value)
-    return value
 
 
 def sphere_area(d: int) -> float:

@@ -23,8 +23,16 @@ own generator.  :func:`_clock_blocks` samples many paths at once as rows of
 2-d arrays, allocated once per sweep and refilled for every block in place
 by private helpers with ``out=`` ufuncs; the one-path calls
 (:func:`sample_brownian`, :func:`multiplier_path`) run the same helpers on
-a single row, and :func:`read_block` reads rows with ``np.interp``'s
-arithmetic, so a path's bits do not depend on the block it is sampled in.
+a single row, so a path's bits do not depend on the block it is sampled in.
+
+Every piecewise-linear read gives the bits of the scalar ``np.interp`` call.
+The one-path reads (:func:`interp_h`, :func:`interp_H`,
+:func:`inverse_clock`) call ``np.interp`` itself.  Reads of many rows at
+once go through one private kernel, :func:`_interp`, which takes a gather
+``at(k)`` in place of fp: :func:`read_block` reads the rows of a block at the
+times :func:`locate_times` checked, and the solver's table reads gather cells
+at broadcast times.  A scalar query gives a float (:func:`_maybe_float`).
+
 A block's seeds come from one vectorised uint64 splitmix64 pass
 (``mix_seed`` stays as the scalar reference), are hashed into numpy's
 ``SeedSequence`` words in one uint32 pass, and each row's words go to PCG64,
@@ -508,56 +516,68 @@ def _inside(values, lo: float, hi: float, what: str, where: str) -> np.ndarray:
     return np.clip(arr, lo, hi)
 
 
-def locate_times(grid: TimeGrid, times) -> tuple[np.ndarray, np.ndarray]:
-    """Check probe times against the horizon and find the mesh interval of each.
+def _maybe_float(value):
+    """A 0-d result as a float, any other as it is: a scalar query gives a float."""
+    return float(value) if np.ndim(value) == 0 else value
 
-    Returns the times clipped to [0, horizon] and the index j of the last node
-    at or before each, the pair :func:`read_block` takes.
+
+def _interp(x: np.ndarray, xp: np.ndarray, at):
+    """``np.interp(x, xp, fp)`` with the same bits, where ``at(k)`` gives fp at
+    the index array k, so rows of node values or a broadcast gather of table
+    cells are read in one call.
+
+    ``xp`` is strictly increasing with at least two nodes.  As in np.interp, a
+    NaN x gives NaN; on a node, and at or beyond an edge, the node value;
+    strictly between xp[k] and xp[k+1], ``slope * (x - xp[k]) + fp[k]``,
+    retried from the right node when that gives NaN, and fp[k] when the retry
+    gives NaN too and fp[k] == fp[k+1].
     """
-    x = _inside(times, 0.0, grid.horizon, "time", "the sampled horizon")
-    return x, np.searchsorted(grid.nodes, x, side="right") - 1
-
-
-def read_block(values: np.ndarray, grid: TimeGrid, located) -> np.ndarray:
-    """Rows of node values, linear between nodes, read at the located probe times.
-
-    ``values`` has shape (rows, steps + 1) and ``located`` comes from
-    :func:`locate_times`; the result has shape (rows, len(times)).  The
-    arithmetic is ``np.interp``'s, so each entry has the bits of
-    ``np.interp(t, grid.nodes, row)``: the node value on a node, otherwise
-    ``slope * (t - nodes[j]) + row[j]``, retried from the right node when
-    that gives NaN.
-    """
-    x, j = located
-    nodes = grid.nodes
-    out = values[:, j]
-    inside = np.flatnonzero(x != nodes[j])
-    if inside.size:
-        ji, xi = j[inside], x[inside]
-        lo, hi = values[:, ji], values[:, ji + 1]
-        with np.errstate(all="ignore"):
-            slope = (hi - lo) / (nodes[ji + 1] - nodes[ji])
-            vals = slope * (xi - nodes[ji]) + lo
-            nan = np.isnan(vals)
-            if nan.any():
-                retry = slope * (xi - nodes[ji + 1]) + hi
-                vals = np.where(nan, np.where(np.isnan(retry) & (lo == hi), lo, retry), vals)
-        out[:, inside] = vals
+    k = np.clip(np.searchsorted(xp, x, side="right") - 1, 0, xp.size - 1)
+    near = at(k)
+    on_node = (x <= xp[0]) | (x >= xp[-1]) | (x == xp[k])
+    if on_node.all():
+        return near
+    k1 = np.minimum(k + 1, xp.size - 1)
+    far = at(k1)
+    with np.errstate(all="ignore"):
+        slope = (far - near) / (xp[k1] - xp[k])
+        out = np.where(on_node, near, slope * (x - xp[k]) + near)
+        retry = np.isnan(out) & ~np.isnan(x)
+        if retry.any():
+            right = slope * (x - xp[k1]) + far
+            out = np.where(retry, np.where(np.isnan(right) & (near == far), near, right), out)
     return out
+
+
+def locate_times(grid: TimeGrid, times) -> np.ndarray:
+    """Probe times checked against the horizon and clipped to [0, horizon],
+    as :func:`read_block` takes them."""
+    return _inside(times, 0.0, grid.horizon, "time", "the sampled horizon")
+
+
+def read_block(values: np.ndarray, grid: TimeGrid, x: np.ndarray) -> np.ndarray:
+    """Rows of node values, linear between nodes, read at the probe times ``x``.
+
+    ``values`` has shape (rows, steps + 1) and ``x`` comes from
+    :func:`locate_times`; the result has shape (rows, len(x)), and each entry
+    has the bits of ``np.interp(t, grid.nodes, row)``.
+    """
+    return _interp(x, grid.nodes, lambda k: values[:, k])
+
+
+def _read(t, xp: np.ndarray, fp: np.ndarray, what: str, where: str):
+    """``np.interp(t, xp, fp)`` once every t lies in [0, xp[-1]]; a scalar t gives a float."""
+    return _maybe_float(np.interp(_inside(t, 0.0, float(xp[-1]), what, where), xp, fp))
 
 
 def interp_h(clock: MultiplierPath, t):
     """Multiplier h(t), linear between grid nodes."""
-    arr = _inside(t, 0.0, clock.horizon, "time", "the sampled horizon")
-    out = np.interp(arr, clock.grid.nodes, clock.h)
-    return float(out) if np.isscalar(t) or np.ndim(t) == 0 else out
+    return _read(t, clock.grid.nodes, clock.h, "time", "the sampled horizon")
 
 
 def interp_H(clock: MultiplierPath, t):
     """Clock H(t), linear between grid nodes (the exact left-endpoint continuation)."""
-    arr = _inside(t, 0.0, clock.horizon, "time", "the sampled horizon")
-    out = np.interp(arr, clock.grid.nodes, clock.H)
-    return float(out) if np.isscalar(t) or np.ndim(t) == 0 else out
+    return _read(t, clock.grid.nodes, clock.H, "time", "the sampled horizon")
 
 
 def inverse_clock(clock: MultiplierPath, s):
@@ -565,17 +585,13 @@ def inverse_clock(clock: MultiplierPath, s):
 
     The clock is strictly increasing (h > 0), so the inverse is unique.
     """
-    arr = _inside(s, 0.0, float(clock.H[-1]), "clock value", "the sampled range")
-    out = np.interp(arr, clock.H, clock.grid.nodes)
-    return float(out) if np.isscalar(s) or np.ndim(s) == 0 else out
+    return _read(s, clock.H, clock.grid.nodes, "clock value", "the sampled range")
 
 
 def hitting_time(clock: MultiplierPath, level: float) -> float | None:
     """First time the clock reaches ``level``; None if it never does on the horizon."""
     if not level >= 0.0:
         raise InvalidInputError(f"clock level must be nonnegative, not {level}")
-    if level == 0.0:
-        return 0.0
     if level > float(clock.H[-1]):
         return None
     return float(np.interp(level, clock.H, clock.grid.nodes))
@@ -589,7 +605,14 @@ def multiplier_moment(coeffs: CoefficientPair, p: float, t: float) -> float:
     """
     if not math.isfinite(p):
         raise InvalidInputError(f"moment order p must be finite, not {p}")
-    return math.exp(p * coeffs.integral_g(t) + 0.5 * p * (p - 1.0) * coeffs.integral_f2(t))
+    exponent = p * coeffs.integral_g(t) + 0.5 * p * (p - 1.0) * coeffs.integral_f2(t)
+    try:
+        moment = math.exp(exponent)
+    except OverflowError:
+        moment = math.inf
+    if not moment < math.inf:
+        raise InvalidInputError(f"moment of order p = {p} at t = {t} is not a finite float")
+    return moment
 
 
 def limit_distribution(coeffs: CoefficientPair) -> tuple[float, float]:

@@ -19,8 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidInputError, StabilityError
-from .exact import BarenblattParams, _maybe_float, _radius2, barenblatt, sphere_area
-from .noise import _inside
+from .exact import BarenblattParams, _radius2, barenblatt, sphere_area
+from .noise import _inside, _interp, _maybe_float
 from .timechange import DeterministicSolution, TimeInterval
 
 _DENOM_FLOOR = 1e-12
@@ -456,8 +456,7 @@ def dense_values(table: SnapshotTable, t) -> np.ndarray:
 def interp_mass(table: SnapshotTable, t):
     """Discrete mass at time t, linear between snapshots; an array of times gives an array."""
     a, b, lam = _bracket(table, t)
-    out = (1.0 - lam) * table.masses[a] + lam * table.masses[b]
-    return float(out) if np.ndim(t) == 0 else out
+    return _maybe_float((1.0 - lam) * table.masses[a] + lam * table.masses[b])
 
 
 def eval_on_centers(table: SnapshotTable, t, positions) -> np.ndarray:
@@ -470,19 +469,11 @@ def eval_on_centers(table: SnapshotTable, t, positions) -> np.ndarray:
     value equals the one a scalar time gives, bit for bit.
     """
     g = table.grid
-    centers = g.centers
     pos = np.asarray(positions, dtype=float)
     if g.kind == "radial":
         pos = np.abs(pos)
-    # As np.interp: the edge value outside [c_0, c_last], the node value on a
-    # node, and slope * (x - c_k) + v_k strictly between c_k and c_k+1.
-    k = np.clip(np.searchsorted(centers, pos, side="right") - 1, 0, centers.size - 1)
-    k1 = np.minimum(k + 1, centers.size - 1)
-    on_node = (pos <= centers[0]) | (pos >= centers[-1]) | (pos == centers[k])
     bracket = _bracket(table, t)
-    near, far = _cells_at(table, bracket, k), _cells_at(table, bracket, k1)
-    slope = (far - near) / np.where(on_node, 1.0, centers[k1] - centers[k])
-    out = np.where(on_node, near, slope * (pos - centers[k]) + near)
+    out = _interp(pos, g.centers, lambda k: _cells_at(table, bracket, k))
     # A radial position is a radius, never below lo = 0.
     return np.where((pos < g.lo) | (pos > g.hi), 0.0, out)
 

@@ -50,6 +50,7 @@ from spmelab import (
     sample_brownian,
     self_similar,
     still_path,
+    support_experiment,
     weak_form_residual,
 )
 
@@ -97,6 +98,11 @@ def _no_work(*args):
         (lambda: pressure(NAN, 2.0), "nonnegative field, not nan"),
         (lambda: inverse_pressure(NAN, 2.0), "pressure values must be nonnegative, not nan"),
         (lambda: mc_lp_bound(_config(), NAN, 0.5), "p >= 1, not nan"),
+        (lambda: mc_lp_bound(_config(), math.inf, 0.5), "p >= 1, not inf"),
+        (lambda: support_experiment(_config(), plateau_tol=NAN), "plateau tolerance must be nonnegative, not nan"),
+        (lambda: support_experiment(_config(), plateau_tol=-1.0), "plateau tolerance must be nonnegative, not -1.0"),
+        (lambda: Bump(center=0.0, width=math.inf), "bump width inf spans more than a float holds"),
+        (lambda: Bump(center=0.0, width=1e308), "bump width 1e\\+308 spans more than a float holds"),
         (lambda: check_homogeneity("heat", 1.0, lambdas=(NAN,)), "scale factors must be positive, not nan"),
         (lambda: _config(m=NAN), "m > 1, not nan"),
         (lambda: multiplier_moment(CoefficientPair.constant(1.0, 0.0), NAN, 1.0), "p must be finite, not nan"),
@@ -120,6 +126,8 @@ def _no_work(*args):
         "evolve_snapshot_time", "FieldState_time", "box_state_time", "evolve_m",
         "BarenblattParams_m", "BarenblattParams_b", "QuadraticPressureParams_q", "Bump_width",
         "linear_pressure_base", "mass_to_b", "pressure", "inverse_pressure", "mc_lp_bound_p",
+        "mc_lp_bound_p_inf", "support_plateau_tol", "support_plateau_tol_negative", "Bump_width_inf",
+        "Bump_width_overflow",
         "check_homogeneity_lambda", "McConfig_m", "multiplier_moment_p", "Bump_center", "lp_power_sum_p",
         "check_homogeneity_gamma", "weak_form_residual_m", "comparison_check_position", "maximum_check_position",
         "asymptotics_x0", "limit_profile_x0",

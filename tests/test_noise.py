@@ -3,13 +3,14 @@ from __future__ import annotations
 
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spmelab import (
@@ -198,6 +199,12 @@ def test_multiplier_moment_closed_forms():
     assert multiplier_moment(CoefficientPair.constant(1.0, 0.0), 2.0, 1.0) == pytest.approx(math.e, rel=1e-15)
     with pytest.raises(InvalidInputError):
         multiplier_moment(CoefficientPair.constant(1.0, 0.0), 2.0, -1.0)
+
+
+@pytest.mark.parametrize("f, g, p", [(1.0, 0.0, 1e3), (1.0, 0.0, -1e3), (0.0, 800.0, 1.0), (1.0, 0.0, 1e200)])
+def test_a_moment_beyond_the_float_range_is_invalid_input(f, g, p):
+    with pytest.raises(InvalidInputError, match=re.escape(f"moment of order p = {p} at t = 1.0 is not a finite float")):
+        multiplier_moment(CoefficientPair.constant(f, g), p, 1.0)
 
 
 def test_multiplier_moment_matches_monte_carlo():
@@ -445,29 +452,71 @@ def test_importing_the_package_leaves_numpy_random_unloaded():
     assert proc.stdout == "False\n"
 
 
-def test_read_block_matches_np_interp_bitwise():
-    grid = TimeGrid(np.array([0.0, 0.1, 0.35, 0.5, 0.9, 1.0]))
+def _same_bits(got, want):
+    """Equal values, NaN for NaN, and the same sign on every zero."""
+    number = ~np.isnan(want)
+    return (
+        got.shape == want.shape
+        and np.array_equal(got, want, equal_nan=True)
+        and np.array_equal(np.signbit(got[number]), np.signbit(want[number]))
+    )
+
+
+_NODE_VALUES = st.one_of(st.floats(-2.0, 2.0), st.sampled_from([0.0, -0.0, 1e308, -1e308, math.inf, -math.inf, math.nan]))
+_ODD_TIMES = st.sampled_from([math.nan, math.inf, -math.inf, -1e300, 1e300, -0.0])
+
+
+@st.composite
+def interp_cases(draw):
+    """Nodes from 0, rows of node values with infinities and overflowing
+    slopes, and query times on nodes, between them, beyond both edges, NaN
+    and infinite."""
+    steps = draw(st.lists(st.floats(1e-3, 1.0), min_size=1, max_size=7))
+    xp = np.concatenate(([0.0], np.cumsum(steps)))
+    rows = draw(st.integers(1, 4))
+    fp = np.array(draw(st.lists(_NODE_VALUES, min_size=rows * xp.size, max_size=rows * xp.size)))
+    times = st.one_of(st.floats(-0.5, float(xp[-1]) + 0.5), st.sampled_from(xp.tolist()), _ODD_TIMES)
+    x = np.array(draw(st.lists(times, min_size=1, max_size=10)))
+    return xp, fp.reshape(rows, xp.size), x
+
+
+def _fixed_rows():
+    xp = np.array([0.0, 0.1, 0.35, 0.5, 0.9, 1.0])
     rng = np.random.default_rng(3)
-    values = np.vstack((
+    fp = np.vstack((
         rng.uniform(-2.0, 2.0, (4, 6)),
         np.cumsum(rng.uniform(0.0, 1e300, (2, 6)), axis=1),   # overflows to inf inside
         [[0.0, 1.0, np.inf, np.inf, np.inf, np.inf]],
         [[5.0, 5.0, 5.0, -np.inf, -np.inf, 1.0]],
     ))
     slack = 1e-9
-    times = np.concatenate((grid.nodes, [-0.5 * slack, 1.0 + 0.5 * slack, 0.05, 0.2, 0.49, 0.7, 0.95, 0.999999]))
-    got = read_block(values, grid, locate_times(grid, times))
-    clipped = np.clip(times, 0.0, 1.0)
+    x = np.concatenate((xp, [-0.5 * slack, 1.0 + 0.5 * slack, 0.05, 0.2, 0.49, 0.7, 0.95, 0.999999]))
+    return xp, fp, x
+
+
+_FIXED = _fixed_rows()
+
+
+@settings(max_examples=300, deadline=None)
+@given(interp_cases())
+@example(_FIXED)
+@example((*_FIXED[:2], np.array([np.nan, np.inf, -np.inf, -3.0, 4.0, 0.2])))
+def test_read_block_matches_np_interp_bitwise(case):
+    xp, fp, x = case
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        want = np.array([np.interp(clipped, grid.nodes, row) for row in values])
-    assert got.shape == (values.shape[0], times.size)
-    assert np.array_equal(got, want, equal_nan=True)
+        want = np.array([np.interp(x, xp, row) for row in fp])
+        assert _same_bits(noise._interp(x, xp, lambda k: fp[:, k]), want)
+        # The block read takes the checked times, clipped to the horizon,
+        # where np.interp holds the edge values anyway.
+        grid, number = TimeGrid(xp), ~np.isnan(x)
+        clipped = locate_times(grid, np.clip(x[number], 0.0, grid.horizon))
+        assert _same_bits(read_block(fp, grid, clipped), want[:, number])
 
 
 def test_locate_times_rejects_times_outside_the_horizon():
     grid = TimeGrid.uniform(1.0, 8)
     with pytest.raises(OutOfRangeError, match="outside the sampled horizon"):
         locate_times(grid, [0.5, 1.0 + 1e-6])
-    x, j = locate_times(grid, [0.0, 0.3, 1.0])
-    assert x.tolist() == [0.0, 0.3, 1.0] and j.tolist() == [0, 2, 8]
+    assert locate_times(grid, [0.0, 0.3, 1.0]).tolist() == [0.0, 0.3, 1.0]
+    assert locate_times(grid, [-1e-10, 1.0 + 1e-10]).tolist() == [0.0, 1.0]

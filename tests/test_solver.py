@@ -427,7 +427,7 @@ def tables_and_queries(draw):
     inside = rng.uniform(table.t_first, table.t_last, draw(st.integers(0, 6)))
     ts = np.concatenate((times, inside, [table.t_first - 0.5 * slack, table.t_last + 0.5 * slack]))
     rng.shuffle(ts)
-    edges = [grid.lo, grid.hi, -grid.hi, grid.hi + 1.0, grid.lo - 1.0]
+    edges = [grid.lo, grid.hi, -grid.hi, grid.hi + 1.0, grid.lo - 1.0, np.nan, np.inf, -np.inf]
     spots = rng.uniform(min(grid.lo, -grid.hi) - 1.0, grid.hi + 1.0, draw(st.integers(0, 8)))
     positions = np.concatenate((grid.centers[:: max(1, cells // 5)], grid.faces[:3], edges, spots))
     return table, ts, positions
@@ -444,14 +444,16 @@ def test_array_reads_equal_stacked_scalar_reads_bitwise(case):
     assert points.shape == (ts.size, positions.size)
     assert np.array_equal(masses, np.array([interp_mass(table, float(t)) for t in ts]))
     assert np.array_equal(rows, np.stack([dense_values(table, float(t)) for t in ts]))
-    assert np.array_equal(points, np.stack([eval_on_centers(table, float(t), positions) for t in ts]))
+    assert np.array_equal(points, np.stack([eval_on_centers(table, float(t), positions) for t in ts]), equal_nan=True)
     grid_2d = ts.reshape(-1, 1, 1)
     assert np.array_equal(eval_on_centers(table, grid_2d, positions[:3]), points[:, None, :3])
     for t in ts:
         dense, mass = _reference_dense(table, float(t))
         assert interp_mass(table, float(t)) == mass
         assert np.array_equal(dense_values(table, float(t)), dense)
-        assert np.array_equal(eval_on_centers(table, float(t), positions), _reference_point(table, float(t), positions))
+        assert np.array_equal(
+            eval_on_centers(table, float(t), positions), _reference_point(table, float(t), positions), equal_nan=True
+        )
         for x in positions[:4]:
             assert np.array_equal(eval_on_centers(table, float(t), float(x)), _reference_point(table, float(t), float(x)))
 
