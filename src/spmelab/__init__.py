@@ -53,7 +53,6 @@ from .exact import (
     barenblatt_mass,
     barenblatt_solution,
     inverse_pressure,
-    linear_pressure,
     linear_pressure_base,
     mass_to_b,
     pressure,
@@ -62,7 +61,6 @@ from .exact import (
     quadratic_pressure_solution,
     self_similar,
     sphere_area,
-    stochastic_barenblatt,
 )
 from .solver import (
     FieldState,

@@ -20,6 +20,7 @@ import numpy as np
 from .errors import InvalidInputError, UnsupportedInputError
 from .exact import BarenblattParams, barenblatt, mass_to_b
 from .noise import (
+    BLOCK_VALUES,
     CoefficientPair,
     TimeGrid,
     _clock_blocks,
@@ -268,10 +269,13 @@ def mc_lp_bound(cfg: McConfig, p: float, t: float) -> McReport:
     sweep = clock_sweep(cfg, [t])
     table = sweep.tables[0]
     grid = table.grid
-    per_path = [
-        h**p * lp_power_sum(dense_values(table, s), grid, p)
-        for h, s in zip(sweep.h[:, 0].tolist(), sweep.table_times[:, 0].tolist())
-    ]
+    # One table read per block of paths, each about BLOCK_VALUES cell values.
+    block = max(1, BLOCK_VALUES // grid.cells)
+    hs, ss = sweep.h[:, 0].tolist(), sweep.table_times[:, 0]
+    per_path = []
+    for start in range(0, len(hs), block):
+        rows = dense_values(table, ss[start : start + block])
+        per_path += [h**p * lp_power_sum(row, grid, p) for h, row in zip(hs[start : start + block], rows)]
     mean_p, stderr_p, _ = _sample_stats(per_path)
     lhs = mean_p ** (1.0 / p)
     mp = lp_power_sum(cfg.initial.values, cfg.initial.grid, p) ** (1.0 / p)

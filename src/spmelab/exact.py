@@ -154,11 +154,6 @@ def linear_pressure_base(m: float) -> DeterministicSolution:
     return DeterministicSolution(evaluate=evaluate, interval=TimeInterval(0.0, math.inf), tag="linear-pressure")
 
 
-def linear_pressure(m: float, clock: MultiplierPath, t: float, x):
-    """Noisy travelling profile u(t, x) = ((m-1)/m * max(H(t) + x, 0))**(1/(m-1)) h(t), for m > 1."""
-    return linear_pressure_base(m).evaluate(interp_H(clock, t), x) * interp_h(clock, t)
-
-
 def pressure(u, m: float):
     """Pressure variable V = m/(m-1) * u**(m-1)."""
     arr = np.asarray(u, dtype=float)
@@ -218,18 +213,6 @@ def quadratic_pressure_solution(p: QuadraticPressureParams) -> DeterministicSolu
         interval=TimeInterval(0.0, p.t_blowup, hi_open=True),
         tag=f"quadratic-pressure(m={p.m:g}, d={p.d}, q={p.q:g})",
     )
-
-
-def stochastic_barenblatt(p: BarenblattParams, clock: MultiplierPath, t: float, x):
-    """Direct substitution u(t, x) = U(H(t), x) h(t) for the source-type profile.
-
-    Written out explicitly (not through the generic transform) so the two
-    routes can be compared against each other in tests.
-    """
-    if not t > 0.0:
-        raise InvalidInputError(f"the noisy profile starts after t = 0 (clock at 0), not at t = {t}")
-    s = interp_H(clock, t)
-    return barenblatt(p, s, x) * interp_h(clock, t)
 
 
 def pressure_commutation_check(

@@ -605,7 +605,12 @@ def multiplier_moment(coeffs: CoefficientPair, p: float, t: float) -> float:
     """
     if not math.isfinite(p):
         raise InvalidInputError(f"moment order p must be finite, not {p}")
-    exponent = p * coeffs.integral_g(t) + 0.5 * p * (p - 1.0) * coeffs.integral_f2(t)
+    exponent = p * coeffs.integral_g(t)
+    integral_f2 = coeffs.integral_f2(t)
+    # With no noise up to t the f**2 term is left out: its factor 0.5 p (p - 1)
+    # overflows to inf for a huge p, and inf * 0 is NaN.
+    if integral_f2:
+        exponent += 0.5 * p * (p - 1.0) * integral_f2
     try:
         moment = math.exp(exponent)
     except OverflowError:

@@ -131,12 +131,12 @@ class FieldState:
         return float(np.dot(self.values, self.grid.volumes))
 
 
-def box_state(grid: SpatialGrid, height: float, half_width: float, time: float = 0.0) -> FieldState:
-    """Indicator-box initial data of the given height on |x| <= half_width."""
+def box_state(grid: SpatialGrid, height: float, half_width: float) -> FieldState:
+    """Indicator-box initial data at time 0 of the given height on |x| <= half_width."""
     if not (height >= 0.0 and half_width > 0.0):
         raise InvalidInputError(f"box needs height >= 0 and half_width > 0, not {height} and {half_width}")
     values = np.where(np.abs(grid.centers) <= half_width, height, 0.0)
-    return FieldState(grid=grid, time=time, values=values)
+    return FieldState(grid=grid, time=0.0, values=values)
 
 
 def barenblatt_state(grid: SpatialGrid, p: BarenblattParams, t0: float) -> FieldState:
@@ -180,23 +180,22 @@ def _window(u: np.ndarray) -> tuple:
 
 
 def _work(u: np.ndarray, dx: float, m: float) -> tuple:
-    """Buffers for :func:`_advance` on a window shaped like ``u`` (one row of
-    columns, or rows of them), with the views it reads: u**m, the face fluxes
-    between two zero columns (the no-flux walls or the window's edges), the
-    divergence and the bits of ``u`` itself as uint64.  Then dx, m and a slot
-    for the step length as 0-d float64 arrays: a ufunc takes them with about
-    half the fixed cost of a Python float and runs the same float64 loop."""
-    um, padded, div = np.empty_like(u), np.zeros(u.shape[:-1] + (u.shape[-1] + 1,)), np.empty_like(u)
+    """Buffers for :func:`_advance` on a window shaped like ``u`` (rows of
+    columns), with the views it reads: u**m, the face fluxes between two zero
+    columns (the no-flux walls or the window's edges), the divergence and the
+    bits of ``u`` itself as uint64.  Then dx, m and a slot for the step length
+    as 0-d float64 arrays: a ufunc takes them with about half the fixed cost of
+    a Python float and runs the same float64 loop."""
+    um, padded, div = np.empty_like(u), np.zeros((u.shape[0], u.shape[1] + 1)), np.empty_like(u)
     return (
-        um, um[..., 1:], um[..., :-1], padded[..., 1:-1], padded[..., 1:], padded[..., :-1], div,
+        um, um[:, 1:], um[:, :-1], padded[:, 1:-1], padded[:, 1:], padded[:, :-1], div,
         u.view(np.uint64), np.array(dx, dtype=float), np.array(m, dtype=float), np.empty(()),
     )
 
 
 def _advance(u: np.ndarray, dt: float, areas, volumes: np.ndarray, work: tuple):
-    """Advance ``u`` (one row of columns, or rows of them) by one explicit step
-    of length dt, in place; ``work`` comes from :func:`_work` on ``u`` and
-    holds dx and m.
+    """Advance ``u`` (rows of columns) by one explicit step of length dt, in
+    place; ``work`` comes from :func:`_work` on ``u`` and holds dx and m.
 
     ``u`` holds whole columns of the field, ``volumes`` their cell volumes and
     ``areas`` the faces between them (None on a cartesian grid, whose faces
@@ -229,7 +228,7 @@ def _advance(u: np.ndarray, dt: float, areas, volumes: np.ndarray, work: tuple):
     lost = None
     if np.minimum.reduce(u, None) < 0.0:
         lost = []
-        for row in np.atleast_2d(u):
+        for row in u:
             negative = row < 0.0
             lost.append(float(-np.dot(row[negative], volumes[negative])) if negative.any() else 0.0)
             row[negative] = 0.0
@@ -360,8 +359,6 @@ def _march(initials: tuple, m: float, horizon: float, cfl_safety: float, snapsho
             raise InvalidInputError(f"snapshot times {a!r} and {b!r} are too close to tell apart")
 
     u = np.stack([st.values for st in initials])
-    # One state steps on 1-d views, which numpy iterates with less overhead.
-    field = u[0] if len(initials) == 1 else u
     snaps = np.empty((len(initials), len(targets) + 1, grid.cells))
     times = []
     t = t0
@@ -386,7 +383,7 @@ def _march(initials: tuple, m: float, horizon: float, cfl_safety: float, snapsho
                     # Outside the window every value stays +0.0 for the next
                     # _WINDOW_PAD steps, so marching the window alone keeps every bit.
                     lo, hi = _window(u)
-                    window, volumes = field[..., lo:hi], grid.volumes[lo:hi]
+                    window, volumes = u[:, lo:hi], grid.volumes[lo:hi]
                     inner = None if areas is None else areas[lo + 1 : hi]
                     work = _work(window, dx, m)
                 if not math.isfinite(peak):

@@ -140,39 +140,29 @@ def _default_fields() -> list[tuple[np.ndarray, float]]:
     ]
 
 
-def check_homogeneity(
-    rhs: str,
-    gamma: float,
-    fields: list[tuple[np.ndarray, float]] | None = None,
-    lambdas=(0.5, 2.0, 3.0),
-    m: float | None = None,
-    tol: float = 1e-9,
-) -> bool:
+# Scale factors (positive, since fractional exponents need positive fields)
+# and the relative tolerance of check_homogeneity.
+_SCALES = (0.5, 2.0, 3.0)
+_TOL = 1e-9
+
+
+def check_homogeneity(rhs: str, gamma: float, m: float | None = None) -> bool:
     """True when the named right-hand side scales as F(lambda U) = lambda**gamma F(U).
 
-    Each trial compares the discrete operator on a scaled field against the
-    scaled operator, accepting when the gap stays below
-    ``tol * (1 + max|lambda**gamma F(U)|)``.  Nonpositive scale factors are
-    rejected because fractional exponents need positive fields.
+    Each trial compares the discrete operator on a positive trial field scaled
+    by 0.5, 2 or 3 against the scaled operator, accepting when the gap stays
+    below ``1e-9 * (1 + max|lambda**gamma F(U)|)``.
     """
     if rhs not in _RHS:
         raise InvalidInputError(f"unknown right-hand side {rhs!r}")
     if not math.isfinite(gamma):
         raise InvalidInputError(f"homogeneity degree gamma must be finite, not {gamma}")
     op = _RHS[rhs]
-    if fields is None:
-        fields = _default_fields()
-    for lam in lambdas:
-        if not lam > 0.0:
-            raise InvalidInputError(f"scale factors must be positive, not {lam}")
-    for values, dx in fields:
-        v = np.asarray(values, dtype=float)
-        if v.ndim != 1 or v.size < 3:
-            raise InvalidInputError("trial fields need at least three samples")
+    for v, dx in _default_fields():
         base = op(v, dx, m)
-        for lam in lambdas:
+        for lam in _SCALES:
             scaled = op(lam * v, dx, m)
             target = lam**gamma * base
-            if not np.max(np.abs(scaled - target)) <= tol * (1.0 + np.max(np.abs(target))):
+            if not np.max(np.abs(scaled - target)) <= _TOL * (1.0 + np.max(np.abs(target))):
                 return False
     return True

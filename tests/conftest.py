@@ -1,5 +1,6 @@
 """Shared test plumbing: the acceptance-criteria summary block, the one-path
-clock and the quadrature oracle for the source profile's mass.
+clock, the quadrature oracle for the source profile's mass and two noisy
+profiles written out by hand as oracles for the generic transform.
 
 Acceptance tests register one line per criterion; the lines are echoed in a
 dedicated section of the terminal summary so a plain pytest run always shows
@@ -9,7 +10,19 @@ from __future__ import annotations
 
 import numpy as np
 
-from spmelab import BarenblattParams, mix_seed, multiplier_path, sample_brownian, sphere_area
+from spmelab import (
+    BarenblattParams,
+    InvalidInputError,
+    MultiplierPath,
+    barenblatt,
+    interp_h,
+    interp_H,
+    linear_pressure_base,
+    mix_seed,
+    multiplier_path,
+    sample_brownian,
+    sphere_area,
+)
 
 _CRITERIA: dict = {}
 
@@ -66,6 +79,23 @@ def barenblatt_mass_quadrature(p: BarenblattParams, t: float = 1.0, rel_tol: flo
     ) * (r_max / 64.0)
     tol = rel_tol * max(abs(coarse), 1e-300)
     return adaptive_midpoint(integrand, 0.0, r_max, tol)
+
+
+def linear_pressure(m: float, clock: MultiplierPath, t: float, x):
+    """Noisy travelling profile u(t, x) = ((m-1)/m * max(H(t) + x, 0))**(1/(m-1)) h(t), for m > 1."""
+    return linear_pressure_base(m).evaluate(interp_H(clock, t), x) * interp_h(clock, t)
+
+
+def stochastic_barenblatt(p: BarenblattParams, clock: MultiplierPath, t: float, x):
+    """Direct substitution u(t, x) = U(H(t), x) h(t) for the source-type profile.
+
+    Written out explicitly (not through the generic transform) so the two
+    routes can be compared against each other in tests.
+    """
+    if not t > 0.0:
+        raise InvalidInputError(f"the noisy profile starts after t = 0 (clock at 0), not at t = {t}")
+    s = interp_H(clock, t)
+    return barenblatt(p, s, x) * interp_h(clock, t)
 
 
 def record_criterion(index: int, passed: bool, detail: str) -> str:

@@ -11,6 +11,7 @@ from spmelab import (
     Bump,
     CoefficientPair,
     DeterministicSolution,
+    FieldState,
     InvalidInputError,
     McConfig,
     OutOfRangeError,
@@ -24,6 +25,7 @@ from spmelab import (
     barenblatt_state,
     box_state,
     comparison_check,
+    dense_values,
     eval_on_centers,
     evolve,
     interp_H,
@@ -324,7 +326,7 @@ def test_comparison_check_validation():
     with pytest.raises(InvalidInputError):
         comparison_check(cfg, box_state(grid, 1.0, 1.0), box_state(other, 1.0, 1.0), probes)
     with pytest.raises(InvalidInputError):
-        comparison_check(cfg, box_state(grid, 1.0, 1.0, time=0.0), box_state(grid, 1.0, 1.0, time=0.5), probes)
+        comparison_check(cfg, box_state(grid, 1.0, 1.0), FieldState(grid, 0.5, box_state(grid, 1.0, 1.0).values), probes)
     with pytest.raises(InvalidInputError):
         comparison_check(cfg, box_state(grid, 1.0, 1.0), box_state(grid, 0.5, 1.0), probes)
 
@@ -604,7 +606,7 @@ def test_mc_mean_mass_matches_the_scalar_reference_bitwise():
     assert (rep.estimate, rep.stderr, rep.target, rep.passed) == mean_mass_verdict(cfg, clocks, table, 0.5)
 
 
-def test_mc_lp_bound_matches_the_scalar_reference_bitwise():
+def test_mc_lp_bound_matches_the_scalar_reference_bitwise(monkeypatch):
     grid = line_grid(cells=96)
     initial = barenblatt_state(grid, BarenblattParams(m=2.0, d=1, b=1.0), 0.5)
     cfg = McConfig(
@@ -617,7 +619,24 @@ def test_mc_lp_bound_matches_the_scalar_reference_bitwise():
         * lp_power_sum(eval_on_centers(table, 0.5 + interp_H(c, 1.0), grid.centers), grid, 3.0)
         for c in clocks
     ]
+    by_path = [
+        interp_h(c, 1.0) ** 3.0 * lp_power_sum(dense_values(table, 0.5 + interp_H(c, 1.0)), grid, 3.0)
+        for c in clocks
+    ]
+    reads = []
+
+    def counted(table, t):
+        reads.append(np.shape(t))
+        return dense_values(table, t)
+
+    # One table read per block of paths, with the bits of a read per path.
+    monkeypatch.setattr(analysis, "dense_values", counted)
+    assert mc_lp_bound(cfg, 3.0, 1.0).extras["per_path"] == want == by_path
+    assert reads == [(cfg.n_paths,)]
+    reads.clear()
+    monkeypatch.setattr(analysis, "BLOCK_VALUES", 4 * grid.cells + 1)
     assert mc_lp_bound(cfg, 3.0, 1.0).extras["per_path"] == want
+    assert reads == [(4,), (4,), (2,)]
 
 
 def test_order_checks_match_the_per_probe_reference_bitwise():

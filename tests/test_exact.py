@@ -21,7 +21,6 @@ from spmelab import (
     inverse_clock,
     inverse_pressure,
     interp_h,
-    linear_pressure,
     linear_pressure_base,
     mass_to_b,
     multiplier_path,
@@ -32,10 +31,9 @@ from spmelab import (
     self_similar,
     sphere_area,
     still_path,
-    stochastic_barenblatt,
 )
 
-from conftest import adaptive_midpoint, barenblatt_mass_quadrature
+from conftest import adaptive_midpoint, barenblatt_mass_quadrature, linear_pressure, stochastic_barenblatt
 
 MASTER = 20260815
 

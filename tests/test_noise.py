@@ -197,6 +197,9 @@ def test_multiplier_moment_closed_forms():
     assert multiplier_moment(CoefficientPair.constant(0.7, 0.0), 1.0, 2.0) == 1.0
     assert multiplier_moment(CoefficientPair.constant(1.0, 0.5), 2.0, 0.0) == 1.0
     assert multiplier_moment(CoefficientPair.constant(1.0, 0.0), 2.0, 1.0) == pytest.approx(math.e, rel=1e-15)
+    # With f = g = 0, h is 1 and so is every moment, also where 0.5 p (p - 1) overflows.
+    for p in (1e155, 1e200):
+        assert multiplier_moment(CoefficientPair.constant(0.0, 0.0), p, 1.0) == 1.0
     with pytest.raises(InvalidInputError):
         multiplier_moment(CoefficientPair.constant(1.0, 0.0), 2.0, -1.0)
 

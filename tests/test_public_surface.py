@@ -54,7 +54,6 @@ PUBLIC_NAMES = [
     "limit_distribution",
     "limit_law_statistics",
     "limit_profile_check",
-    "linear_pressure",
     "linear_pressure_base",
     "lp_power_sum",
     "mass_to_b",
@@ -75,7 +74,6 @@ PUBLIC_NAMES = [
     "serialize_config",
     "sphere_area",
     "still_path",
-    "stochastic_barenblatt",
     "support_experiment",
     "support_radius",
     "sweep_paths",
@@ -97,8 +95,7 @@ def test_public_names_are_the_listed_ones():
 DEFAULTED_PARAMETERS = {
     "apply_overrides": ["seed", "out"],
     "asymptotics_experiment": ["x0"],
-    "box_state": ["time"],
-    "check_homogeneity": ["fields", "lambdas", "m", "tol"],
+    "check_homogeneity": ["m"],
     "limit_profile_check": ["x0"],
     "support_experiment": ["plateau_tol", "mass_check_time"],
 }

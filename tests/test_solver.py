@@ -361,8 +361,8 @@ def test_evolve_together_validation():
     grid = line_grid(cells=16)
     with pytest.raises(InvalidInputError):
         evolve_together((), 2.0, 1.0, 0.4, ())
-    a = box_state(grid, 1.0, 1.0, time=0.0)
-    b = box_state(grid, 1.0, 1.0, time=0.5)
+    a = box_state(grid, 1.0, 1.0)
+    b = FieldState(grid, 0.5, a.values)
     with pytest.raises(InvalidInputError):
         evolve_together((a, b), 2.0, 1.0, 0.4, ())
 
@@ -634,8 +634,8 @@ def test_array_march_equals_the_scalar_loop_on_random_data(case):
 
 
 @settings(max_examples=60, deadline=None)
-@given(march_cases(), st.floats(0.01, 1.0), st.booleans())
-def test_step_equals_the_first_written_update_bitwise(case, fraction, one_row):
+@given(march_cases(), st.floats(0.01, 1.0))
+def test_step_equals_the_first_written_update_bitwise(case, fraction):
     initials, m, _, safety, _ = case
     # Negative zeros next to positive ones: the first update turned them into 0.0.
     values = initials[0].values
@@ -643,8 +643,7 @@ def test_step_equals_the_first_written_update_bitwise(case, fraction, one_row):
     grid = initials[0].grid
     dt = fraction * _first_bound(values, grid, m, safety)
     want, clamped = _first_update(values, grid, m, dt)
-    # The march steps one state on a 1-d view and several as rows.
-    u = values.copy() if one_row else values[None, :].copy()
+    u = values[None, :].copy()
     lost = _advance_box(u, m, dt, grid)
     assert _bits(u) == _bits(want)
     assert lost is None and clamped == 0.0
@@ -665,9 +664,9 @@ def test_advance_clamps_rows_like_the_first_written_update(m):
     assert lost is not None and lost[0] > 0.0 and lost[1] == 0.0
     assert _bits(u) == _bits(np.stack([w[0] for w in want]))
     assert _bits(lost) == _bits([w[1] for w in want])
-    one = rows[0].copy()
+    one = rows[:1].copy()
     assert _bits(_advance_box(one, m, dt, grid)) == _bits(lost[:1])
-    assert _bits(one) == _bits(u[0])
+    assert _bits(one) == _bits(u[:1])
 
 
 def test_march_errors_match_the_scalar_loop(monkeypatch):
@@ -689,7 +688,7 @@ def test_march_errors_match_the_scalar_loop(monkeypatch):
             ):
                 with pytest.raises(InvalidInputError, match=r"cfl_safety must lie in \(0, 1\]"):
                     call()
-        late = box_state(grid, 1.0, 1.0, time=0.5)
+        late = FieldState(grid, 0.5, box.values)
         with pytest.raises(InvalidInputError, match="common start time"):
             evolve_together((box, late), 2.0, 1.0, 0.4, ())
         other = box_state(line_grid(lo=-5.0, cells=32), 1.0, 1.0)
@@ -714,12 +713,13 @@ def test_paired_states_need_one_start_time(monkeypatch):
     # One clock per march: start times 2e-13 apart are two clocks, rejected
     # before any step; equal ones give every table the same times.
     grid = line_grid(cells=24)
-    initials = (box_state(grid, 1.0, 1.0, time=0.3), box_state(grid, 0.5, 1.0, time=0.3 + 2e-13))
+    high, low = box_state(grid, 1.0, 1.0).values, box_state(grid, 0.5, 1.0).values
+    initials = (FieldState(grid, 0.3, high), FieldState(grid, 0.3 + 2e-13, low))
     with monkeypatch.context() as patch:
         patch.setattr(solver, "_advance", lambda *args: pytest.fail("stepped before the start-time check"))
         with pytest.raises(InvalidInputError, match="paired evolution needs a common start time"):
             evolve_together(initials, 2.0, 1.0, 0.4, (0.5, 0.8))
-    same = (initials[0], box_state(grid, 0.5, 1.0, time=0.3))
+    same = (initials[0], FieldState(grid, 0.3, low))
     want, dts = _reference_march(same, 2.0, 1.0, 0.4, (0.5, 0.8))
     got = evolve_together(same, 2.0, 1.0, 0.4, (0.5, 0.8))
     assert_same_tables(got, want, dts)
@@ -933,10 +933,10 @@ def test_step_peak_and_clamp_hold_on_special_values(case):
         want = [_first_update(r, grid, m, dt) for r in rows]
         u = rows.copy()
         lost = _advance_box(u, m, dt, grid)
-        one = rows[0].copy()
+        one = rows[:1].copy()
         lost_one = _advance_box(one, m, dt, grid)
     np.testing.assert_array_equal(u, np.stack([w[0] for w in want]))
-    assert _bits(one) == _bits(u[0])
+    assert _bits(one) == _bits(u[:1])
     if case == "negative_zero":
         assert np.signbit(rows).any() and not np.signbit(u).any()
         assert lost is None and lost_one is None

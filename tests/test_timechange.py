@@ -242,8 +242,4 @@ def test_homogeneity_input_validation():
     with pytest.raises(InvalidInputError):
         check_homogeneity("transport", 1.0)
     with pytest.raises(InvalidInputError):
-        check_homogeneity("heat", 1.0, lambdas=(0.0, 1.0))
-    with pytest.raises(InvalidInputError):
-        check_homogeneity("heat", 1.0, fields=[(np.array([1.0, 2.0]), 0.1)])
-    with pytest.raises(InvalidInputError):
         check_homogeneity("pme", 2.0)
