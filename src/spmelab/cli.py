@@ -8,7 +8,9 @@ check.  Exit status: 0 when all checks pass, 1 when some check fails,
 2 on configuration or runtime errors, artifacts that cannot be written
 included.  CSV integers print in decimal, bools as true/false and floats
 with 17 significant digits, with '\n' line ends, so identical configs give
-byte-identical artifacts.
+byte-identical artifacts.  The writer renders each chunk of rows with one
+``%`` call, and formats a value that repeats within a chunk of a column once;
+repeats are found by the value's bits, so -0.0 still prints as -0.
 """
 from __future__ import annotations
 
@@ -55,7 +57,7 @@ _CHUNK_ROWS = 4096
 
 
 def _column(values) -> tuple:
-    """A column's printf format and an array whose ``tolist`` gives its cells."""
+    """A column's printf format and the array its cells are read from."""
     arr = np.asarray(values)
     if arr.dtype.kind == "b":
         return "%s", np.where(arr, "true", "false")
@@ -64,23 +66,45 @@ def _column(values) -> tuple:
     return "%.17g", arr.astype(float, copy=False)
 
 
+def _cells(fmt: str, chunk: np.ndarray) -> tuple:
+    """One chunk of a column: the format of its slot in the line and its cells.
+
+    A chunk that holds at most one distinct value per two rows formats each
+    distinct value once and hands the strings to a ``%s`` slot; values are
+    told apart by their bits, so 0.0 and -0.0 keep their own strings.  Any
+    other chunk hands its raw cells to the column's format.  Both give the
+    same text.
+    """
+    keys = chunk.view(np.uint64) if chunk.dtype.kind == "f" else chunk
+    distinct, inverse = np.unique(keys, return_inverse=True)
+    if 2 * distinct.size > chunk.size:
+        return fmt, chunk.tolist()
+    strings = np.array([fmt % v for v in distinct.view(chunk.dtype).tolist()], dtype=object)
+    return "%s", strings[inverse].tolist()
+
+
 def _write_csv(path: Path, header, columns) -> None:
     """Write equal-length ``columns`` under ``header``, one format per column.
 
     Bools print as true/false, integers in decimal, and everything else as
-    its float value to 17 significant digits.
+    its float value to 17 significant digits.  Each chunk of ``_CHUNK_ROWS``
+    rows is one ``%`` call: the line repeated once per row, applied to the
+    chunk's cells interleaved row by row (see ``_cells``).
     """
     formats, arrays = zip(*map(_column, columns))
     lengths = {arr.shape[0] for arr in arrays}
     if len(lengths) != 1:
         raise ValueError("CSV columns must have equal lengths")
     (rows,) = lengths
-    line = ",".join(formats) + "\n"
+    width = len(arrays)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\n")
         for start in range(0, rows, _CHUNK_ROWS):
-            cells = [arr[start:start + _CHUNK_ROWS].tolist() for arr in arrays]
-            fh.write("".join(map(line.__mod__, zip(*cells))))
+            count = min(_CHUNK_ROWS, rows - start)
+            slots, cells = [None] * width, [None] * (width * count)
+            for j, (fmt, arr) in enumerate(zip(formats, arrays)):
+                slots[j], cells[j::width] = _cells(fmt, arr[start:start + count])
+            fh.write(((",".join(slots) + "\n") * count) % tuple(cells))
 
 
 def _write_plot_note(csv_path: Path, x: str, y: str, xlabel: str, ylabel: str, title: str) -> None:

@@ -7,10 +7,11 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spmelab import (
@@ -498,10 +499,22 @@ _BOOL_CELLS = st.one_of(st.booleans(), st.booleans().map(np.bool_))
 
 @st.composite
 def csv_columns(draw):
-    rows = draw(st.integers(0, 12))
+    """Columns of one length: independent cells, or cells drawn from a pool of 1-3 values.
+
+    Pooled columns repeat their values, so a chunk of them takes the writer's
+    distinct-value path.
+    """
+    rows = draw(st.integers(0, 30))
     columns = []
     for _ in range(draw(st.integers(1, 5))):
-        cells = draw(st.sampled_from((_FLOAT_CELLS, _INT_CELLS, _BOOL_CELLS)))
+        if draw(st.booleans()):
+            source = draw(st.sampled_from((_FLOAT_CELLS, _INT_CELLS, st.sampled_from(_SPECIAL_FLOATS))))
+            pool = draw(st.lists(source, min_size=1, max_size=3))
+            if draw(st.booleans()):
+                pool += [-v for v in pool if isinstance(v, float)]
+            cells = st.sampled_from(pool)
+        else:
+            cells = draw(st.sampled_from((_FLOAT_CELLS, _INT_CELLS, _BOOL_CELLS)))
         column = draw(st.lists(cells, min_size=rows, max_size=rows))
         if draw(st.booleans()):
             column = np.asarray(column)
@@ -513,6 +526,8 @@ def csv_columns(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(csv_columns(), st.integers(1, 5))
+@example([[0.0, -0.0, 0.0, -0.0]], 4)
+@example([[math.nan, -math.nan, math.nan]], 5)
 def test_columnar_writer_matches_the_per_cell_reference(tmp_path_factory, columns, chunk):
     out = tmp_path_factory.mktemp("csv")
     header = tuple(f"c{k}" for k in range(len(columns)))
@@ -523,6 +538,25 @@ def test_columnar_writer_matches_the_per_cell_reference(tmp_path_factory, column
     written = (out / "columnar.csv").read_bytes()
     assert written == (out / "reference.csv").read_bytes()
     assert written.count(b"\n") == 1 + len(columns[0])
+
+
+def test_columnar_writer_keeps_one_chunk_in_memory(tmp_path):
+    # The shape of transform_grid's samples.csv: 1,000 paths x 8 times x 16 points.
+    times, points = np.linspace(0.125, 1.0, 8), np.linspace(-2.0, 2.0, 16)
+    columns = (
+        np.repeat(np.arange(1000), 128),
+        np.tile(np.repeat(times, 16), 1000),
+        np.tile(points, 8000),
+        np.random.default_rng(0).random(128_000),
+    )
+    tracemalloc.start()
+    try:
+        cli._write_csv(tmp_path / "samples.csv", ("path", "t", "x", "value"), columns)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
+    assert (tmp_path / "samples.csv").read_bytes().count(b"\n") == 128_001
 
 
 def test_columnar_writer_rejects_columns_of_different_lengths(tmp_path):

@@ -49,6 +49,13 @@ CONFIGS = {
         "command = transform\nn_paths = 6\nsteps = 64\nhorizon = 0.5\n"
         "times = 0.1, 0.3, 0.45\npoints = -0.7, 0.05, 0.34, 2.9\n"
     ),
+    # 5,120 rows, so samples.csv spans two chunks of the CSV writer.
+    "transform_chunks": (
+        "command = transform\nn_paths = 40\nsteps = 64\nhorizon = 1\n"
+        "times = 0.125, 0.25, 0.375, 0.5, 0.625, 0.75, 0.875, 1\n"
+        "points = -2, -1.75, -1.5, -1.25, -1, -0.75, -0.5, -0.25, "
+        "0.25, 0.5, 0.75, 1, 1.25, 1.5, 1.75, 2\n"
+    ),
 }
 
 
