@@ -40,7 +40,6 @@ from .noise import (
 )
 from .timechange import (
     DeterministicSolution,
-    StochasticFieldSample,
     TimeInterval,
     check_homogeneity,
     forward_transform,

@@ -22,6 +22,7 @@ from .exact import BarenblattParams, barenblatt, mass_to_b
 from .noise import (
     BLOCK_VALUES,
     CoefficientPair,
+    MultiplierPath,
     TimeGrid,
     _clock_blocks,
     _maybe_float,
@@ -41,7 +42,7 @@ from .solver import (
     lp_power_sum,
     support_radius,
 )
-from .timechange import StochasticFieldSample
+from .timechange import DeterministicSolution
 
 # Reference tables reach TABLE_MARGIN times the largest sampled clock value,
 # with N_SNAPSHOTS geometrically spaced snapshots.
@@ -388,12 +389,13 @@ def _simpson(a: float, b: float, n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def weak_form_residual(
-    sample: StochasticFieldSample,
+    base: DeterministicSolution,
+    clock: MultiplierPath,
     m: float,
     phi: Bump,
     t: float,
 ) -> float:
-    """Defect of the discrete weak formulation at time t.
+    """Defect of the discrete weak formulation at time t for u = U(H, x) h on ``base`` and ``clock``.
 
     Computes |(u, phi)(t) - (u, phi)(0) - sum (u^m, lap phi) dt
     - sum (u, phi)(f dw + g dt)| with left-endpoint sums on the clock's own
@@ -404,7 +406,6 @@ def weak_form_residual(
     """
     if not m > 1.0:
         raise InvalidInputError(f"the noisy equation is posed for m > 1, not {m}")
-    clock = sample.clock
     nodes = clock.grid.nodes
     if not 0.0 <= t <= clock.horizon * (1.0 + 1e-12):
         raise InvalidInputError(f"query time must lie in the clock horizon [0, {clock.horizon:g}], not {t}")
@@ -415,7 +416,7 @@ def weak_form_residual(
     lapv = phi.laplacian(xs) * wts
     hs = clock.h[: k_end + 1]
     Hs = clock.H[: k_end + 1]
-    base_vals = np.asarray(sample.base.evaluate(Hs[:, None], xs[None, :]), dtype=float)
+    base_vals = np.asarray(base.evaluate(Hs[:, None], xs[None, :]), dtype=float)
     if base_vals.shape != (k_end + 1, xs.size):
         raise InvalidInputError(f"base values have shape {base_vals.shape}, not {(k_end + 1, xs.size)}")
     paired = hs * (base_vals @ phiv)
@@ -640,7 +641,7 @@ def support_experiment(
     b_dom = height ** (m - 1.0) + (m - 1.0) * beta / (2.0 * m) * spread**2
     prefactor = math.sqrt(2.0 * m * b_dom / ((m - 1.0) * beta))
 
-    snap_radii = np.array([support_radius(st) for st in table.states])
+    snap_radii = np.where(table.values > 0.0, np.abs(table.grid.centers), 0.0).max(axis=1)
     first_after = np.searchsorted(table.times, sweep.table_times[:, 1], side="left")
     radii = snap_radii[np.minimum(first_after, snap_radii.size - 1)]
     bounds = prefactor * (1.0 + H_end) ** beta

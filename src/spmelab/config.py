@@ -139,16 +139,22 @@ def _validate(cfg: RunConfig) -> RunConfig:
         bad("m", "m must exceed 1")
     if cfg.dim < 1:
         bad("dim", "dim must be >= 1")
-    if cfg.b <= 0.0 or cfg.q <= 0.0:
-        bad("b", "b and q must be positive")
-    if cfg.horizon <= 0.0 or cfg.steps < 1:
-        bad("horizon", "need horizon > 0 and steps >= 1")
+    if cfg.b <= 0.0:
+        bad("b", "b must be positive")
+    if cfg.q <= 0.0:
+        bad("q", "q must be positive")
+    if cfg.horizon <= 0.0:
+        bad("horizon", "horizon must be positive")
+    if cfg.steps < 1:
+        bad("steps", "steps must be >= 1")
     if cfg.grid_hi <= cfg.grid_lo:
         bad("grid_hi", "grid_hi must exceed grid_lo")
     if cfg.cells < 8:
         bad("cells", "cells must be >= 8")
-    if cfg.height < 0.0 or cfg.half_width <= 0.0:
-        bad("height", "need height >= 0 and half_width > 0")
+    if cfg.height < 0.0:
+        bad("height", "height must be >= 0")
+    if cfg.half_width <= 0.0:
+        bad("half_width", "half_width must be positive")
     if cfg.n_paths < 1:
         bad("n_paths", "n_paths must be >= 1")
     if not 0.0 < cfg.cfl_safety <= 1.0:

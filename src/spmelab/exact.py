@@ -151,7 +151,7 @@ def linear_pressure_base(m: float) -> DeterministicSolution:
         )
         return _maybe_float(val)
 
-    return DeterministicSolution(evaluate=evaluate, interval=TimeInterval(0.0, math.inf), tag="linear-pressure")
+    return DeterministicSolution(evaluate=evaluate, interval=TimeInterval(0.0, math.inf))
 
 
 def pressure(u, m: float):
@@ -202,7 +202,6 @@ def barenblatt_solution(p: BarenblattParams) -> DeterministicSolution:
     return DeterministicSolution(
         evaluate=lambda s, x: barenblatt(p, s, x),
         interval=TimeInterval(0.0, math.inf, lo_open=True),
-        tag=f"barenblatt(m={p.m:g}, d={p.d}, b={p.b:g})",
     )
 
 
@@ -211,14 +210,13 @@ def quadratic_pressure_solution(p: QuadraticPressureParams) -> DeterministicSolu
     return DeterministicSolution(
         evaluate=lambda s, x: quadratic_pressure(p, s, x),
         interval=TimeInterval(0.0, p.t_blowup, hi_open=True),
-        tag=f"quadratic-pressure(m={p.m:g}, d={p.d}, q={p.q:g})",
     )
 
 
 def pressure_commutation_check(
     base: DeterministicSolution,
-    m: float,
     clock: MultiplierPath,
+    m: float,
     probes,
 ) -> tuple[float, float]:
     """Compare 'transform then pressure' against 'pressure then transform'.

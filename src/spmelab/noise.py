@@ -27,7 +27,8 @@ a single row, so a path's bits do not depend on the block it is sampled in.
 
 Every piecewise-linear read gives the bits of the scalar ``np.interp`` call.
 The one-path reads (:func:`interp_h`, :func:`interp_H`,
-:func:`inverse_clock`) call ``np.interp`` itself.  Reads of many rows at
+:func:`inverse_clock`) call ``np.interp`` itself, and :func:`hitting_time`
+reads through :func:`inverse_clock`.  Reads of many rows at
 once go through one private kernel, :func:`_interp`, which takes a gather
 ``at(k)`` in place of fp: :func:`read_block` reads the rows of a block at the
 times :func:`locate_times` checked, and the solver's table reads gather cells
@@ -594,7 +595,7 @@ def hitting_time(clock: MultiplierPath, level: float) -> float | None:
         raise InvalidInputError(f"clock level must be nonnegative, not {level}")
     if level > float(clock.H[-1]):
         return None
-    return float(np.interp(level, clock.H, clock.grid.nodes))
+    return inverse_clock(clock, level)
 
 
 def multiplier_moment(coeffs: CoefficientPair, p: float, t: float) -> float:

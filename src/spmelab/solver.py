@@ -495,7 +495,6 @@ def table_solution(table: SnapshotTable) -> DeterministicSolution:
     return DeterministicSolution(
         evaluate=evaluate,
         interval=TimeInterval(table.t_first, table.t_last),
-        tag=f"table(m={table.m:g}, cells={table.grid.cells})",
     )
 
 

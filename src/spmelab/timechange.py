@@ -11,7 +11,8 @@ recovers the deterministic field:
 
     U(s, x) = u(R(s), x) / h(R(s)),        R = inverse clock.
 
-Both directions interpolate h and H linearly between grid nodes, matching the
+Both directions take the pair ``(base, clock)`` as their leading arguments
+and interpolate h and H linearly between grid nodes, matching the
 left-endpoint quadrature that produced them.
 """
 from __future__ import annotations
@@ -43,7 +44,7 @@ class TimeInterval:
 
 @dataclass(frozen=True)
 class DeterministicSolution:
-    """A deterministic space-time field with a validity window and a label.
+    """A deterministic space-time field with a validity window.
 
     ``evaluate(s, x)`` takes numpy arrays: times and positions broadcast
     against each other as numpy arrays do, and a scalar time with a scalar
@@ -52,7 +53,6 @@ class DeterministicSolution:
 
     evaluate: Callable
     interval: TimeInterval = field(default_factory=TimeInterval)
-    tag: str = ""
 
 
 def forward_transform(base: DeterministicSolution, clock: MultiplierPath, t: float, x):
@@ -66,11 +66,11 @@ def forward_transform(base: DeterministicSolution, clock: MultiplierPath, t: flo
     if not base.interval.contains(s):
         iv = base.interval
         if s >= iv.hi:
+            hit = hitting_time(clock, iv.hi)
             raise BlowUpError(
-                f"clock reached {s:.6g}, past the base validity end {iv.hi:.6g} "
-                f"(first hit at t = {hitting_time(clock, iv.hi)})",
+                f"clock reached {s:.6g}, past the base validity end {iv.hi:.6g} (first hit at t = {hit})",
                 base_time=iv.hi,
-                hitting_time=hitting_time(clock, iv.hi),
+                hitting_time=hit,
             )
         raise InvalidInputError(
             f"clock value {s:.6g} is below the base validity start {iv.lo:.6g}"
@@ -78,21 +78,10 @@ def forward_transform(base: DeterministicSolution, clock: MultiplierPath, t: flo
     return base.evaluate(s, x) * interp_h(clock, t)
 
 
-@dataclass(frozen=True)
-class StochasticFieldSample:
-    """One realisation of the noisy field: a base solution tied to one clock."""
-
-    base: DeterministicSolution
-    clock: MultiplierPath
-
-    def value(self, t: float, x):
-        return forward_transform(self.base, self.clock, t, x)
-
-
-def inverse_transform(sample: StochasticFieldSample, s: float, x):
-    """Recover the deterministic base value U(s, x) from one noisy realisation."""
-    t = inverse_clock(sample.clock, s)
-    return sample.value(t, x) / interp_h(sample.clock, t)
+def inverse_transform(base: DeterministicSolution, clock: MultiplierPath, s: float, x):
+    """Recover the deterministic base value U(s, x) from the noisy field on one clock."""
+    t = inverse_clock(clock, s)
+    return forward_transform(base, clock, t, x) / interp_h(clock, t)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,6 @@ from spmelab import (
     McConfig,
     QuadraticPressureParams,
     SpatialGrid,
-    StochasticFieldSample,
     TimeGrid,
     TimeInterval,
     asymptotics_experiment,
@@ -85,12 +84,11 @@ def test_criterion_01_transform_round_trip():
     for i in range(20):
         path = sample_brownian(grid, mix_seed(MASTER, 100 + i))
         clock = multiplier_path(path, coeffs, gamma=2.0)
-        sample = StochasticFieldSample(base=base, clock=clock)
         h_end = float(clock.H[-1])
         for s in np.linspace(0.1 * h_end, 0.95 * h_end, 20):
             radius = p.support_radius(float(s))
             xs = np.linspace(-0.45 * radius, 0.45 * radius, 50)
-            got = np.asarray(inverse_transform(sample, float(s), xs), dtype=float)
+            got = np.asarray(inverse_transform(base, clock, float(s), xs), dtype=float)
             want = barenblatt(p, float(s), xs)
             worst = max(worst, float(np.max(np.abs(got - want) / np.abs(want))))
     elapsed = time.perf_counter() - started
@@ -106,7 +104,6 @@ def test_criterion_01_transform_round_trip():
 def test_criterion_02_momentum_closed_form():
     base = DeterministicSolution(
         evaluate=lambda s, x: -np.asarray(x, dtype=float) / (1.0 + np.asarray(s, dtype=float)),
-        tag="self-sharpening momentum profile",
     )
     coeffs = CoefficientPair.constant(1.0, 0.0)
     grid = TimeGrid.uniform(2.0, 64)
@@ -355,7 +352,6 @@ def test_criterion_11_order_preservation_and_weak_form():
     base = DeterministicSolution(
         evaluate=lambda s, x: barenblatt(p, np.asarray(s, dtype=float) + 1.0, x),
         interval=TimeInterval(lo=-1.0, hi=math.inf, lo_open=True),
-        tag="source profile started one unit early",
     )
     coeffs = CoefficientPair.constant(0.5, 0.1)
     phi = Bump(center=0.5, width=2.5)
@@ -366,9 +362,7 @@ def test_criterion_11_order_preservation_and_weak_form():
         for i in range(6):
             path = sample_brownian(TimeGrid.uniform(1.0, steps), mix_seed(MASTER, 300 + i))
             clock = multiplier_path(path, coeffs, gamma=2.0)
-            vals.append(
-                weak_form_residual(StochasticFieldSample(base=base, clock=clock), 2.0, phi, 1.0)
-            )
+            vals.append(weak_form_residual(base, clock, 2.0, phi, 1.0))
         rms.append(math.sqrt(math.fsum(v * v for v in vals) / len(vals)))
     slope = -float(np.polyfit(np.log(steps_list), np.log(rms), 1)[0])
     ok = comp.passed and cap.passed and slope >= 0.4

@@ -16,7 +16,6 @@ from spmelab import (
     McConfig,
     OutOfRangeError,
     SpatialGrid,
-    StochasticFieldSample,
     TimeGrid,
     TimeInterval,
     UnsupportedInputError,
@@ -65,7 +64,6 @@ def shifted_source_base(b: float = 1.0) -> DeterministicSolution:
     return DeterministicSolution(
         evaluate=lambda s, x: barenblatt(p, np.asarray(s, dtype=float) + 1.0, x),
         interval=TimeInterval(lo=-1.0, hi=math.inf, lo_open=True),
-        tag="source profile started one unit early",
     )
 
 
@@ -116,7 +114,7 @@ def test_weak_form_residual_first_order_in_the_mesh():
     residuals = []
     for steps in (128, 256, 512):
         clock = multiplier_path(still_path(TimeGrid.uniform(1.0, steps)), coeffs, gamma=2.0)
-        residuals.append(weak_form_residual(StochasticFieldSample(base=base, clock=clock), 2.0, phi, 1.0))
+        residuals.append(weak_form_residual(base, clock, 2.0, phi, 1.0))
     for coarse, fine in zip(residuals, residuals[1:]):
         assert 1.7 <= coarse / fine <= 2.3
     assert residuals[-1] <= 5e-4
@@ -128,7 +126,7 @@ def test_weak_form_residual_exact_for_time_affine_integrands():
     phi = Bump(center=1.0, width=0.8)
     for steps in (128, 512):
         clock = multiplier_path(still_path(TimeGrid.uniform(1.0, steps)), coeffs, gamma=2.0)
-        r = weak_form_residual(StochasticFieldSample(base=base, clock=clock), 2.0, phi, 1.0)
+        r = weak_form_residual(base, clock, 2.0, phi, 1.0)
         assert r <= 1e-8
 
 
@@ -139,7 +137,7 @@ def test_weak_form_residual_with_drift_clock_converges():
     residuals = []
     for steps in (256, 512, 1024):
         clock = multiplier_path(still_path(TimeGrid.uniform(1.0, steps)), coeffs, gamma=2.0)
-        residuals.append(weak_form_residual(StochasticFieldSample(base=base, clock=clock), 2.0, phi, 1.0))
+        residuals.append(weak_form_residual(base, clock, 2.0, phi, 1.0))
     for coarse, fine in zip(residuals, residuals[1:]):
         assert 1.7 <= coarse / fine <= 2.3
 
@@ -154,7 +152,7 @@ def test_weak_form_residual_shrinks_for_noisy_clocks():
         for i in range(5):
             path = sample_brownian(TimeGrid.uniform(1.0, steps), MASTER + 7000 + i)
             clock = multiplier_path(path, coeffs, gamma=2.0)
-            vals.append(weak_form_residual(StochasticFieldSample(base=base, clock=clock), 2.0, phi, 1.0))
+            vals.append(weak_form_residual(base, clock, 2.0, phi, 1.0))
         means.append(sum(vals) / len(vals))
     assert means[1] < means[0]
     assert means[1] <= 2e-2
@@ -163,14 +161,13 @@ def test_weak_form_residual_shrinks_for_noisy_clocks():
 def test_weak_form_residual_input_checks():
     base = shifted_source_base()
     clock = multiplier_path(still_path(TimeGrid.uniform(1.0, 32)), CoefficientPair.constant(0.0, 0.0), gamma=2.0)
-    sample = StochasticFieldSample(base=base, clock=clock)
     phi = Bump(center=0.0, width=1.0)
     with pytest.raises(InvalidInputError):
-        weak_form_residual(sample, 2.0, phi, -0.5)
+        weak_form_residual(base, clock, 2.0, phi, -0.5)
     with pytest.raises(InvalidInputError):
-        weak_form_residual(sample, 2.0, phi, 1.5)
+        weak_form_residual(base, clock, 2.0, phi, 1.5)
     with pytest.raises(InvalidInputError, match=r"query time must lie in the clock horizon \[0, 1\], not nan"):
-        weak_form_residual(sample, 2.0, phi, math.nan)
+        weak_form_residual(base, clock, 2.0, phi, math.nan)
 
 
 def test_clock_sweep_table_covers_the_largest_clock_value():
@@ -873,9 +870,10 @@ def test_clock_overflow_fails_before_any_table_is_built(monkeypatch):
     assert np.all(np.isfinite(h)) and not np.all(np.isfinite(H))
 
 
-def _affine_clock_sample(evaluate):
+def _on_affine_clock(evaluate):
+    """A base reading ``evaluate`` and a drift-only clock, as the leading pair of weak_form_residual."""
     clock = multiplier_path(still_path(TimeGrid.uniform(1.0, 32)), CoefficientPair.constant(0.0, 0.3), gamma=2.0)
-    return StochasticFieldSample(base=DeterministicSolution(evaluate=evaluate), clock=clock)
+    return DeterministicSolution(evaluate=evaluate), clock
 
 
 def _ramp(s, x):
@@ -895,9 +893,9 @@ def test_weak_form_residual_evaluates_a_broadcasting_base_once():
         return _ramp(s, x)
 
     phi = Bump(center=1.0, width=0.8)
-    residual = weak_form_residual(_affine_clock_sample(evaluate), 2.0, phi, 1.0)
+    residual = weak_form_residual(*_on_affine_clock(evaluate), 2.0, phi, 1.0)
     assert calls == [(33, 1)]
-    per_time = weak_form_residual(_affine_clock_sample(_one_clock_value_at_a_time(_ramp)), 2.0, phi, 1.0)
+    per_time = weak_form_residual(*_on_affine_clock(_one_clock_value_at_a_time(_ramp)), 2.0, phi, 1.0)
     assert residual == pytest.approx(per_time, rel=1e-12, abs=1e-15)
 
 
@@ -914,9 +912,9 @@ def test_weak_form_residual_reads_a_table_base_once():
         return out
 
     phi = Bump(center=1.0, width=0.8)
-    residual = weak_form_residual(_affine_clock_sample(counted), 2.0, phi, 1.0)
+    residual = weak_form_residual(*_on_affine_clock(counted), 2.0, phi, 1.0)
     assert calls == [((33, 1), (33, analysis.N_QUAD))]
-    per_value = weak_form_residual(_affine_clock_sample(_one_clock_value_at_a_time(base.evaluate)), 2.0, phi, 1.0)
+    per_value = weak_form_residual(*_on_affine_clock(_one_clock_value_at_a_time(base.evaluate)), 2.0, phi, 1.0)
     assert residual > 0.0 and np.float64(residual).tobytes() == np.float64(per_value).tobytes()
 
 
@@ -939,7 +937,7 @@ def test_weak_form_residual_rejects_a_base_that_does_not_broadcast(evaluate, err
         return evaluate(s, x)
 
     with pytest.raises(error, match=message) as err:
-        weak_form_residual(_affine_clock_sample(counted), 2.0, Bump(center=1.0, width=0.8), 1.0)
+        weak_form_residual(*_on_affine_clock(counted), 2.0, Bump(center=1.0, width=0.8), 1.0)
     assert type(err.value) is error
     assert calls == [2]
 
@@ -952,5 +950,5 @@ def test_weak_form_residual_propagates_other_base_errors():
         raise OutOfRangeError("clock value outside the base's window")
 
     with pytest.raises(OutOfRangeError, match="outside the base's window"):
-        weak_form_residual(_affine_clock_sample(evaluate), 2.0, Bump(center=1.0, width=0.8), 1.0)
+        weak_form_residual(*_on_affine_clock(evaluate), 2.0, Bump(center=1.0, width=0.8), 1.0)
     assert calls == [(33, 1)]

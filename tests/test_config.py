@@ -128,13 +128,13 @@ def test_piece_syntax_errors():
         ("m = 1.0", "m"),
         ("dim = 0", "dim"),
         ("b = 0", "b"),
-        ("q = -1", "b"),
+        ("q = -1", "q"),
         ("horizon = 0", "horizon"),
-        ("steps = 0", "horizon"),
+        ("steps = 0", "steps"),
         ("grid_hi = -7", "grid_hi"),
         ("cells = 4", "cells"),
         ("height = -1", "height"),
-        ("half_width = 0", "height"),
+        ("half_width = 0", "half_width"),
         ("n_paths = 0", "n_paths"),
         ("cfl_safety = 1.5", "cfl_safety"),
         ("times = -1", "times"),

@@ -306,7 +306,7 @@ def test_pressure_commutation_for_trivial_coefficients_is_exact():
     grid = TimeGrid.uniform(1.0, 64)
     clock = multiplier_path(still_path(grid), CoefficientPair.constant(0.0, 0.0), gamma=2.0)
     probes = [(float(grid.nodes[k]), x) for k in (16, 32, 64) for x in (0.0, 0.5)]
-    value_gap, clock_gap = pressure_commutation_check(base, 2.0, clock, probes)
+    value_gap, clock_gap = pressure_commutation_check(base, clock, 2.0, probes)
     assert value_gap == 0.0
     assert clock_gap == 0.0
 
@@ -317,18 +317,18 @@ def test_pressure_commutation_m2_pathwise_and_m3_with_noise():
     base2 = barenblatt_solution(BarenblattParams(m=2.0, d=1, b=1.0))
     clock2 = multiplier_path(path, CoefficientPair.constant(1.0, 0.0), gamma=2.0)
     probes = [(float(grid.nodes[k]), x) for k in (32, 96, 160, 256) for x in (0.0, 0.4)]
-    value_gap, clock_gap = pressure_commutation_check(base2, 2.0, clock2, probes)
+    value_gap, clock_gap = pressure_commutation_check(base2, clock2, 2.0, probes)
     assert value_gap <= 1e-12
     assert clock_gap <= 1e-12
 
     base3 = barenblatt_solution(BarenblattParams(m=3.0, d=1, b=1.0))
     clock3 = multiplier_path(path, CoefficientPair.constant(1.0, 0.0), gamma=3.0)
     probes3 = [(float(grid.nodes[k]), x) for k in (32, 96, 160, 200, 256) for x in (0.0, 0.3)]
-    value_gap3, clock_gap3 = pressure_commutation_check(base3, 3.0, clock3, probes3)
+    value_gap3, clock_gap3 = pressure_commutation_check(base3, clock3, 3.0, probes3)
     assert value_gap3 <= 1e-8
     assert clock_gap3 <= 1e-8
     with pytest.raises(InvalidInputError):
-        pressure_commutation_check(base3, 2.0, clock3, probes3)
+        pressure_commutation_check(base3, clock3, 2.0, probes3)
 
 
 @pytest.mark.parametrize(
@@ -337,7 +337,7 @@ def test_pressure_commutation_m2_pathwise_and_m3_with_noise():
         lambda clock: linear_pressure(2.0, clock, math.nan, 0.0),
         lambda clock: stochastic_barenblatt(BarenblattParams(m=2.0, d=1, b=1.0), clock, math.nan, 0.0),
         lambda clock: pressure_commutation_check(
-            barenblatt_solution(BarenblattParams(m=2.0, d=1, b=1.0)), 2.0, clock, [(0.5, 0.0), (math.nan, 0.0)]
+            barenblatt_solution(BarenblattParams(m=2.0, d=1, b=1.0)), clock, 2.0, [(0.5, 0.0), (math.nan, 0.0)]
         ),
     ],
     ids=["linear_pressure", "stochastic_barenblatt", "pressure_commutation_check"],

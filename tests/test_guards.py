@@ -25,7 +25,6 @@ from spmelab import (
     McConfig,
     QuadraticPressureParams,
     SpatialGrid,
-    StochasticFieldSample,
     TimeGrid,
     asymptotics_experiment,
     barenblatt,
@@ -68,9 +67,9 @@ def _config(m: float = 2.0, coeffs: CoefficientPair = CoefficientPair.constant(1
     )
 
 
-def _sample() -> StochasticFieldSample:
+def _base_and_clock():
     clock = multiplier_path(still_path(TimeGrid.uniform(1.0, 16)), CoefficientPair.constant(0.0, 0.3), 2.0)
-    return StochasticFieldSample(base=linear_pressure_base(2.0), clock=clock)
+    return linear_pressure_base(2.0), clock
 
 
 def _no_work(*args):
@@ -107,7 +106,7 @@ def _no_work(*args):
         (lambda: Bump(center=NAN, width=1.0), "center must be finite, not nan"),
         (lambda: lp_power_sum(np.ones(GRID.cells), GRID, NAN), "p > 0, not nan"),
         (lambda: check_homogeneity("heat", NAN), "gamma must be finite, not nan"),
-        (lambda: weak_form_residual(_sample(), NAN, Bump(center=0.0, width=1.0), 0.5), "m > 1, not nan"),
+        (lambda: weak_form_residual(*_base_and_clock(), NAN, Bump(center=0.0, width=1.0), 0.5), "m > 1, not nan"),
         (
             lambda: comparison_check(_config(), box_state(GRID, 0.5, 1.0), _config().initial, [(0.25, 0.0), (0.5, NAN)]),
             r"probe positions must be finite, not \[ 0\. nan\]",

@@ -178,6 +178,14 @@ def test_hitting_time_conventions():
     assert hitting_time(identity, 2.0) is None
     with pytest.raises(InvalidInputError):
         hitting_time(identity, -1.0)
+    # In range, the hitting time is the clock inversion, bit for bit.
+    noisy = multiplier_path(sample_brownian(grid, MASTER), CoefficientPair.constant(1.0, 0.2), gamma=2.0)
+    for clock in (identity, noisy):
+        top = float(clock.H[-1])
+        for level in (0.0, 0.1 * top, 0.5 * top, float(clock.H[17]), top):
+            hit = hitting_time(clock, level)
+            assert type(hit) is float
+            assert np.float64(hit).tobytes() == np.float64(inverse_clock(clock, level)).tobytes()
 
 
 def test_strong_drift_keeps_the_clock_below_the_target_level():

@@ -26,7 +26,6 @@ PUBLIC_NAMES = [
     "SpatialGrid",
     "SpmeError",
     "StabilityError",
-    "StochasticFieldSample",
     "TimeGrid",
     "TimeInterval",
     "UnsupportedInputError",
@@ -120,3 +119,17 @@ def test_defaulted_parameters_are_the_listed_ones():
 def test_config_fields_are_the_listed_ones():
     fields = {name: [f.name for f in dataclasses.fields(getattr(spmelab, name))] for name in CONFIG_FIELDS}
     assert fields == CONFIG_FIELDS
+
+
+# The transform layer takes the base solution and its clock as its leading pair.
+LEADING_PAIR = ["base", "clock"]
+TRANSFORM_FUNCTIONS = ["forward_transform", "inverse_transform", "weak_form_residual", "pressure_commutation_check"]
+
+
+def test_transform_functions_lead_with_base_and_clock():
+    leading = {name: list(inspect.signature(getattr(spmelab, name)).parameters)[:2] for name in TRANSFORM_FUNCTIONS}
+    assert leading == {name: LEADING_PAIR for name in TRANSFORM_FUNCTIONS}
+
+
+def test_deterministic_solution_fields_are_the_listed_ones():
+    assert [f.name for f in dataclasses.fields(spmelab.DeterministicSolution)] == ["evaluate", "interval"]

@@ -14,7 +14,6 @@ from spmelab import (
     CoefficientPair,
     DeterministicSolution,
     InvalidInputError,
-    StochasticFieldSample,
     TimeGrid,
     SpatialGrid,
     TimeInterval,
@@ -135,11 +134,10 @@ def test_round_trip_recovers_the_base_on_seeded_paths():
     worst = 0.0
     for seed in range(5):
         clock = multiplier_path(sample_brownian(grid, mix(seed)), coeffs, gamma=2.0)
-        sample = StochasticFieldSample(base=base, clock=clock)
         top = float(clock.H[-1])
         for s in np.linspace(0.05 * top, 0.95 * top, 20):
             for x in (0.0, 0.3, -0.8):
-                recovered = inverse_transform(sample, float(s), x)
+                recovered = inverse_transform(base, clock, float(s), x)
                 truth = barenblatt(params, float(s), x)
                 worst = max(worst, abs(recovered - truth) / max(1.0, abs(truth)))
     assert worst <= 1e-8
@@ -164,13 +162,13 @@ def test_round_trip_recovers_the_base_over_random_coefficient_tables(case):
     grid, coeffs, m, seed = case
     params = BarenblattParams(m=m, d=1, b=1.0)
     clock = multiplier_path(sample_brownian(grid, seed), coeffs, gamma=m)
-    sample = StochasticFieldSample(base=barenblatt_solution(params), clock=clock)
+    base = barenblatt_solution(params)
     top = float(clock.H[-1])
     worst = 0.0
     for s in np.linspace(0.05 * top, 0.95 * top, 12):
         for x in (0.0, 0.3, -0.8):
             truth = barenblatt(params, float(s), x)
-            worst = max(worst, abs(inverse_transform(sample, float(s), x) - truth) / max(1.0, abs(truth)))
+            worst = max(worst, abs(inverse_transform(base, clock, float(s), x) - truth) / max(1.0, abs(truth)))
     assert worst <= 1e-8
 
 
@@ -180,10 +178,9 @@ def test_round_trip_with_drift_only_clock_matches_closed_forms():
     base = barenblatt_solution(params)
     grid = TimeGrid.uniform(1.0, 2048)
     clock = multiplier_path(still_path(grid), CoefficientPair.constant(0.0, g0), gamma=m)
-    sample = StochasticFieldSample(base=base, clock=clock)
     k = (m - 1.0) * g0
     for s in (0.2, 0.6, 1.0):
-        assert inverse_transform(sample, s, 0.25) == pytest.approx(
+        assert inverse_transform(base, clock, s, 0.25) == pytest.approx(
             barenblatt(params, s, 0.25), abs=1e-12
         )
         assert inverse_clock(clock, s) == pytest.approx(math.log1p(k * s) / k, abs=1e-3)
@@ -209,6 +206,8 @@ def test_blow_up_error_carries_the_hitting_time():
         forward_transform(base, clock, 0.1, 1.0)
     assert excinfo.value.base_time == pytest.approx(1.0 / 12.0, abs=1e-12)
     assert excinfo.value.hitting_time == pytest.approx(1.0 / 12.0, abs=1e-9)
+    # The message prints the one hitting time the error carries.
+    assert f"(first hit at t = {excinfo.value.hitting_time})" in str(excinfo.value)
 
 
 def test_query_below_the_base_validity_window_is_rejected():
@@ -225,7 +224,7 @@ def test_nan_times_are_invalid_input_before_the_window_is_read():
     with pytest.raises(InvalidInputError, match="time nan is not a number"):
         forward_transform(base, clock, math.nan, 0.0)
     with pytest.raises(InvalidInputError, match="clock value nan is not a number"):
-        inverse_transform(StochasticFieldSample(base=base, clock=clock), math.nan, 0.0)
+        inverse_transform(base, clock, math.nan, 0.0)
 
 
 def test_homogeneity_degree_matrix():
