@@ -635,7 +635,8 @@ def support_experiment(
     # Dominating envelope: a source-type profile at unit time offset that sits
     # above the initial data; its free boundary bounds every support radius.
     m, d = cfg.m, table.grid.dim
-    beta = 1.0 / ((m - 1.0) * d + 2.0)
+    # Read from the b = 1 record: b_dom is 0 for a zero box, which the record rejects.
+    beta = BarenblattParams(m, d, 1.0).beta
     height = float(np.max(cfg.initial.values))
     spread = support_radius(cfg.initial)
     b_dom = height ** (m - 1.0) + (m - 1.0) * beta / (2.0 * m) * spread**2

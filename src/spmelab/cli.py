@@ -2,15 +2,19 @@
 
 Every run writes, into the output directory: the subcommand's CSV files, one
 plot-description text file per CSV (column mapping and axis labels, no
-plotting dependency), a canonical config echo, and manifest.txt with the
-version tag, seeds, wall time, and the pass/fail state of every embedded
-check.  Exit status: 0 when all checks pass, 1 when some check fails,
-2 on configuration or runtime errors, artifacts that cannot be written
-included.  CSV integers print in decimal, bools as true/false and floats
-with 17 significant digits, with '\n' line ends, so identical configs give
-byte-identical artifacts.  The writer renders each chunk of rows with one
+plotting dependency; ``_write_table`` writes both), a canonical config echo,
+and manifest.txt with the version tag, seeds, wall time, and the pass/fail
+state of every embedded check.  Exit status: 0 when all checks pass, 1 when
+some check fails, 2 on configuration or runtime errors, artifacts that cannot
+be written included.  CSV integers print in decimal, bools as true/false and
+floats with 17 significant digits, with '\n' line ends, so identical configs
+give byte-identical artifacts.  The writer renders each chunk of rows with one
 ``%`` call, and formats a value that repeats within a chunk of a column once;
 repeats are found by the value's bits, so -0.0 still prints as -0.
+
+``initial = csv:PATH`` reads a header row and then x,value rows with x
+strictly increasing; the profile is linear between rows, 0 outside them,
+and negative values are clipped to 0.
 """
 from __future__ import annotations
 
@@ -107,7 +111,9 @@ def _write_csv(path: Path, header, columns) -> None:
             fh.write(((",".join(slots) + "\n") * count) % tuple(cells))
 
 
-def _write_plot_note(csv_path: Path, x: str, y: str, xlabel: str, ylabel: str, title: str) -> None:
+def _write_table(csv_path: Path, header, columns, x: str, y: str, xlabel: str, ylabel: str, title: str) -> None:
+    """Write one CSV table through ``_write_csv`` and the plot note beside it."""
+    _write_csv(csv_path, header, columns)
     note = csv_path.with_suffix(csv_path.suffix + ".plot.txt")
     with open(note, "w", encoding="utf-8", newline="") as fh:
         fh.write(
@@ -136,6 +142,9 @@ def _initial_state(cfg: RunConfig):
     if cfg.initial.startswith("csv:"):
         try:
             table = np.loadtxt(cfg.initial[4:], delimiter=",", skiprows=1, ndmin=2)
+            # np.interp reads its sample points as increasing; a NaN fails this too.
+            if not np.all(np.diff(table[:, 0]) > 0.0):
+                raise ValueError("the x column is not strictly increasing")
             profile = np.interp(grid.centers, table[:, 0], table[:, 1], left=0.0, right=0.0)
         except (OSError, ValueError, IndexError) as exc:
             raise ConfigError(
@@ -165,15 +174,15 @@ def _write_report(outdir: Path, report, per_header, per_columns, per_note, summa
     plot's (y-label, title) and ``summary_note`` the summary plot's
     (x-label, title).
     """
-    per_csv = outdir / "per_path.csv"
-    _write_csv(per_csv, per_header, (np.arange(report.n), *per_columns))
-    _write_plot_note(per_csv, "path", per_header[1], "path index", *per_note)
-    summary_csv = outdir / "summary.csv"
-    _write_csv(
-        summary_csv, ("estimate", "stderr", "n_paths", "target", "passed"),
-        ([report.estimate], [report.stderr], [report.n], [report.target], [report.passed]),
+    _write_table(
+        outdir / "per_path.csv", per_header, (np.arange(report.n), *per_columns),
+        "path", per_header[1], "path index", *per_note,
     )
-    _write_plot_note(summary_csv, "estimate", "target", summary_note[0], "target", summary_note[1])
+    _write_table(
+        outdir / "summary.csv", ("estimate", "stderr", "n_paths", "target", "passed"),
+        ([report.estimate], [report.stderr], [report.n], [report.target], [report.passed]),
+        "estimate", "target", summary_note[0], "target", summary_note[1],
+    )
     print(
         f"estimate={report.estimate:.6g} stderr={report.stderr:.3g} "
         f"target={report.target:.6g} passed={report.passed}"
@@ -192,14 +201,10 @@ def _run_exact(cfg: RunConfig, outdir: Path) -> dict:
     else:
         base = linear_pressure_base(cfg.m)
     values = [float(base.evaluate(t, x)) for t in cfg.times for x in xs]
-    csv_path = outdir / f"{cfg.solution}.csv"
-    _write_csv(
-        csv_path, ("t", "x", "value"),
+    _write_table(
+        outdir / f"{cfg.solution}.csv", ("t", "x", "value"),
         (np.repeat(cfg.times, xs.size), np.tile(xs, len(cfg.times)), values),
-    )
-    _write_plot_note(
-        csv_path, "x", "value", "position", "solution value",
-        f"{cfg.solution} profile at the configured times",
+        "x", "value", "position", "solution value", f"{cfg.solution} profile at the configured times",
     )
     return {}
 
@@ -209,11 +214,9 @@ def _run_path(cfg: RunConfig, outdir: Path) -> dict:
 
     def write(start, w, logh, h, H):
         for i, row in enumerate(zip(w, h, H), start):
-            csv_path = outdir / f"path_{i:03d}.csv"
-            _write_csv(csv_path, ("t", "w", "h", "H"), (grid.nodes, *row))
-            _write_plot_note(
-                csv_path, "t", "H", "time", "random clock",
-                "multiplier and clock along one noise path",
+            _write_table(
+                outdir / f"path_{i:03d}.csv", ("t", "w", "h", "H"), (grid.nodes, *row),
+                "t", "H", "time", "random clock", "multiplier and clock along one noise path",
             )
 
     _clock_blocks(grid, CoefficientPair.from_pieces(cfg.f, cfg.g), cfg.m, cfg.seed, cfg.n_paths, write)
@@ -226,16 +229,13 @@ def _run_evolve(cfg: RunConfig, outdir: Path) -> dict:
     snaps = tuple(t for t in cfg.times if initial.time < t < horizon)
     table = evolve(initial, cfg.m, horizon, cfg.cfl_safety, snaps)
     for k, (t, values) in enumerate(zip(table.times, table.values)):
-        csv_path = outdir / f"snapshot_{k:03d}.csv"
-        _write_csv(csv_path, ("x", "value"), (table.grid.centers, values))
-        _write_plot_note(
-            csv_path, "x", "value", "position", "field value",
-            f"solution snapshot at t = {t:.6g}",
+        _write_table(
+            outdir / f"snapshot_{k:03d}.csv", ("x", "value"), (table.grid.centers, values),
+            "x", "value", "position", "field value", f"solution snapshot at t = {t:.6g}",
         )
-    mass_path = outdir / "mass_log.csv"
-    _write_csv(mass_path, ("t", "mass"), (table.times, table.masses))
-    _write_plot_note(
-        mass_path, "t", "mass", "time", "discrete mass", "mass conservation log",
+    _write_table(
+        outdir / "mass_log.csv", ("t", "mass"), (table.times, table.masses),
+        "t", "mass", "time", "discrete mass", "mass conservation log",
     )
     drift = float(np.max(np.abs(table.masses - table.masses[0])))
     return {"mass_conserved": drift <= 1e-8 * max(1.0, table.masses[0])}
@@ -247,19 +247,15 @@ def _run_transform(cfg: RunConfig, outdir: Path) -> dict:
     sweep = clock_sweep(mc, probe_times)
     values = sweep.h[:, :, None] * eval_on_centers(sweep.tables[0], sweep.table_times[:, :, None], cfg.points)
     n_paths, n_times, n_points = values.shape
-    csv_path = outdir / "samples.csv"
-    _write_csv(
-        csv_path, ("path", "t", "x", "value"),
+    _write_table(
+        outdir / "samples.csv", ("path", "t", "x", "value"),
         (
             np.repeat(np.arange(n_paths), n_times * n_points),
             np.tile(np.repeat(probe_times, n_points), n_paths),
             np.tile(cfg.points, n_paths * n_times),
             values.reshape(-1),
         ),
-    )
-    _write_plot_note(
-        csv_path, "t", "value", "time", "stochastic field",
-        "transformed field sampled on the probe schedule",
+        "t", "value", "time", "stochastic field", "transformed field sampled on the probe schedule",
     )
     return {}
 
@@ -301,16 +297,13 @@ def _run_support(cfg: RunConfig, outdir: Path) -> dict:
         _mc_config(cfg), plateau_tol=cfg.plateau_tol, mass_check_time=cfg.mass_check_time
     )
     plateau, bound, mass, decay = (reports[k] for k in ("plateau", "support_bound", "mean_mass", "decay"))
-    per_csv = outdir / "per_path.csv"
-    _write_csv(
-        per_csv, ("path", "support_radius", "support_bound"),
+    _write_table(
+        outdir / "per_path.csv", ("path", "support_radius", "support_bound"),
         (np.arange(bound.n), bound.extras["support_radii"], bound.extras["support_bounds"]),
+        "path", "support_radius", "path index", "support radius", "per-path support radii against the dominating bound",
     )
-    _write_plot_note(per_csv, "path", "support_radius", "path index", "support radius",
-                     "per-path support radii against the dominating bound")
-    summary_csv = outdir / "summary.csv"
-    _write_csv(
-        summary_csv,
+    _write_table(
+        outdir / "summary.csv",
         (
             "plateau_median", "plateau_ok", "eta_hat", "bound_ok",
             "mass_estimate", "mass_target", "mass_ok",
@@ -321,15 +314,13 @@ def _run_support(cfg: RunConfig, outdir: Path) -> dict:
             mass.estimate, mass.target, mass.passed,
             decay.extras["center_initial"], decay.estimate, decay.passed,
         )],
+        "plateau_median", "eta_hat", "plateau", "support bound", "bounded-support experiment summary",
     )
-    _write_plot_note(summary_csv, "plateau_median", "eta_hat", "plateau", "support bound",
-                     "bounded-support experiment summary")
-    decay_csv = outdir / "decay_table.csv"
-    _write_csv(
-        decay_csv, ("t", "median_center_value"), (decay.extras["decay_times"], decay.extras["decay_medians"])
+    _write_table(
+        outdir / "decay_table.csv", ("t", "median_center_value"),
+        (decay.extras["decay_times"], decay.extras["decay_medians"]),
+        "t", "median_center_value", "time", "median u(t, 0)", "pointwise decay at the origin",
     )
-    _write_plot_note(decay_csv, "t", "median_center_value", "time", "median u(t, 0)",
-                     "pointwise decay at the origin")
     print(f"provenance: {bound.provenance}")
     return {name: rep.passed for name, rep in reports.items()}
 

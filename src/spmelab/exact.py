@@ -28,6 +28,8 @@ def _radius2(x, d: int):
 
 def sphere_area(d: int) -> float:
     """Surface area of the unit sphere in d dimensions (2 for d = 1)."""
+    if not d >= 1:
+        raise InvalidInputError(f"sphere area needs dimension d >= 1, not {d}")
     return 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
 
 
@@ -76,26 +78,24 @@ def barenblatt(p: BarenblattParams, t, x):
     return _maybe_float(val)
 
 
-def _unit_mass(m: float, d: int) -> float:
-    """Total mass of the b = 1 profile (time independent)."""
-    beta = 1.0 / ((m - 1.0) * d + 2.0)
-    ratio = m / (m - 1.0)
-    return ((m - 1.0) * beta / (2.0 * math.pi * m)) ** (-d / 2.0) * math.gamma(ratio) / math.gamma(
-        ratio + d / 2.0
-    )
-
-
 def barenblatt_mass(p: BarenblattParams) -> float:
     """Closed-form total mass; conserved in time."""
-    return p.b ** (1.0 / (2.0 * p.beta * (p.m - 1.0))) * _unit_mass(p.m, p.d)
+    ratio = p.m / (p.m - 1.0)
+    unit = ((p.m - 1.0) * p.beta / (2.0 * math.pi * p.m)) ** (-p.d / 2.0) * math.gamma(ratio) / math.gamma(
+        ratio + p.d / 2.0
+    )
+    return p.b ** (1.0 / (2.0 * p.beta * (p.m - 1.0))) * unit
 
 
 def mass_to_b(m: float, d: int, mass: float) -> float:
     """Profile scale b whose total mass equals ``mass`` (analytic inversion)."""
+    unit = BarenblattParams(m=m, d=d, b=1.0)
     if not mass > 0.0:
         raise InvalidInputError(f"mass must be positive, not {mass}")
-    beta = 1.0 / ((m - 1.0) * d + 2.0)
-    return (mass / _unit_mass(m, d)) ** (2.0 * beta * (m - 1.0))
+    if not mass < math.inf:
+        raise InvalidInputError(f"mass must be finite, not {mass}")
+    # At b = 1 the mass is the b-free factor alone, since 1.0 ** x is 1.0.
+    return (mass / barenblatt_mass(unit)) ** (2.0 * unit.beta * (m - 1.0))
 
 
 @dataclass(frozen=True)
@@ -155,7 +155,9 @@ def linear_pressure_base(m: float) -> DeterministicSolution:
 
 
 def pressure(u, m: float):
-    """Pressure variable V = m/(m-1) * u**(m-1)."""
+    """Pressure variable V = m/(m-1) * u**(m-1), for 1 < m < inf."""
+    if not 1.0 < m < math.inf:
+        raise InvalidInputError(f"pressure needs 1 < m < inf, not {m}")
     arr = np.asarray(u, dtype=float)
     if not np.all(arr >= 0.0):
         raise InvalidInputError(f"pressure needs a nonnegative field, not {arr}")
@@ -164,7 +166,9 @@ def pressure(u, m: float):
 
 
 def inverse_pressure(v, m: float):
-    """Invert the pressure map: u = ((m-1)/m * V)**(1/(m-1))."""
+    """Invert the pressure map: u = ((m-1)/m * V)**(1/(m-1)), for 1 < m < inf."""
+    if not 1.0 < m < math.inf:
+        raise InvalidInputError(f"pressure needs 1 < m < inf, not {m}")
     arr = np.asarray(v, dtype=float)
     if not np.all(arr >= 0.0):
         raise InvalidInputError(f"pressure values must be nonnegative, not {arr}")

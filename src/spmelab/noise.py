@@ -106,8 +106,8 @@ class TimeGrid:
 
     @classmethod
     def uniform(cls, horizon: float, steps: int) -> "TimeGrid":
-        if not (horizon > 0.0 and steps >= 1):
-            raise InvalidInputError(f"uniform grid needs horizon > 0 and steps >= 1, not {horizon} and {steps}")
+        if not (0.0 < horizon < math.inf and steps >= 1):
+            raise InvalidInputError(f"uniform grid needs 0 < horizon < inf and steps >= 1, not {horizon} and {steps}")
         return cls(np.linspace(0.0, float(horizon), int(steps) + 1))
 
     @property
@@ -198,6 +198,8 @@ class CoefficientPair:
     def _integral(self, values: np.ndarray, t: float) -> float:
         if not t >= 0.0:
             raise InvalidInputError(f"integration time must be nonnegative, not {t}")
+        if not t < math.inf:
+            raise InvalidInputError(f"integration time must be finite, not {t}")
         uppers = np.append(self.breaks[1:], np.inf)
         seg = np.clip(np.minimum(uppers, t) - np.minimum(self.breaks, t), 0.0, None)
         return float(np.dot(seg, values))

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import InvalidInputError, StabilityError
 from .exact import BarenblattParams, _radius2, barenblatt, sphere_area
-from .noise import _inside, _interp, _maybe_float
+from .noise import _inside, _interp, _maybe_float, _readonly
 from .timechange import DeterministicSolution, TimeInterval
 
 _DENOM_FLOOR = 1e-12
@@ -78,12 +78,10 @@ class SpatialGrid:
                 "grid geometry does not fit in floating point (a width, cell volume or face area is "
                 "not finite, or a cell volume is zero); shrink the box or lower the dimension"
             )
-        for arr in (faces, centers, volumes, areas):
-            arr.flags.writeable = False
-        object.__setattr__(self, "_faces", faces)
-        object.__setattr__(self, "_centers", centers)
-        object.__setattr__(self, "_volumes", volumes)
-        object.__setattr__(self, "_areas", areas)
+        object.__setattr__(self, "_faces", _readonly(faces))
+        object.__setattr__(self, "_centers", _readonly(centers))
+        object.__setattr__(self, "_volumes", _readonly(volumes))
+        object.__setattr__(self, "_areas", _readonly(areas))
 
     @property
     def dx(self) -> float:
@@ -107,6 +105,16 @@ class SpatialGrid:
         return self._areas
 
 
+def _field_values(values, shape: tuple) -> np.ndarray:
+    """``values`` as a read-only float array of ``shape``, every entry finite and nonnegative."""
+    arr = np.array(values, dtype=float)
+    if arr.shape != shape:
+        raise InvalidInputError("field values must match the grid cells")
+    if not np.all(np.isfinite(arr) & (arr >= 0.0)):
+        raise InvalidInputError("field values must be finite and nonnegative")
+    return _readonly(arr)
+
+
 @dataclass(frozen=True, eq=False)
 class FieldState:
     """Nonnegative cell averages at one time."""
@@ -116,15 +124,9 @@ class FieldState:
     values: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.values, dtype=float)
-        if arr.shape != (self.grid.cells,):
-            raise InvalidInputError("field values must match the grid cells")
         if not self.time >= 0.0:
             raise InvalidInputError(f"field time must be nonnegative, not {self.time}")
-        if not np.all(np.isfinite(arr) & (arr >= 0.0)):
-            raise InvalidInputError("field values must be finite and nonnegative")
-        arr.flags.writeable = False
-        object.__setattr__(self, "values", arr)
+        object.__setattr__(self, "values", _field_values(self.values, (self.grid.cells,)))
 
     @property
     def mass(self) -> float:
@@ -248,7 +250,6 @@ class SnapshotTable:
     """
 
     grid: SpatialGrid
-    m: float
     times: np.ndarray
     values: np.ndarray
     clamped_total: float = 0.0
@@ -264,17 +265,11 @@ class SnapshotTable:
             raise InvalidInputError("snapshots must be stored at increasing times")
         if not times[0] >= 0.0:
             raise InvalidInputError(f"field time must be nonnegative, not {times[0]}")
-        values = np.array(self.values, dtype=float)
-        if values.shape != (times.size, self.grid.cells):
-            raise InvalidInputError("field values must match the grid cells")
-        if not np.all(np.isfinite(values) & (values >= 0.0)):
-            raise InvalidInputError("field values must be finite and nonnegative")
+        values = _field_values(self.values, (times.size, self.grid.cells))
         # One np.dot per row, as FieldState.mass: values @ volumes may sum in another order.
         masses = np.array([np.dot(row, self.grid.volumes) for row in values])
-        for arr in (times, masses, values):
-            arr.flags.writeable = False
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "masses", masses)
+        object.__setattr__(self, "times", _readonly(times))
+        object.__setattr__(self, "masses", _readonly(masses))
         object.__setattr__(self, "values", values)
 
     @property
@@ -340,8 +335,8 @@ def _march(initials: tuple, m: float, horizon: float, cfl_safety: float, snapsho
     t0 = initials[0].time
     if any(st.time != t0 for st in initials):
         raise InvalidInputError("paired evolution needs a common start time")
-    if not horizon > t0:
-        raise InvalidInputError("horizon must exceed the initial time")
+    if not t0 < horizon < math.inf:
+        raise InvalidInputError(f"horizon must be finite and exceed the initial time, not {horizon}")
     targets = sorted({float(s) for s in snapshot_times} | {horizon})
     for s in targets:
         if not t0 - 1e-12 <= s <= horizon + 1e-12:
@@ -415,7 +410,7 @@ def _march(initials: tuple, m: float, horizon: float, cfl_safety: float, snapsho
         dt_min = dt_max = math.nan
     return tuple(
         SnapshotTable(
-            grid, m, times, values, clamped_total=total,
+            grid, times, values, clamped_total=total,
             steps=steps_taken, dt_min=dt_min, dt_max=dt_max, cell_steps=cell_steps,
         )
         for values, total in zip(snaps, clamped)
@@ -507,8 +502,10 @@ def support_radius(state: FieldState) -> float:
 
 
 def lp_power_sum(values, grid: SpatialGrid, p: float) -> float:
-    """Discrete integral of u**p (volume-weighted power sum) of cell values on the grid; p > 0."""
+    """Discrete integral of u**p (volume-weighted power sum) of cell values on the grid; 0 < p < inf."""
     if not p > 0.0:
         raise InvalidInputError(f"the power sum needs p > 0, not {p}")
+    if not p < math.inf:
+        raise InvalidInputError(f"the power sum needs a finite p, not {p}")
     return float(np.dot(np.asarray(values, dtype=float) ** p, grid.volumes))
 

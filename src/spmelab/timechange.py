@@ -95,8 +95,7 @@ def _rhs_heat(v: np.ndarray, dx: float, m: float | None) -> np.ndarray:
 def _rhs_pme(v: np.ndarray, dx: float, m: float | None) -> np.ndarray:
     if m is None:
         raise InvalidInputError("the porous-medium right-hand side needs m")
-    u = v**m
-    return (u[2:] - 2.0 * u[1:-1] + u[:-2]) / dx**2
+    return _rhs_heat(v**m, dx, m)
 
 
 def _rhs_burgers(v: np.ndarray, dx: float, m: float | None) -> np.ndarray:
@@ -106,7 +105,7 @@ def _rhs_burgers(v: np.ndarray, dx: float, m: float | None) -> np.ndarray:
 def _rhs_pressure(v: np.ndarray, dx: float, m: float | None) -> np.ndarray:
     if m is None:
         raise InvalidInputError("the pressure right-hand side needs m")
-    lap = (v[2:] - 2.0 * v[1:-1] + v[:-2]) / dx**2
+    lap = _rhs_heat(v, dx, m)
     grad = (v[2:] - v[:-2]) / (2.0 * dx)
     return (m - 1.0) * v[1:-1] * lap + grad**2
 

@@ -365,8 +365,11 @@ def test_runtime_errors_exit_with_status_two(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "content",
-    [None, "x,value\n0,one\n1,two\n", "x\n-1\n0\n1\n"],
-    ids=["missing", "non_numeric", "one_column"],
+    [
+        None, "x,value\n0,one\n1,two\n", "x\n-1\n0\n1\n",
+        "x,value\n1,0\n0,1\n-1,0\n", "x,value\n-1,0\n0,1\n0,1\n1,0\n",
+    ],
+    ids=["missing", "non_numeric", "one_column", "decreasing_x", "repeated_x"],
 )
 def test_unreadable_csv_initial_data_is_a_config_error(tmp_path, capsys, content):
     profile = tmp_path / "profile.csv"
@@ -611,6 +614,17 @@ def test_every_artifact_matches_the_per_cell_reference_writer(tmp_path, monkeypa
     for name in names:
         if name != "manifest.txt":
             assert filecmp.cmp(columnar / name, out / name, shallow=False), name
+
+
+@pytest.mark.parametrize("body", list(_SUBCOMMANDS.values()), ids=list(_SUBCOMMANDS))
+def test_every_csv_has_a_plot_note_naming_it(tmp_path, capsys, body):
+    out = tmp_path / "out"
+    assert main(["--config", write_config(tmp_path, "run.ini", body + f"out = {out}\n")]) == 0
+    tables = sorted(p.name for p in out.glob("*.csv"))
+    assert tables
+    assert sorted(p.name for p in out.glob("*.plot.txt")) == [name + ".plot.txt" for name in tables]
+    for name in tables:
+        assert (out / f"{name}.plot.txt").read_text(encoding="utf-8").splitlines()[0] == f"data: {name}"
 
 
 def assert_path_files_hold_the_one_path_clocks(tmp_path, out, n_paths):

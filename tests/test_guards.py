@@ -33,6 +33,7 @@ from spmelab import (
     check_homogeneity,
     comparison_check,
     evolve,
+    evolve_together,
     interp_H,
     interp_mass,
     inverse_pressure,
@@ -48,6 +49,7 @@ from spmelab import (
     quadratic_pressure,
     sample_brownian,
     self_similar,
+    sphere_area,
     still_path,
     support_experiment,
     weak_form_residual,
@@ -93,6 +95,31 @@ def _no_work(*args):
         (lambda: Bump(center=0.0, width=NAN), "width must be positive, not nan"),
         (lambda: linear_pressure_base(NAN), "m > 1, not nan"),
         (lambda: mass_to_b(2.0, 1, NAN), "mass must be positive, not nan"),
+        (lambda: mass_to_b(NAN, 1, 1.0), "m > 1, not nan"),
+        (lambda: mass_to_b(1.0, 1, 1.0), "m > 1, not 1.0"),
+        (lambda: mass_to_b(2.0, 0, 1.0), "dimension must be >= 1"),
+        (lambda: mass_to_b(2.0, 1, math.inf), "mass must be finite, not inf"),
+        (lambda: pressure(0.5, NAN), "pressure needs 1 < m < inf, not nan"),
+        (lambda: pressure(0.5, 1.0), "pressure needs 1 < m < inf, not 1.0"),
+        (lambda: inverse_pressure(0.5, NAN), "pressure needs 1 < m < inf, not nan"),
+        (lambda: inverse_pressure(0.5, 1.0), "pressure needs 1 < m < inf, not 1.0"),
+        (lambda: sphere_area(0), "dimension d >= 1, not 0"),
+        (lambda: sphere_area(-1), "dimension d >= 1, not -1"),
+        (
+            lambda: evolve(box_state(GRID, 1.0, 1.0), 2.0, math.inf, 0.4, (0.05,)),
+            "finite and exceed the initial time, not inf",
+        ),
+        (
+            lambda: evolve_together((box_state(GRID, 1.0, 1.0),), 2.0, math.inf, 0.4, (0.05,)),
+            "finite and exceed the initial time, not inf",
+        ),
+        (lambda: TimeGrid.uniform(math.inf, 4), "0 < horizon < inf and steps >= 1, not inf and 4"),
+        (lambda: CoefficientPair.constant(1.0, 0.0).integral_g(math.inf), "integration time must be finite, not inf"),
+        (lambda: CoefficientPair.constant(1.0, 0.0).integral_f2(math.inf), "integration time must be finite, not inf"),
+        (
+            lambda: multiplier_moment(CoefficientPair.constant(1.0, 0.0), 2.0, math.inf),
+            "integration time must be finite, not inf",
+        ),
         (lambda: pressure(NAN, 2.0), "nonnegative field, not nan"),
         (lambda: inverse_pressure(NAN, 2.0), "pressure values must be nonnegative, not nan"),
         (lambda: mc_lp_bound(_config(), NAN, 0.5), "p >= 1, not nan"),
@@ -105,6 +132,7 @@ def _no_work(*args):
         (lambda: multiplier_moment(CoefficientPair.constant(1.0, 0.0), NAN, 1.0), "p must be finite, not nan"),
         (lambda: Bump(center=NAN, width=1.0), "center must be finite, not nan"),
         (lambda: lp_power_sum(np.ones(GRID.cells), GRID, NAN), "p > 0, not nan"),
+        (lambda: lp_power_sum(np.ones(GRID.cells), GRID, math.inf), "finite p, not inf"),
         (lambda: check_homogeneity("heat", NAN), "gamma must be finite, not nan"),
         (lambda: weak_form_residual(*_base_and_clock(), NAN, Bump(center=0.0, width=1.0), 0.5), "m > 1, not nan"),
         (
@@ -122,10 +150,14 @@ def _no_work(*args):
         "barenblatt", "support_radius", "quadratic_pressure", "self_similar", "barenblatt_solution",
         "evolve_snapshot_time", "FieldState_time", "evolve_m",
         "BarenblattParams_m", "BarenblattParams_b", "QuadraticPressureParams_q", "Bump_width",
-        "linear_pressure_base", "mass_to_b", "pressure", "inverse_pressure", "mc_lp_bound_p",
+        "linear_pressure_base", "mass_to_b", "mass_to_b_m", "mass_to_b_m_one", "mass_to_b_d", "mass_to_b_mass_inf",
+        "pressure_m", "pressure_m_one", "inverse_pressure_m", "inverse_pressure_m_one", "sphere_area_zero",
+        "sphere_area_negative", "evolve_horizon_inf", "evolve_together_horizon_inf", "TimeGrid_uniform_inf",
+        "integral_g_inf", "integral_f2_inf", "multiplier_moment_t_inf",
+        "pressure", "inverse_pressure", "mc_lp_bound_p",
         "mc_lp_bound_p_inf", "support_plateau_tol", "support_plateau_tol_negative", "Bump_width_inf",
         "Bump_width_overflow",
-        "McConfig_m", "multiplier_moment_p", "Bump_center", "lp_power_sum_p",
+        "McConfig_m", "multiplier_moment_p", "Bump_center", "lp_power_sum_p", "lp_power_sum_p_inf",
         "check_homogeneity_gamma", "weak_form_residual_m", "comparison_check_position", "maximum_check_position",
         "asymptotics_x0", "limit_profile_x0",
     ],

@@ -133,3 +133,9 @@ def test_transform_functions_lead_with_base_and_clock():
 
 def test_deterministic_solution_fields_are_the_listed_ones():
     assert [f.name for f in dataclasses.fields(spmelab.DeterministicSolution)] == ["evaluate", "interval"]
+
+
+def test_snapshot_table_fields_are_the_listed_ones():
+    assert [f.name for f in dataclasses.fields(spmelab.SnapshotTable)] == [
+        "grid", "times", "values", "clamped_total", "steps", "dt_min", "dt_max", "cell_steps", "masses",
+    ]

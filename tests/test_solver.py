@@ -161,26 +161,26 @@ def test_snapshot_table_requires_increasing_times():
     grid = line_grid(cells=16)
     for times in ([0.5, 0.25], [0.5, 0.5], [[0.0, 0.5]], []):
         with pytest.raises(InvalidInputError, match="snapshots must be stored at increasing times"):
-            SnapshotTable(grid, 2.0, times, np.ones((np.size(times), 16)))
+            SnapshotTable(grid, times, np.ones((np.size(times), 16)))
 
 
 def test_snapshot_table_rejects_negative_times():
     with pytest.raises(InvalidInputError, match="field time must be nonnegative"):
-        SnapshotTable(line_grid(cells=8), 2.0, [-1.0, 0.0], np.ones((2, 8)))
+        SnapshotTable(line_grid(cells=8), [-1.0, 0.0], np.ones((2, 8)))
 
 
 def test_snapshot_table_checks_its_values_and_keeps_its_own_copy():
     grid = line_grid(cells=16)
     for shape in ((2, 15), (3, 16), (32,)):
         with pytest.raises(InvalidInputError, match="field values must match the grid cells"):
-            SnapshotTable(grid, 2.0, [0.0, 0.5], np.ones(shape))
+            SnapshotTable(grid, [0.0, 0.5], np.ones(shape))
     for bad in (-0.1, -np.inf, np.inf, np.nan):
         values = np.ones((2, 16))
         values[1, 3] = bad
         with pytest.raises(InvalidInputError, match="field values must be finite and nonnegative"):
-            SnapshotTable(grid, 2.0, [0.0, 0.5], values)
+            SnapshotTable(grid, [0.0, 0.5], values)
     values = np.random.default_rng(3).uniform(0.0, 2.0, (2, 16))
-    table = SnapshotTable(grid, 2.0, [0.0, 0.5], values)
+    table = SnapshotTable(grid, [0.0, 0.5], values)
     values[0, 0] = 7.0
     assert table.values[0, 0] != 7.0
     assert not any(a.flags.writeable for a in (table.times, table.values, table.masses))
@@ -270,7 +270,7 @@ def test_table_reads_match_snapshots_and_interpolate():
 
 def test_eval_on_centers_edge_conventions():
     grid = line_grid(lo=-2.0, hi=2.0, cells=16)
-    table = SnapshotTable(grid, 2.0, [0.0], np.ones((1, grid.cells)))
+    table = SnapshotTable(grid, [0.0], np.ones((1, grid.cells)))
     vals = eval_on_centers(table, 0.0, np.array([-3.0, -1.99, 0.0, 1.99, 3.0]))
     assert vals[0] == 0.0 and vals[-1] == 0.0
     assert np.all(vals[1:4] == 1.0)
@@ -422,7 +422,7 @@ def tables_and_queries(draw):
     t0 = float(rng.choice([0.0, rng.uniform(0.0, 2.0)]))
     times = t0 + np.concatenate(([0.0], np.cumsum(rng.uniform(1e-3, 1.0, n_snaps - 1))))
     values = [rng.uniform(0.0, 2.0, cells) * (rng.random(cells) < 0.8) for _ in times]
-    table = SnapshotTable(grid, 2.0, times, values)
+    table = SnapshotTable(grid, times, values)
     slack = 1e-9 * max(1.0, table.t_last)
     inside = rng.uniform(table.t_first, table.t_last, draw(st.integers(0, 6)))
     ts = np.concatenate((times, inside, [table.t_first - 0.5 * slack, table.t_last + 0.5 * slack]))
@@ -546,7 +546,7 @@ def _reference_march(initials, m, horizon, cfl_safety, snapshot_times):
         for i, st in enumerate(states):
             snaps[i].append(st)
     tables = tuple(
-        SnapshotTable(s[0].grid, m, [st.time for st in s], [st.values for st in s], clamped_total=c)
+        SnapshotTable(s[0].grid, [st.time for st in s], [st.values for st in s], clamped_total=c)
         for s, c in zip(snaps, clamped)
     )
     return tables, dts
@@ -751,7 +751,7 @@ def test_snapshot_times_the_march_cannot_tell_apart_fail_before_any_step(monkeyp
 
 def test_tables_built_without_marching_carry_no_step_statistics():
     grid = line_grid(cells=16)
-    table = SnapshotTable(grid, 2.0, [0.0], box_state(grid, 1.0, 1.0).values[None])
+    table = SnapshotTable(grid, [0.0], box_state(grid, 1.0, 1.0).values[None])
     assert table.steps == 0 and math.isnan(table.dt_min) and math.isnan(table.dt_max)
     assert table.cell_steps == 0
 
