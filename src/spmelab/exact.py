@@ -33,19 +33,25 @@ def sphere_area(d: int) -> float:
     return 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
 
 
+def _check_m_and_d(what: str, m: float, d) -> None:
+    """Reject m outside (1, inf) and a dimension that is not a whole number >= 1
+    (an integral float such as 2.0 is one)."""
+    if not 1.0 < m < math.inf:
+        raise InvalidInputError(f"{what} needs finite m > 1, not {m}")
+    if not (d >= 1 and float(d).is_integer()):
+        raise InvalidInputError(f"dimension must be >= 1 and a whole number, not {d}")
+
+
 @dataclass(frozen=True)
 class BarenblattParams:
-    """Source-type self-similar profile parameters: exponent m > 1, dimension d, scale b > 0."""
+    """Source-type self-similar profile parameters: exponent 1 < m < inf, whole dimension d >= 1, scale b > 0."""
 
     m: float
     d: int
     b: float
 
     def __post_init__(self):
-        if not self.m > 1.0:
-            raise InvalidInputError(f"Barenblatt profile needs m > 1, not {self.m}")
-        if self.d < 1:
-            raise InvalidInputError("dimension must be >= 1")
+        _check_m_and_d("Barenblatt profile", self.m, self.d)
         if not self.b > 0.0:
             raise InvalidInputError(f"profile scale b must be positive, not {self.b}")
 
@@ -107,10 +113,7 @@ class QuadraticPressureParams:
     q: float
 
     def __post_init__(self):
-        if not self.m > 1.0:
-            raise InvalidInputError(f"quadratic-pressure solution needs m > 1, not {self.m}")
-        if self.d < 1:
-            raise InvalidInputError("dimension must be >= 1")
+        _check_m_and_d("quadratic-pressure solution", self.m, self.d)
         if not self.q > 0.0:
             raise InvalidInputError(f"initial pressure curvature q must be positive, not {self.q}")
 

@@ -10,10 +10,19 @@ r**(d-1)).  Under the time-step bound
 the update is monotone: it preserves nonnegativity, ordering between
 solutions, and the discrete maximum principle, and it conserves the discrete
 mass exactly up to rounding.
+
+A one-state march may instead take second-order Runge-Kutta-Legendre
+(RKL2) super-steps (Meyer, Balsara & Aslam, J. Comput. Phys. 257, 2014):
+s >= 2 flux evaluations stretch the step to (s**2 + s - 2) / 4 of the bound
+above.  Such a step conserves mass but is not monotone, so it is private to
+:func:`_march` and opted into by the one reference solve that reads a single
+state (``analysis.support_experiment``).
 """
 from __future__ import annotations
 
+import functools
 import math
+import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,8 +33,14 @@ from .noise import _inside, _interp, _maybe_float, _readonly
 from .timechange import DeterministicSolution, TimeInterval
 
 _DENOM_FLOOR = 1e-12
+_DOUBLE = struct.Struct("<d")
 _MAX_STEPS = 50_000_000
 _WINDOW_PAD = 32
+# The most RKL2 stages in one super-step, and the largest fraction of the
+# time marched so far that a super-step longer than one bound may span: the
+# start from rough data and the front's motion need short steps.
+_MAX_STAGES = 32
+_ELAPSED = 0.02
 
 
 @dataclass(frozen=True)
@@ -167,32 +182,57 @@ def _bound(peak: float, m: float, scale: float, rate: float) -> float:
     return scale / max(denom, _DENOM_FLOOR)
 
 
-def _window(u: np.ndarray) -> tuple:
-    """The columns [lo, hi) that the next ``_WINDOW_PAD`` steps can change.
+def _window(u: np.ndarray, pad: int = _WINDOW_PAD) -> tuple:
+    """The columns [lo, hi) that the next ``pad`` flux evaluations can change.
 
     A column is live when some row holds anything but +0.0 there (a -0.0
-    counts, so its sign evolves as on the whole box).  The stencil spreads
-    the live set by at most one cell per step, so the live columns widened
-    by ``_WINDOW_PAD`` on either side keep +0.0 just outside the window, and
-    the window's edge faces carry exactly the zero flux of the whole box.
+    counts, so its sign evolves as on the whole box).  Each flux evaluation
+    spreads the live set by at most one cell, so the live columns widened by
+    ``pad`` on either side keep +0.0 just outside the window, and the
+    window's edge faces carry exactly the zero flux of the whole box.
     """
     live = np.flatnonzero(np.bitwise_or.reduce(u.view(np.int64), 0))
     first, last = (int(live[0]), int(live[-1])) if live.size else (0, 0)
-    return max(first - _WINDOW_PAD, 0), min(last + _WINDOW_PAD + 1, u.shape[1])
+    return max(first - pad, 0), min(last + pad + 1, u.shape[1])
 
 
 def _work(u: np.ndarray, dx: float, m: float) -> tuple:
     """Buffers for :func:`_advance` on a window shaped like ``u`` (rows of
     columns), with the views it reads: u**m, the face fluxes between two zero
     columns (the no-flux walls or the window's edges), the divergence and the
-    bits of ``u`` itself as uint64.  Then dx, m and a slot for the step length
-    as 0-d float64 arrays: a ufunc takes them with about half the fixed cost of
-    a Python float and runs the same float64 loop."""
+    bits of ``u`` itself as uint64, whole and as a tuple of rows (None for one
+    row).  Then dx, m and a slot for the step length as 0-d float64 arrays: a
+    ufunc takes them with about half the fixed cost of a Python float and runs
+    the same float64 loop."""
     um, padded, div = np.empty_like(u), np.zeros((u.shape[0], u.shape[1] + 1)), np.empty_like(u)
+    bits = u.view(np.uint64)
     return (
         um, um[:, 1:], um[:, :-1], padded[:, 1:-1], padded[:, 1:], padded[:, :-1], div,
-        u.view(np.uint64), np.array(dx, dtype=float), np.array(m, dtype=float), np.empty(()),
+        bits, tuple(bits) if len(u) > 1 else None, np.array(dx, dtype=float), np.array(m, dtype=float),
+        np.empty(()),
     )
+
+
+def _cut(u: np.ndarray, lo: int, hi: int, grid: SpatialGrid, areas, m: float) -> tuple:
+    """The window ``u[:, lo:hi]``, its cell volumes, its inner face areas
+    (None on a cartesian grid) and its :func:`_work` buffers."""
+    window = u[:, lo:hi]
+    inner = None if areas is None else areas[lo + 1 : hi]
+    return window, grid.volumes[lo:hi], inner, _work(window, grid.dx, m)
+
+
+def _divergence(u: np.ndarray, areas, work: tuple) -> np.ndarray:
+    """The net face flux of every cell of ``u``, diff(A * diff(u**m) / dx) with
+    zero flux at the window's edges, in ``work``'s divergence buffer; dividing
+    it by the cell volumes gives the rate of change of the cell averages."""
+    um, um_right, um_left, flux, flux_right, flux_left, div, _, _, dx, m, _ = work
+    np.power(u, m, um)
+    np.subtract(um_right, um_left, flux)
+    if areas is not None:
+        np.multiply(areas, flux, flux)
+    np.divide(flux, dx, flux)
+    np.subtract(flux_right, flux_left, div)
+    return div
 
 
 def _advance(u: np.ndarray, dt: float, areas, volumes: np.ndarray, work: tuple):
@@ -210,8 +250,10 @@ def _advance(u: np.ndarray, dt: float, areas, volumes: np.ndarray, work: tuple):
     of ``float(np.max(u))``, and the mass that zeroing negative values
     removed per row, or None when no value went negative.
     """
-    um, um_right, um_left, flux, flux_right, flux_left, div, bits, dx, m, step = work
+    um, um_right, um_left, flux, flux_right, flux_left, div, bits, bit_rows, dx, m, step = work
     step[()] = dt
+    # The flux of _divergence, written out: calling it costs about a quarter
+    # of a step of a few hundred cells.
     np.power(u, m, um)
     np.subtract(um_right, um_left, flux)
     if areas is not None:
@@ -223,10 +265,27 @@ def _advance(u: np.ndarray, dt: float, areas, volumes: np.ndarray, work: tuple):
     np.add(u, div, u)
     # Floats with the sign bit clear order as their bits do, so the largest
     # bit pattern has its sign bit clear exactly when no value carries a sign,
-    # and is then the largest value.  argmax gives its first index.
-    peak = u.item(bits.argmax())
+    # and is then the largest value.  A window of two or more rows is not
+    # contiguous, and argmax would copy it, so each row (a contiguous view)
+    # gives its largest pattern and the largest of those is read as a float.
+    if bit_rows is None:
+        peak = u.item(bits.argmax())
+    else:
+        top = 0
+        for row in bit_rows:
+            top = max(top, row.item(row.argmax()))
+        peak = _DOUBLE.unpack(top.to_bytes(8, "little"))[0]
     if math.copysign(1.0, peak) > 0.0:
         return peak, None
+    return _clamp(u, volumes)
+
+
+def _clamp(u: np.ndarray, volumes: np.ndarray) -> tuple:
+    """Zero the negative values of ``u`` (rows of columns) in place.
+
+    Returns the largest value after it and the mass zeroed per row, or None
+    in place of that list when no value was negative.
+    """
     lost = None
     if np.minimum.reduce(u, None) < 0.0:
         lost = []
@@ -237,6 +296,70 @@ def _advance(u: np.ndarray, dt: float, areas, volumes: np.ndarray, work: tuple):
     return float(np.maximum.reduce(u, None)), lost
 
 
+# How many forward-Euler bounds an RKL2 step of s = 2, 3, ... stages may span.
+_CAPACITY = np.array([(s * s + s - 2) / 4.0 for s in range(2, _MAX_STAGES + 1)])
+
+
+@functools.cache
+def _rkl2(s: int) -> tuple:
+    """The coefficients of the s-stage RKL2 step: mu~_1, then
+    (mu_j, nu_j, 1 - mu_j - nu_j, mu~_j, gamma~_j) for j = 2, ..., s.
+
+    With b_j = (j**2 + j - 2) / (2 j (j + 1)), b_0 = b_1 = b_2 = 1/3,
+    a_j = 1 - b_j and w_1 = 4 / (s**2 + s - 2): mu~_1 = b_1 w_1,
+    mu_j = (2j - 1)/j b_j/b_{j-1}, nu_j = -(j - 1)/j b_j/b_{j-2},
+    mu~_j = mu_j w_1 and gamma~_j = -a_{j-1} mu~_j.
+    """
+    b = [1.0 / 3.0] * 3 + [(j * j + j - 2) / (2.0 * j * (j + 1)) for j in range(3, s + 1)]
+    w1 = 4.0 / (s * s + s - 2)
+    stages = []
+    for j in range(2, s + 1):
+        mu = (2 * j - 1) / j * b[j] / b[j - 1]
+        nu = -(j - 1) / j * b[j] / b[j - 2]
+        stages.append((mu, nu, 1.0 - mu - nu, mu * w1, -(1.0 - b[j - 1]) * (mu * w1)))
+    return b[1] * w1, tuple(stages)
+
+
+def _super_step(u: np.ndarray, tau: float, s: int, areas, volumes: np.ndarray, work: tuple):
+    """Advance ``u`` (one row of columns) by one s-stage RKL2 step of length
+    tau, in place, with the arguments of :func:`_advance`.
+
+    With L(y) = div(y) / volume, div from :func:`_divergence`, the stages are
+
+        Y_0 = u,   Y_1 = Y_0 + (mu~_1 tau) L(Y_0),
+        Y_j = mu_j Y_{j-1} + nu_j Y_{j-2} + (1 - mu_j - nu_j) Y_0
+              + (mu~_j tau) L(Y_{j-1}) + (gamma~_j tau) L(Y_0),
+
+    each sum taken left to right, and ``u`` becomes Y_s.  Negative values are
+    then zeroed; returns ``(peak, lost)`` as :func:`_advance` does.
+    """
+    mu1, stages = _rkl2(s)
+    # As in _advance, a cartesian cell divides by the scalar dx of ``work``.
+    cell = volumes if areas is not None else work[9]
+    y0, rate0, term = u.copy(), np.empty_like(u), np.empty_like(u)
+    rows = (np.empty_like(u), np.empty_like(u), np.empty_like(u))
+    np.divide(_divergence(y0, areas, work), cell, rate0)
+    prev, cur = y0, rows[0]
+    np.multiply(mu1 * tau, rate0, cur)
+    np.add(y0, cur, cur)
+    for j, (mu, nu, rest, mu_t, gamma_t) in enumerate(stages, 1):
+        new = rows[j % 3]
+        rate = _divergence(cur, areas, work)
+        np.divide(rate, cell, rate)
+        np.multiply(mu, cur, new)
+        np.multiply(nu, prev, term)
+        np.add(new, term, new)
+        np.multiply(rest, y0, term)
+        np.add(new, term, new)
+        np.multiply(mu_t * tau, rate, term)
+        np.add(new, term, new)
+        np.multiply(gamma_t * tau, rate0, term)
+        np.add(new, term, new)
+        prev, cur = cur, new
+    np.copyto(u, cur)
+    return _clamp(u, volumes)
+
+
 @dataclass(frozen=True, eq=False)
 class SnapshotTable:
     """Cell values on one grid at increasing times: row k of ``values`` holds
@@ -244,9 +367,11 @@ class SnapshotTable:
 
     ``clamped_total`` is the negative mass the march zeroed (expected 0).
     ``steps``, ``dt_min`` and ``dt_max`` count the explicit steps that built
-    the table and their length range (NaN when no step was taken);
-    ``cell_steps`` sums the cells each step advanced, at most
-    ``cells * steps``, since a step advances only a window around the support.
+    the table and their length range (NaN when no step was taken); a
+    super-stepped march counts its super-steps.  ``stages`` counts the flux
+    evaluations, ``steps`` for forward Euler, and ``cell_steps`` sums the
+    cells each of them advanced, at most ``cells * stages``, since a step
+    advances only a window around the support.
     """
 
     grid: SpatialGrid
@@ -257,6 +382,7 @@ class SnapshotTable:
     dt_min: float = math.nan
     dt_max: float = math.nan
     cell_steps: int = 0
+    stages: int = 0
     masses: np.ndarray = field(init=False)
 
     def __post_init__(self):
@@ -312,7 +438,8 @@ def _check_budget(u: np.ndarray, m: float, scale: float, rate: float, grid: Spat
     """Raise the step-budget error now when marching ``span`` further from ``u``
     provably needs more than ``_MAX_STEPS - 1`` steps.
 
-    Every step is at most ``_bound`` of the largest row peak.  A peak is at
+    Every step is at most ``_bound`` of the largest row peak, with ``scale``
+    stretched by the most bounds one step may span.  A peak is at
     least its row's volume-weighted mean, which never falls (the scheme
     conserves mass and clamping only adds; the 1e-6 margin covers rounding),
     and ``_bound`` decreases in the peak, so ``_bound`` of the largest mean
@@ -326,10 +453,20 @@ def _check_budget(u: np.ndarray, m: float, scale: float, rate: float, grid: Spat
         raise StabilityError("step budget exhausted before reaching the horizon")
 
 
-def _march(initials: tuple, m: float, horizon: float, cfl_safety: float, snapshot_times) -> tuple:
-    """The one marching loop behind :func:`evolve` and :func:`evolve_together`."""
+def _march(
+    initials: tuple, m: float, horizon: float, cfl_safety: float, snapshot_times, super_step: bool = False
+) -> tuple:
+    """The one marching loop behind :func:`evolve` and :func:`evolve_together`.
+
+    With ``super_step`` the one state takes RKL2 steps (:func:`_super_step`)
+    of up to ``_CAPACITY[-1]`` bounds, and at most ``_ELAPSED`` times the
+    time marched so far when that exceeds one bound; each is cropped to the
+    next snapshot and takes the fewest stages whose capacity covers it.
+    """
     if len(initials) < 1:
         raise InvalidInputError("at least one initial state is required")
+    if super_step and len(initials) != 1:
+        raise InvalidInputError("super-stepping marches one state")
     if not 0.0 < cfl_safety <= 1.0:
         raise InvalidInputError("cfl_safety must lie in (0, 1]")
     t0 = initials[0].time
@@ -358,10 +495,11 @@ def _march(initials: tuple, m: float, horizon: float, cfl_safety: float, snapsho
     times = []
     t = t0
     clamped = [0.0] * len(initials)
-    steps_taken = cell_steps = 0
+    steps_taken = stages_taken = cell_steps = 0
     dt_min, dt_max = math.inf, 0.0
-    dx = grid.dx
-    scale, rate = cfl_safety * dx**2, 2.0 * grid.dim * m
+    scale, rate = cfl_safety * grid.dx**2, 2.0 * grid.dim * m
+    # The most bounds one step may span.
+    reach = float(_CAPACITY[-1]) if super_step else 1.0
     areas = None if grid.kind == "cartesian" else grid.face_areas
     # _bound falls as the peak grows, so the bound of the largest value is the
     # least of the rows' bounds and the update is monotone for every row.
@@ -374,25 +512,36 @@ def _march(initials: tuple, m: float, horizon: float, cfl_safety: float, snapsho
     with np.errstate(over="ignore", invalid="ignore"):
         for k, target in enumerate([t0, *targets]):
             while t < target - eps:
-                if steps_taken % _WINDOW_PAD == 0:
-                    # Outside the window every value stays +0.0 for the next
-                    # _WINDOW_PAD steps, so marching the window alone keeps every bit.
-                    lo, hi = _window(u)
-                    window, volumes = u[:, lo:hi], grid.volumes[lo:hi]
-                    inner = None if areas is None else areas[lo + 1 : hi]
-                    work = _work(window, dx, m)
                 if not math.isfinite(peak):
                     raise InvalidInputError("field values must be finite and nonnegative")
                 # The bound, cropped to land on the target; a tie takes the
                 # target, as min(target - t, bound) does.
-                dt = _bound(peak, m, scale, rate)
+                dt = bound = _bound(peak, m, scale, rate)
+                if super_step:
+                    dt = min(reach * bound, max(bound, _ELAPSED * (t - t0)))
                 if not dt < target - t:
                     dt = target - t
                 if not dt > 0.0:
                     raise InvalidInputError("dt must be positive")
                 if steps_taken == 1:
-                    _check_budget(u, m, scale, rate, grid, horizon - t)
-                peak, lost = _advance(window, dt, inner, volumes, work)
+                    _check_budget(u, m, reach * scale, rate, grid, horizon - t)
+                # Outside the window every value stays +0.0 for the next pad
+                # flux evaluations, so marching the window alone keeps every
+                # bit: a super-step's window is cut around it, a forward-Euler
+                # window every _WINDOW_PAD steps.
+                if super_step:
+                    stages = 2 + int(np.searchsorted(_CAPACITY * bound, dt))
+                    lo, hi = _window(u, stages + 1)
+                    window, volumes, inner, work = _cut(u, lo, hi, grid, areas, m)
+                    peak, lost = _super_step(window, dt, stages, inner, volumes, work)
+                    stages_taken += stages
+                    cell_steps += (hi - lo) * stages
+                else:
+                    if steps_taken % _WINDOW_PAD == 0:
+                        lo, hi = _window(u)
+                        window, volumes, inner, work = _cut(u, lo, hi, grid, areas, m)
+                    peak, lost = _advance(window, dt, inner, volumes, work)
+                    cell_steps += hi - lo
                 if lost is not None:
                     clamped = [c + x for c, x in zip(clamped, lost)]
                 t += dt
@@ -401,17 +550,18 @@ def _march(initials: tuple, m: float, horizon: float, cfl_safety: float, snapsho
                 if dt > dt_max:
                     dt_max = dt
                 steps_taken += 1
-                cell_steps += hi - lo
                 if steps_taken > _MAX_STEPS:
                     raise StabilityError("step budget exhausted before reaching the horizon")
             snaps[:, k] = u
             times.append(t)
     if not steps_taken:
         dt_min = dt_max = math.nan
+    if not super_step:
+        stages_taken = steps_taken
     return tuple(
         SnapshotTable(
-            grid, times, values, clamped_total=total,
-            steps=steps_taken, dt_min=dt_min, dt_max=dt_max, cell_steps=cell_steps,
+            grid, times, values, clamped_total=total, steps=steps_taken,
+            dt_min=dt_min, dt_max=dt_max, cell_steps=cell_steps, stages=stages_taken,
         )
         for values, total in zip(snaps, clamped)
     )

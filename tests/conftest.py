@@ -1,6 +1,7 @@
 """Shared test plumbing: the acceptance-criteria summary block, the one-path
-clock, the quadrature oracle for the source profile's mass and two noisy
-profiles written out by hand as oracles for the generic transform.
+clock, the quadrature oracle for the source profile's mass, two noisy
+profiles written out by hand as oracles for the generic transform and a
+whole-box RKL2 march as the oracle for the solver's super-stepped path.
 
 Acceptance tests register one line per criterion; the lines are echoed in a
 dedicated section of the terminal summary so a plain pytest run always shows
@@ -14,6 +15,7 @@ from spmelab import (
     BarenblattParams,
     InvalidInputError,
     MultiplierPath,
+    SnapshotTable,
     barenblatt,
     interp_h,
     interp_H,
@@ -96,6 +98,75 @@ def stochastic_barenblatt(p: BarenblattParams, clock: MultiplierPath, t: float, 
         raise InvalidInputError(f"the noisy profile starts after t = 0 (clock at 0), not at t = {t}")
     s = interp_H(clock, t)
     return barenblatt(p, s, x) * interp_h(clock, t)
+
+
+def rkl2_coefficients(s: int) -> tuple:
+    """mu~_1 and the (mu_j, nu_j, mu~_j, gamma~_j) of stages j = 2..s of the
+    s-stage RKL2 step (Meyer, Balsara & Aslam, J. Comput. Phys. 257, 2014)."""
+
+    def b(j):
+        return 1.0 / 3.0 if j <= 2 else (j * j + j - 2) / (2.0 * j * (j + 1))
+
+    w1 = 4.0 / (s * s + s - 2)
+    stages = []
+    for j in range(2, s + 1):
+        mu = (2 * j - 1) / j * b(j) / b(j - 1)
+        nu = -(j - 1) / j * b(j) / b(j - 2)
+        mu_tilde = mu * w1
+        stages.append((mu, nu, mu_tilde, -(1.0 - b(j - 1)) * mu_tilde))
+    return b(1) * w1, stages
+
+
+def rkl2_march(initial, m: float, horizon: float, safety: float, snapshot_times, max_stages=32, elapsed=0.02):
+    """The super-stepped march on the whole box, one state, written out plainly.
+
+    Each super-step tau is the forward-Euler bound b times at most
+    (S**2 + S - 2) / 4 for S = ``max_stages``, and at most ``elapsed`` times
+    the time marched so far when that exceeds b, cropped to the next
+    snapshot; it takes the fewest stages s >= 2 with (s**2 + s - 2) / 4 * b
+    >= tau.  Negative values are zeroed after each super-step.  Returns the
+    table, every tau and every stage count.
+    """
+    grid = initial.grid
+    t0 = initial.time
+    eps = 1e-12 * max(1.0, abs(horizon))
+    targets = [s for s in sorted({float(s) for s in snapshot_times} | {horizon}) if s > t0 + eps]
+
+    def rate(y):
+        flux = grid.face_areas[1:-1] * np.diff(np.power(y, m)) / grid.dx
+        return np.diff(np.concatenate(([0.0], flux, [0.0]))) / grid.volumes
+
+    y, t = initial.values.copy(), t0
+    times, rows, taus, counts, clamped = [t0], [y.copy()], [], [], 0.0
+    for target in targets:
+        while t < target - eps:
+            peak = float(np.max(y))
+            denom = 2.0 * grid.dim * m * peak ** (m - 1.0) if peak > 0.0 else 0.0
+            bound = safety * grid.dx**2 / max(denom, 1e-12)
+            most = (max_stages * max_stages + max_stages - 2) / 4.0 * bound
+            tau = min(most, max(bound, elapsed * (t - t0)), target - t)
+            s = 2
+            while (s * s + s - 2) / 4.0 * bound < tau:
+                s += 1
+            mu1, stages = rkl2_coefficients(s)
+            y0 = y
+            rate0 = rate(y0)
+            before, y = y0, y0 + (mu1 * tau) * rate0
+            for mu, nu, mu_tilde, gamma_tilde in stages:
+                before, y = y, (
+                    mu * y + nu * before + (1.0 - mu - nu) * y0
+                    + (mu_tilde * tau) * rate(y) + (gamma_tilde * tau) * rate0
+                )
+            negative = y < 0.0
+            if negative.any():
+                clamped += float(-np.dot(y[negative], grid.volumes[negative]))
+                y = np.where(negative, 0.0, y)
+            t += tau
+            taus.append(tau)
+            counts.append(s)
+        times.append(t)
+        rows.append(y.copy())
+    return SnapshotTable(grid, times, rows, clamped_total=clamped), taus, counts
 
 
 def record_criterion(index: int, passed: bool, detail: str) -> str:

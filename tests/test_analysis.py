@@ -48,9 +48,9 @@ from spmelab import (
     weak_form_residual,
 )
 from spmelab import analysis, noise
-from spmelab.analysis import TABLE_MARGIN
+from spmelab.analysis import N_SNAPSHOTS, TABLE_MARGIN
 
-from conftest import one_path_clock
+from conftest import one_path_clock, rkl2_march
 
 MASTER = 20260815
 
@@ -724,7 +724,12 @@ def test_support_portrait_matches_the_scalar_reference_bitwise():
         n_paths=10, master_seed=MASTER, grid=TimeGrid.uniform(horizon, 80),
         coeffs=CoefficientPair.constant(1.0, 0.0), m=2.0, initial=box_state(line_grid(-8.0, 8.0, 160), 1.0, 1.0),
     )
-    clocks, table = scalar_reference(cfg, [horizon])
+    # The support portrait's one solve super-steps: its table comes from the
+    # whole-box RKL2 oracle on the reference schedule, written out.
+    clocks = [one_path_clock(cfg, i) for i in range(cfg.n_paths)]
+    t_end = 0.0 + max(TABLE_MARGIN * max(interp_H(c, horizon) for c in clocks), 1e-6)
+    snaps = np.geomspace(max(1e-4 * t_end, 1e-6), t_end, N_SNAPSHOTS)
+    table, taus, stages = rkl2_march(cfg.initial, cfg.m, t_end, cfg.cfl_safety, snaps)
     snap_radii = [support_radius(st) for st in table.states]
     radii = []
     for c in clocks:
@@ -749,6 +754,9 @@ def test_support_portrait_matches_the_scalar_reference_bitwise():
     assert np.array_equal(decay.extras["decay_medians"], np.median(np.array(centre), axis=0))
     mass = reps["mean_mass"]
     assert (mass.estimate, mass.stderr, mass.target, mass.passed) == mean_mass_verdict(cfg, clocks, table, 2.0)
+    # The provenance records the solve.
+    record = [mass.provenance[f"table_{key}"] for key in ("steps", "stages", "dt_min", "dt_max", "clamped")]
+    assert record == [len(taus), sum(stages), min(taus), max(taus), table.clamped_total]
 
 
 # ---------------------------------------------------------------------------

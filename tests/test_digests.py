@@ -7,11 +7,13 @@ line.  The digests hold for one build of numpy and libm (the PCG64 streams,
 ``standard_normal``, ``exp`` and ``power``), so the table records the numpy
 version and the machine it was made on, and a mismatch names both.
 
-A change that moves bytes on purpose rewrites the table with
+A change that moves bytes on purpose rewrites the runs it moved, by name,
 
-    PYTHONPATH=src python3 tests/test_digests.py
+    PYTHONPATH=src python3 tests/test_digests.py support support_domain
 
-and says in its own diff which bytes moved and why.
+which leaves every other entry byte for byte, and says in its own diff which
+bytes moved and why.  An unknown name exits with status 2 and writes
+nothing; with no names the whole table is rewritten.
 """
 from __future__ import annotations
 
@@ -101,11 +103,66 @@ def test_output_matches_the_golden_digests(tmp_path, name):
     )
 
 
-if __name__ == "__main__":
-    runs = {}
-    for name, body in CONFIGS.items():
+def rewrite(names) -> int:
+    """Record the runs ``names`` afresh, or every run when there are none; the exit status.
+
+    A named rewrite keeps every other entry as it is, so it needs the numpy
+    build and machine the table was recorded with.
+    """
+    unknown = [name for name in names if name not in CONFIGS]
+    if unknown:
+        print(f"unknown run {', '.join(unknown)}; the runs are {', '.join(CONFIGS)}", file=sys.stderr)
+        return 2
+    record = {"numpy": np.__version__, "machine": platform.machine(), "runs": {}}
+    if names:
+        table = _load()
+        if (table["numpy"], table["machine"]) != (record["numpy"], record["machine"]):
+            print(
+                f"the table was recorded with numpy {table['numpy']} on {table['machine']}; "
+                "rewrite it whole on this build",
+                file=sys.stderr,
+            )
+            return 2
+        record["runs"] = table["runs"]
+    for name in names or CONFIGS:
         with tempfile.TemporaryDirectory() as tmp:
-            runs[name] = digests(Path(tmp), body)
-    record = {"numpy": np.__version__, "machine": platform.machine(), "runs": runs}
+            record["runs"][name] = digests(Path(tmp), CONFIGS[name])
     TABLE.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n", encoding="utf-8")
-    print(f"wrote {len(runs)} runs to {TABLE}", file=sys.stderr)
+    print(f"wrote {len(names or CONFIGS)} of {len(record['runs'])} runs to {TABLE}", file=sys.stderr)
+    return 0
+
+
+def test_a_named_rewrite_keeps_every_other_entry(tmp_path, monkeypatch):
+    table = tmp_path / "golden_digests.json"
+    record = _load()
+    record["runs"]["path"]["stdout"] = "kept as written"
+    table.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    before = table.read_bytes()
+    monkeypatch.setitem(globals(), "TABLE", table)
+    assert rewrite(["exact_nan", "exact_linear"]) == 0
+    assert table.read_bytes() == before
+    record["runs"]["exact_nan"]["exit"] = 0
+    table.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    assert rewrite(["exact_nan"]) == 0
+    assert table.read_bytes() == before
+
+
+def test_an_unknown_run_or_another_build_writes_nothing(tmp_path, monkeypatch, capsys):
+    table = tmp_path / "golden_digests.json"
+    before = TABLE.read_bytes()
+    table.write_bytes(before)
+    monkeypatch.setitem(globals(), "TABLE", table)
+    assert rewrite(["exact_nan", "no_such_run"]) == 2
+    assert table.read_bytes() == before
+    assert "unknown run no_such_run" in capsys.readouterr().err
+    # Entries from another numpy build are not mixed into the table.
+    other = {**_load(), "numpy": "0.0"}
+    table.write_text(json.dumps(other, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    before = table.read_bytes()
+    assert rewrite(["exact_nan"]) == 2
+    assert table.read_bytes() == before
+    assert "recorded with numpy 0.0" in capsys.readouterr().err
+
+
+if __name__ == "__main__":
+    sys.exit(rewrite(sys.argv[1:]))

@@ -356,3 +356,9 @@ def test_catalogue_values_are_nonnegative():
     assert np.all(quadratic_pressure(qp, 0.05, xs) >= 0.0)
     base = linear_pressure_base(2.0)
     assert np.all(np.asarray(base.evaluate(0.5, xs)) >= 0.0)
+
+
+def test_an_integral_float_dimension_is_a_whole_dimension():
+    assert BarenblattParams(m=2.0, d=2.0, b=1.0).beta == BarenblattParams(m=2.0, d=2, b=1.0).beta
+    assert mass_to_b(2.0, 2.0, 1.5) == mass_to_b(2.0, 2, 1.5)
+    assert QuadraticPressureParams(m=2.0, d=3.0, q=1.0).t_blowup == QuadraticPressureParams(m=2.0, d=3, q=1.0).t_blowup

@@ -99,6 +99,16 @@ def _no_work(*args):
         (lambda: mass_to_b(1.0, 1, 1.0), "m > 1, not 1.0"),
         (lambda: mass_to_b(2.0, 0, 1.0), "dimension must be >= 1"),
         (lambda: mass_to_b(2.0, 1, math.inf), "mass must be finite, not inf"),
+        (lambda: mass_to_b(2.0, NAN, 1.0), "dimension must be >= 1 and a whole number, not nan"),
+        (lambda: mass_to_b(math.inf, 1, 1.0), "finite m > 1, not inf"),
+        (lambda: BarenblattParams(m=2.0, d=NAN, b=1.0), "dimension must be >= 1 and a whole number, not nan"),
+        (lambda: BarenblattParams(m=2.0, d=1.5, b=1.0), "dimension must be >= 1 and a whole number, not 1.5"),
+        (lambda: BarenblattParams(m=2.0, d=math.inf, b=1.0), "dimension must be >= 1 and a whole number, not inf"),
+        (lambda: BarenblattParams(m=math.inf, d=1, b=1.0), "finite m > 1, not inf"),
+        (lambda: QuadraticPressureParams(m=2.0, d=NAN, q=1.0), "dimension must be >= 1 and a whole number, not nan"),
+        (lambda: QuadraticPressureParams(m=2.0, d=2.5, q=1.0), "dimension must be >= 1 and a whole number, not 2.5"),
+        (lambda: QuadraticPressureParams(m=math.inf, d=1, q=1.0), "finite m > 1, not inf"),
+        (lambda: QuadraticPressureParams(m=NAN, d=1, q=1.0), "m > 1, not nan"),
         (lambda: pressure(0.5, NAN), "pressure needs 1 < m < inf, not nan"),
         (lambda: pressure(0.5, 1.0), "pressure needs 1 < m < inf, not 1.0"),
         (lambda: inverse_pressure(0.5, NAN), "pressure needs 1 < m < inf, not nan"),
@@ -151,6 +161,9 @@ def _no_work(*args):
         "evolve_snapshot_time", "FieldState_time", "evolve_m",
         "BarenblattParams_m", "BarenblattParams_b", "QuadraticPressureParams_q", "Bump_width",
         "linear_pressure_base", "mass_to_b", "mass_to_b_m", "mass_to_b_m_one", "mass_to_b_d", "mass_to_b_mass_inf",
+        "mass_to_b_d_nan", "mass_to_b_m_inf", "BarenblattParams_d_nan", "BarenblattParams_d_fraction",
+        "BarenblattParams_d_inf", "BarenblattParams_m_inf", "QuadraticPressureParams_d_nan",
+        "QuadraticPressureParams_d_fraction", "QuadraticPressureParams_m_inf", "QuadraticPressureParams_m",
         "pressure_m", "pressure_m_one", "inverse_pressure_m", "inverse_pressure_m_one", "sphere_area_zero",
         "sphere_area_negative", "evolve_horizon_inf", "evolve_together_horizon_inf", "TimeGrid_uniform_inf",
         "integral_g_inf", "integral_f2_inf", "multiplier_moment_t_inf",
@@ -189,7 +202,6 @@ def test_ranged_reads_share_one_message_for_an_array_with_a_nan():
 ALLOWED = {
     ("analysis.py", "self.n_paths < 2"): "path count, an int",
     ("analysis.py", "len(times) < 2"): "number of probe times; a NaN time fails the strict-increase test beside it",
-    ("exact.py", "self.d < 1"): "dimension, an int",
     ("noise.py", "arr.size < 2"): "node count",
     ("noise.py", "br.size < 1"): "breakpoint count",
     ("solver.py", "self.cells < 8"): "cell count, an int",

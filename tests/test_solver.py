@@ -34,6 +34,8 @@ from spmelab import (
 )
 from spmelab import solver
 
+from conftest import rkl2_march
+
 
 def line_grid(lo=-6.0, hi=6.0, cells=200) -> SpatialGrid:
     return SpatialGrid(kind="cartesian", lo=lo, hi=hi, cells=cells)
@@ -565,6 +567,7 @@ def assert_same_tables(got, want, dts):
         assert _bits(g.masses) == _bits(w.masses)
         assert _bits(g.clamped_total) == _bits(w.clamped_total)
         assert (g.steps, g.dt_min, g.dt_max) == (len(dts), min(dts), max(dts))
+        assert g.stages == g.steps
         assert 0 < g.cell_steps <= g.grid.cells * g.steps
 
 
@@ -1053,3 +1056,171 @@ def test_paired_march_keeps_ordered_data_ordered_at_every_snapshot(case):
     low, high = evolve_together(initials, m, horizon, 0.4, snaps)
     assert low.steps > 0
     assert np.all(low.values <= high.values)
+
+
+# ---------------------------------------------------------------------------
+# RKL2 super-steps, the private path of one-state reference solves: the
+# coefficients' stability polynomial, the windowed march against the
+# whole-box oracle in conftest, and the accuracy rule against forward Euler.
+# ---------------------------------------------------------------------------
+
+
+def _amplification(s, z):
+    """R_s(z): one s-stage RKL2 step of u' = z u from u = 1, with the solver's coefficients."""
+    mu1, stages = solver._rkl2(s)
+    y0 = np.ones_like(z)
+    before, y = y0, 1.0 + mu1 * z
+    for mu, nu, rest, mu_tilde, gamma_tilde in stages:
+        before, y = y, mu * y + nu * before + rest * y0 + mu_tilde * z * y + gamma_tilde * z * y0
+    return y
+
+
+@pytest.mark.parametrize("s", range(2, solver._MAX_STAGES + 1))
+def test_rkl2_step_is_stable_on_its_whole_interval(s):
+    capacity = (s * s + s - 2) / 4.0
+    assert solver._CAPACITY[s - 2] == capacity
+    z = np.linspace(-2.0 * capacity, 0.0, 4001)
+    assert np.max(np.abs(_amplification(s, z))) <= 1.0 + 1e-12
+
+
+@pytest.mark.parametrize("s", range(2, solver._MAX_STAGES + 1))
+def test_rkl2_step_is_second_order(s):
+    # A first-order step leaves a z**2 term, which grows like 1/z below.
+    z = np.array([-1e-1, -1e-2, -1e-3])
+    third = (_amplification(s, z) - 1.0 - z - z * z / 2.0) / z**3
+    assert np.all(np.abs(third) <= 1.0)
+
+
+def _super_case(case):
+    """One state, m and horizon for a super-stepped march, and whether its support stays off both ends."""
+    if case == "cartesian":
+        grid = SpatialGrid(kind="cartesian", lo=-12.0, hi=12.0, cells=240)
+        values = box_state(grid, 1.0, 1.0).values.copy()
+        # Negative zeros away from the support take the whole-box update's sign.
+        values[::7] = np.where(values[::7] == 0.0, -0.0, values[::7])
+        return FieldState(grid, 0.0, values), 2.0, 6.0, True
+    if case == "radial":
+        # An annulus that fills its hole: the window's inner edge moves in to r = 0.
+        grid = SpatialGrid(kind="radial", lo=0.0, hi=8.0, cells=200, dim=2)
+        values = np.where((grid.centers > 2.0) & (grid.centers < 2.5), 1.5, 0.0)
+        return FieldState(grid, 0.25, values), 2.0, 1.25, False
+    grid = SpatialGrid(kind="cartesian", lo=-3.0, hi=3.0, cells=96)
+    return FieldState(grid, 0.0, _bump(grid, 2.0, 0.8)), 3.0, 4.0, False
+
+
+@pytest.mark.parametrize("elapsed", [None, 1.0])
+@pytest.mark.parametrize("case", ["cartesian", "radial", "wall"])
+def test_super_stepped_window_equals_the_whole_box_oracle_bitwise(monkeypatch, case, elapsed):
+    # A looser elapsed-time cap lets the super-steps reach the stage cap.
+    if elapsed is None:
+        elapsed = solver._ELAPSED
+    else:
+        monkeypatch.setattr(solver, "_ELAPSED", elapsed)
+    initial, m, horizon, clear = _super_case(case)
+    grid, t0 = initial.grid, initial.time
+    snaps = tuple(t0 + np.geomspace(1e-3, 1.0, 12) * (horizon - t0))
+    want, taus, counts = rkl2_march(initial, m, horizon, 0.4, snaps, elapsed=elapsed)
+    (got,) = solver._march((initial,), m, horizon, 0.4, snaps, super_step=True)
+    assert _bits(got.times) == _bits(want.times)
+    assert _bits(got.values) == _bits(want.values)
+    assert _bits(got.clamped_total) == _bits(want.clamped_total)
+    assert (got.steps, got.stages, got.dt_min, got.dt_max) == (len(taus), sum(counts), min(taus), max(taus))
+    assert len(set(counts)) > 4 and max(counts) >= 8
+    if elapsed == 1.0:
+        assert max(counts) == solver._MAX_STAGES
+    live = np.flatnonzero(got.values[-1] > 0.0)
+    assert (live[0] > 0 and live[-1] < grid.cells - 1) == clear
+    assert 0 < got.cell_steps < grid.cells * got.stages
+    if case == "cartesian":
+        assert np.signbit(initial.values).any() and not np.signbit(got.values[-1]).any()
+
+
+@settings(max_examples=40, deadline=None)
+@given(march_cases(), st.integers(1, 400))
+def test_super_stepped_march_equals_the_oracle_on_random_data(case, bounds):
+    initials, m, _, safety, _ = case
+    initial = initials[0]
+    horizon = initial.time + bounds * _first_bound(initial.values, initial.grid, m, safety)
+    snaps = initial.time + (horizon - initial.time) * np.array([0.01, 0.3, 0.5])
+    want, taus, counts = rkl2_march(initial, m, horizon, safety, snaps)
+    (got,) = solver._march((initial,), m, horizon, safety, snaps, super_step=True)
+    assert _bits(got.values) == _bits(want.values)
+    assert _bits(got.clamped_total) == _bits(want.clamped_total)
+    assert (got.steps, got.stages) == (len(taus), sum(counts))
+
+
+def test_super_stepping_marches_one_state():
+    box = box_state(line_grid(cells=32), 1.0, 1.0)
+    with pytest.raises(InvalidInputError, match="super-stepping marches one state"):
+        solver._march((box, box), 2.0, 1.0, 0.4, (), super_step=True)
+
+
+def _relative_l1(table, reference):
+    volumes = table.grid.volumes
+    return np.abs(table.values - reference.values) @ volumes / (np.abs(reference.values) @ volumes)
+
+
+def test_super_steps_are_as_accurate_as_forward_euler_on_a_box():
+    # The support portrait's problem at a short horizon: box data of height 1
+    # and half-width 1, m = 2, a box 1.15 times the envelope's reach at dx
+    # about 0.1, and 160 geometric snapshots.  Against forward Euler at CFL
+    # 0.05, super-steps must be no farther than forward Euler at CFL 0.4, at
+    # every snapshot at worst and at the last one.
+    horizon = 8.0
+    beta = 1.0 / 3.0
+    half = math.sqrt(4.0 * (1.0 + beta / 4.0) / beta) * (1.0 + horizon) ** beta * 1.15
+    grid = line_grid(-half, half, int(math.ceil(2.0 * half / 0.1 / 8.0)) * 8)
+    initial = box_state(grid, 1.0, 1.0)
+    snaps = np.geomspace(1e-4 * horizon, horizon, 160)
+    reference = evolve(initial, 2.0, horizon, 0.05, snaps)
+    euler = _relative_l1(evolve(initial, 2.0, horizon, 0.4, snaps), reference)
+    (table,) = solver._march((initial,), 2.0, horizon, 0.4, snaps, super_step=True)
+    rkl2 = _relative_l1(table, reference)
+    assert np.max(rkl2) <= np.max(euler)
+    assert rkl2[-1] <= euler[-1]
+    assert abs(table.masses[-1] - table.masses[0]) <= 1e-12 * table.masses[0]
+    assert table.stages < table.steps * solver._MAX_STAGES and table.clamped_total == 0.0
+
+
+@pytest.mark.parametrize("kind", ["cartesian", "radial"])
+def test_super_step_on_a_window_clamps_like_the_oracle(kind):
+    # One two-stage step 40 bounds long overshoots below zero, which no
+    # bounded super-step did in any march tried, so the clamp is reached
+    # through the private kernel, on a window three cells wider than the data.
+    grid = SpatialGrid(kind=kind, lo=0.0 if kind == "radial" else -3.0, hi=3.0, cells=40, dim=1 + (kind == "radial"))
+    rng = np.random.default_rng(11)
+    values = np.zeros(grid.cells)
+    values[12:25] = rng.uniform(0.0, 2.0, 13) * (rng.random(13) < 0.7)
+    tau = _first_bound(values, grid, 2.0, 16.0)
+    want, taus, counts = rkl2_march(FieldState(grid, 0.0, values), 2.0, tau, 16.0, ())
+    assert (taus, counts) == ([tau], [2]) and want.clamped_total > 0.0
+    u = values[None, :].copy()
+    window = u[:, 9:28]
+    areas = None if kind == "cartesian" else grid.face_areas[10:28]
+    peak, lost = solver._super_step(window, tau, 2, areas, grid.volumes[9:28], solver._work(window, grid.dx, 2.0))
+    assert _bits(u[0]) == _bits(want.values[-1])
+    assert _bits(lost) == _bits([want.clamped_total])
+    assert _bits(peak) == _bits(float(np.max(u)))
+
+
+def test_super_step_budget_counts_super_steps(monkeypatch):
+    # Far fewer super-steps than forward-Euler bounds fit the span, so the
+    # early check must allow for the longest super-step.
+    initial = box_state(line_grid(cells=64), 1.0, 1.0)
+    (want,) = solver._march((initial,), 2.0, 200.0, 0.4, (50.0,), super_step=True)
+    assert want.stages > 4 * want.steps
+    monkeypatch.setattr(solver, "_MAX_STEPS", want.steps)
+    (got,) = solver._march((initial,), 2.0, 200.0, 0.4, (50.0,), super_step=True)
+    assert _bits(got.values) == _bits(want.values) and got.steps == want.steps
+    monkeypatch.setattr(solver, "_MAX_STEPS", want.steps - 1)
+    with pytest.raises(StabilityError, match="step budget exhausted"):
+        solver._march((initial,), 2.0, 200.0, 0.4, (50.0,), super_step=True)
+
+
+def test_super_step_budget_fails_fast():
+    # Even at 263.5 bounds a super-step, about 1,400 times the budget is needed.
+    grid = SpatialGrid(kind="cartesian", lo=-10.0, hi=10.0, cells=4096)
+    started = time.perf_counter()
+    with pytest.raises(StabilityError, match="step budget exhausted"):
+        solver._march((box_state(grid, 1.0, 1.0),), 2.0, 1e9, 0.9, (), super_step=True)
+    assert time.perf_counter() - started < 1.0
