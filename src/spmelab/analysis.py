@@ -35,7 +35,7 @@ from .noise import (
 )
 from .solver import (
     FieldState,
-    _march,
+    _super_steps,
     dense_values,
     eval_on_centers,
     evolve_together,
@@ -146,12 +146,11 @@ def _provenance(cfg: McConfig, table=None, **extra) -> dict:
     return info
 
 
-def _reference_tables(cfg: McConfig, span: float, initials: tuple, super_step: bool = False) -> tuple:
+def _reference_tables(cfg: McConfig, span: float, initials: tuple) -> tuple:
     """Tables for states sharing one start time, marched together on the one snapshot schedule.
 
     Each table's absolute time axis starts at the states' start time, so a
-    clock value s is read at that time + s.  ``super_step`` marches one
-    state with RKL2 super-steps in place of forward Euler.
+    clock value s is read at that time + s.
     """
     t0 = initials[0].time
     t_end = t0 + max(span, 1e-6)
@@ -160,8 +159,6 @@ def _reference_tables(cfg: McConfig, span: float, initials: tuple, super_step: b
     else:
         first = max(1e-4 * t_end, 1e-6)
         snaps = np.geomspace(first, t_end, N_SNAPSHOTS)
-    if super_step:
-        return _march(initials, cfg.m, t_end, cfg.cfl_safety, snaps, super_step=True)
     return evolve_together(initials, cfg.m, t_end, cfg.cfl_safety, snaps)
 
 
@@ -211,12 +208,11 @@ def _clocks(cfg: McConfig, times) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return h, H, logh_end
 
 
-def clock_sweep(cfg: McConfig, times, initials: tuple | None = None, super_step: bool = False) -> ClockSweep:
+def clock_sweep(cfg: McConfig, times, initials: tuple | None = None) -> ClockSweep:
     """Sample the clock of every path at ``times``, then solve once for the largest value.
 
     The solve starts from ``initials`` (states sharing one start time), by
-    default from ``cfg.initial`` alone, and takes RKL2 super-steps with
-    ``super_step`` (one state only).  Missing initial data and an empty
+    default from ``cfg.initial`` alone.  Missing initial data and an empty
     ``times`` are rejected before any path is drawn.
     """
     initials = initials or (cfg.initial,)
@@ -228,7 +224,7 @@ def clock_sweep(cfg: McConfig, times, initials: tuple | None = None, super_step:
     max_clock = float(np.max(H))
     if not math.isfinite(max_clock):
         raise InvalidInputError("clock overflowed to infinity; shorten the horizon or the drift")
-    tables = _reference_tables(cfg, TABLE_MARGIN * max_clock, initials, super_step)
+    tables = _reference_tables(cfg, TABLE_MARGIN * max_clock, initials)
     return ClockSweep(h=h, H=H, logh_end=logh_end, max_clock=max_clock, tables=tables)
 
 
@@ -634,7 +630,8 @@ def support_experiment(
     # Columns: half horizon, horizon, mass check time, then the decay times.
     # H is nondecreasing, so the largest clock value is that at the horizon.
     # The one solve super-steps: no check here rests on the monotone update.
-    sweep = clock_sweep(cfg, [half, horizon, mass_check_time, *decay_times], super_step=True)
+    with _super_steps():
+        sweep = clock_sweep(cfg, [half, horizon, mass_check_time, *decay_times])
     H_half, H_end, h_end = sweep.H[:, 0], sweep.H[:, 1], sweep.h[:, 1]
     table = sweep.tables[0]
 

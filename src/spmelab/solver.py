@@ -14,15 +14,17 @@ mass exactly up to rounding.
 A one-state march may instead take second-order Runge-Kutta-Legendre
 (RKL2) super-steps (Meyer, Balsara & Aslam, J. Comput. Phys. 257, 2014):
 s >= 2 flux evaluations stretch the step to (s**2 + s - 2) / 4 of the bound
-above.  Such a step conserves mass but is not monotone, so it is private to
-:func:`_march` and opted into by the one reference solve that reads a single
-state (``analysis.support_experiment``).
+above.  Such a step conserves mass but is not monotone, so it is private:
+:func:`evolve` and :func:`evolve_together` take it for one state only inside
+:func:`_super_steps`, which the one reference solve that reads a single
+state (``analysis.support_experiment``) enters.
 """
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import functools
 import math
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,7 +35,6 @@ from .noise import _inside, _interp, _maybe_float, _readonly
 from .timechange import DeterministicSolution, TimeInterval
 
 _DENOM_FLOOR = 1e-12
-_DOUBLE = struct.Struct("<d")
 _MAX_STEPS = 50_000_000
 _WINDOW_PAD = 32
 # The most RKL2 stages in one super-step, and the largest fraction of the
@@ -41,6 +42,8 @@ _WINDOW_PAD = 32
 # start from rough data and the front's motion need short steps.
 _MAX_STAGES = 32
 _ELAPSED = 0.02
+# True inside _super_steps().
+_SUPER_STEP = contextvars.ContextVar("super_step", default=False)
 
 
 @dataclass(frozen=True)
@@ -200,16 +203,13 @@ def _work(u: np.ndarray, dx: float, m: float) -> tuple:
     """Buffers for :func:`_advance` on a window shaped like ``u`` (rows of
     columns), with the views it reads: u**m, the face fluxes between two zero
     columns (the no-flux walls or the window's edges), the divergence and the
-    bits of ``u`` itself as uint64, whole and as a tuple of rows (None for one
-    row).  Then dx, m and a slot for the step length as 0-d float64 arrays: a
-    ufunc takes them with about half the fixed cost of a Python float and runs
-    the same float64 loop."""
+    bits of ``u`` itself as uint64.  Then dx, m and a slot for the step length
+    as 0-d float64 arrays: a ufunc takes them with about half the fixed cost of
+    a Python float and runs the same float64 loop."""
     um, padded, div = np.empty_like(u), np.zeros((u.shape[0], u.shape[1] + 1)), np.empty_like(u)
-    bits = u.view(np.uint64)
     return (
         um, um[:, 1:], um[:, :-1], padded[:, 1:-1], padded[:, 1:], padded[:, :-1], div,
-        bits, tuple(bits) if len(u) > 1 else None, np.array(dx, dtype=float), np.array(m, dtype=float),
-        np.empty(()),
+        u.view(np.uint64), np.array(dx, dtype=float), np.array(m, dtype=float), np.empty(()),
     )
 
 
@@ -225,7 +225,7 @@ def _divergence(u: np.ndarray, areas, work: tuple) -> np.ndarray:
     """The net face flux of every cell of ``u``, diff(A * diff(u**m) / dx) with
     zero flux at the window's edges, in ``work``'s divergence buffer; dividing
     it by the cell volumes gives the rate of change of the cell averages."""
-    um, um_right, um_left, flux, flux_right, flux_left, div, _, _, dx, m, _ = work
+    um, um_right, um_left, flux, flux_right, flux_left, div, _, dx, m, _ = work
     np.power(u, m, um)
     np.subtract(um_right, um_left, flux)
     if areas is not None:
@@ -250,7 +250,7 @@ def _advance(u: np.ndarray, dt: float, areas, volumes: np.ndarray, work: tuple):
     of ``float(np.max(u))``, and the mass that zeroing negative values
     removed per row, or None when no value went negative.
     """
-    um, um_right, um_left, flux, flux_right, flux_left, div, bits, bit_rows, dx, m, step = work
+    um, um_right, um_left, flux, flux_right, flux_left, div, bits, dx, m, step = work
     step[()] = dt
     # The flux of _divergence, written out: calling it costs about a quarter
     # of a step of a few hundred cells.
@@ -265,16 +265,8 @@ def _advance(u: np.ndarray, dt: float, areas, volumes: np.ndarray, work: tuple):
     np.add(u, div, u)
     # Floats with the sign bit clear order as their bits do, so the largest
     # bit pattern has its sign bit clear exactly when no value carries a sign,
-    # and is then the largest value.  A window of two or more rows is not
-    # contiguous, and argmax would copy it, so each row (a contiguous view)
-    # gives its largest pattern and the largest of those is read as a float.
-    if bit_rows is None:
-        peak = u.item(bits.argmax())
-    else:
-        top = 0
-        for row in bit_rows:
-            top = max(top, row.item(row.argmax()))
-        peak = _DOUBLE.unpack(top.to_bytes(8, "little"))[0]
+    # and is then the largest value.  argmax gives its first index.
+    peak = u.item(bits.argmax())
     if math.copysign(1.0, peak) > 0.0:
         return peak, None
     return _clamp(u, volumes)
@@ -335,8 +327,9 @@ def _super_step(u: np.ndarray, tau: float, s: int, areas, volumes: np.ndarray, w
     """
     mu1, stages = _rkl2(s)
     # As in _advance, a cartesian cell divides by the scalar dx of ``work``.
-    cell = volumes if areas is not None else work[9]
-    y0, rate0, term = u.copy(), np.empty_like(u), np.empty_like(u)
+    # Y_0 is ``u`` itself: it is only read until Y_s is copied into it.
+    cell = volumes if areas is not None else work[8]
+    y0, rate0, term = u, np.empty_like(u), np.empty_like(u)
     rows = (np.empty_like(u), np.empty_like(u), np.empty_like(u))
     np.divide(_divergence(y0, areas, work), cell, rate0)
     prev, cur = y0, rows[0]
@@ -358,6 +351,17 @@ def _super_step(u: np.ndarray, tau: float, s: int, areas, volumes: np.ndarray, w
         prev, cur = cur, new
     np.copyto(u, cur)
     return _clamp(u, volumes)
+
+
+@contextlib.contextmanager
+def _super_steps():
+    """Within this block a march of one state takes RKL2 super-steps in
+    place of forward-Euler steps, and a march of several states is refused."""
+    token = _SUPER_STEP.set(True)
+    try:
+        yield
+    finally:
+        _SUPER_STEP.reset(token)
 
 
 @dataclass(frozen=True, eq=False)
@@ -453,18 +457,17 @@ def _check_budget(u: np.ndarray, m: float, scale: float, rate: float, grid: Spat
         raise StabilityError("step budget exhausted before reaching the horizon")
 
 
-def _march(
-    initials: tuple, m: float, horizon: float, cfl_safety: float, snapshot_times, super_step: bool = False
-) -> tuple:
+def _march(initials: tuple, m: float, horizon: float, cfl_safety: float, snapshot_times) -> tuple:
     """The one marching loop behind :func:`evolve` and :func:`evolve_together`.
 
-    With ``super_step`` the one state takes RKL2 steps (:func:`_super_step`)
+    Inside :func:`_super_steps` the one state takes RKL2 steps (:func:`_super_step`)
     of up to ``_CAPACITY[-1]`` bounds, and at most ``_ELAPSED`` times the
     time marched so far when that exceeds one bound; each is cropped to the
     next snapshot and takes the fewest stages whose capacity covers it.
     """
     if len(initials) < 1:
         raise InvalidInputError("at least one initial state is required")
+    super_step = _SUPER_STEP.get()
     if super_step and len(initials) != 1:
         raise InvalidInputError("super-stepping marches one state")
     if not 0.0 < cfl_safety <= 1.0:

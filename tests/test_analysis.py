@@ -47,7 +47,7 @@ from spmelab import (
     table_solution,
     weak_form_residual,
 )
-from spmelab import analysis, noise
+from spmelab import analysis, noise, solver
 from spmelab.analysis import N_SNAPSHOTS, TABLE_MARGIN
 
 from conftest import one_path_clock, rkl2_march
@@ -757,6 +757,26 @@ def test_support_portrait_matches_the_scalar_reference_bitwise():
     # The provenance records the solve.
     record = [mass.provenance[f"table_{key}"] for key in ("steps", "stages", "dt_min", "dt_max", "clamped")]
     assert record == [len(taus), sum(stages), min(taus), max(taus), table.clamped_total]
+
+
+def test_support_portrait_super_steps_through_the_public_march(monkeypatch):
+    # The solve goes through evolve_together, so a wrapper around it (a
+    # profiler's, say) sees the march; it super-steps there and nowhere after.
+    marched = analysis.evolve_together
+    seen = []
+
+    def spy(*args):
+        seen.append(solver._SUPER_STEP.get())
+        return marched(*args)
+
+    monkeypatch.setattr(analysis, "evolve_together", spy)
+    cfg = McConfig(
+        n_paths=4, master_seed=MASTER, grid=TimeGrid.uniform(1.0, 20),
+        coeffs=CoefficientPair.constant(1.0, 0.0), m=2.0, initial=box_state(line_grid(-4.0, 4.0, 80), 1.0, 1.0),
+    )
+    reps = support_experiment(cfg, mass_check_time=0.5)
+    assert seen == [True] and not solver._SUPER_STEP.get()
+    assert reps["mean_mass"].provenance["table_stages"] > reps["mean_mass"].provenance["table_steps"]
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from spmelab import (
     BarenblattParams,
+    Bump,
     FieldState,
     InvalidInputError,
     OutOfRangeError,
@@ -1065,6 +1066,11 @@ def test_paired_march_keeps_ordered_data_ordered_at_every_snapshot(case):
 # ---------------------------------------------------------------------------
 
 
+def _super_march(initials, m, horizon, cfl_safety, snapshot_times):
+    with solver._super_steps():
+        return evolve_together(initials, m, horizon, cfl_safety, snapshot_times)
+
+
 def _amplification(s, z):
     """R_s(z): one s-stage RKL2 step of u' = z u from u = 1, with the solver's coefficients."""
     mu1, stages = solver._rkl2(s)
@@ -1120,7 +1126,7 @@ def test_super_stepped_window_equals_the_whole_box_oracle_bitwise(monkeypatch, c
     grid, t0 = initial.grid, initial.time
     snaps = tuple(t0 + np.geomspace(1e-3, 1.0, 12) * (horizon - t0))
     want, taus, counts = rkl2_march(initial, m, horizon, 0.4, snaps, elapsed=elapsed)
-    (got,) = solver._march((initial,), m, horizon, 0.4, snaps, super_step=True)
+    (got,) = _super_march((initial,), m, horizon, 0.4, snaps)
     assert _bits(got.times) == _bits(want.times)
     assert _bits(got.values) == _bits(want.values)
     assert _bits(got.clamped_total) == _bits(want.clamped_total)
@@ -1143,7 +1149,7 @@ def test_super_stepped_march_equals_the_oracle_on_random_data(case, bounds):
     horizon = initial.time + bounds * _first_bound(initial.values, initial.grid, m, safety)
     snaps = initial.time + (horizon - initial.time) * np.array([0.01, 0.3, 0.5])
     want, taus, counts = rkl2_march(initial, m, horizon, safety, snaps)
-    (got,) = solver._march((initial,), m, horizon, safety, snaps, super_step=True)
+    (got,) = _super_march((initial,), m, horizon, safety, snaps)
     assert _bits(got.values) == _bits(want.values)
     assert _bits(got.clamped_total) == _bits(want.clamped_total)
     assert (got.steps, got.stages) == (len(taus), sum(counts))
@@ -1152,7 +1158,20 @@ def test_super_stepped_march_equals_the_oracle_on_random_data(case, bounds):
 def test_super_stepping_marches_one_state():
     box = box_state(line_grid(cells=32), 1.0, 1.0)
     with pytest.raises(InvalidInputError, match="super-stepping marches one state"):
-        solver._march((box, box), 2.0, 1.0, 0.4, (), super_step=True)
+        _super_march((box, box), 2.0, 1.0, 0.4, ())
+
+
+def test_super_steps_last_for_their_block_only():
+    box = box_state(line_grid(cells=32), 1.0, 1.0)
+    with solver._super_steps():
+        inside = evolve(box, 2.0, 1.0, 0.4, ())
+        with pytest.raises(RuntimeError), solver._super_steps():
+            raise RuntimeError
+        assert evolve(box, 2.0, 1.0, 0.4, ()).steps == inside.steps
+    (together,) = evolve_together((box, box), 2.0, 1.0, 0.4, ())[:1]
+    after = evolve(box, 2.0, 1.0, 0.4, ())
+    assert inside.stages > inside.steps and after.stages == after.steps
+    assert _bits(after.values) == _bits(together.values)
 
 
 def _relative_l1(table, reference):
@@ -1160,21 +1179,27 @@ def _relative_l1(table, reference):
     return np.abs(table.values - reference.values) @ volumes / (np.abs(reference.values) @ volumes)
 
 
-def test_super_steps_are_as_accurate_as_forward_euler_on_a_box():
+@pytest.mark.parametrize("data", ["box", "radial box", "bump"])
+def test_super_steps_are_as_accurate_as_forward_euler(data):
     # The support portrait's problem at a short horizon: box data of height 1
     # and half-width 1, m = 2, a box 1.15 times the envelope's reach at dx
-    # about 0.1, and 160 geometric snapshots.  Against forward Euler at CFL
-    # 0.05, super-steps must be no farther than forward Euler at CFL 0.4, at
-    # every snapshot at worst and at the last one.
+    # about 0.1, and 160 geometric snapshots; then the same box in d = 2 on a
+    # radial grid, and a smooth bump in its place.  Against forward Euler at
+    # CFL 0.05, super-steps must be no farther than forward Euler at CFL 0.4,
+    # at every snapshot at worst and at the last one.
     horizon = 8.0
     beta = 1.0 / 3.0
     half = math.sqrt(4.0 * (1.0 + beta / 4.0) / beta) * (1.0 + horizon) ** beta * 1.15
-    grid = line_grid(-half, half, int(math.ceil(2.0 * half / 0.1 / 8.0)) * 8)
-    initial = box_state(grid, 1.0, 1.0)
+    cells = int(math.ceil(2.0 * half / 0.1 / 8.0)) * 8
+    if data == "radial box":
+        grid = SpatialGrid(kind="radial", lo=0.0, hi=half, cells=cells // 2, dim=2)
+    else:
+        grid = line_grid(-half, half, cells)
+    initial = FieldState(grid, 0.0, Bump(0.0, 1.0)(grid.centers)) if data == "bump" else box_state(grid, 1.0, 1.0)
     snaps = np.geomspace(1e-4 * horizon, horizon, 160)
     reference = evolve(initial, 2.0, horizon, 0.05, snaps)
     euler = _relative_l1(evolve(initial, 2.0, horizon, 0.4, snaps), reference)
-    (table,) = solver._march((initial,), 2.0, horizon, 0.4, snaps, super_step=True)
+    (table,) = _super_march((initial,), 2.0, horizon, 0.4, snaps)
     rkl2 = _relative_l1(table, reference)
     assert np.max(rkl2) <= np.max(euler)
     assert rkl2[-1] <= euler[-1]
@@ -1207,14 +1232,14 @@ def test_super_step_budget_counts_super_steps(monkeypatch):
     # Far fewer super-steps than forward-Euler bounds fit the span, so the
     # early check must allow for the longest super-step.
     initial = box_state(line_grid(cells=64), 1.0, 1.0)
-    (want,) = solver._march((initial,), 2.0, 200.0, 0.4, (50.0,), super_step=True)
+    (want,) = _super_march((initial,), 2.0, 200.0, 0.4, (50.0,))
     assert want.stages > 4 * want.steps
     monkeypatch.setattr(solver, "_MAX_STEPS", want.steps)
-    (got,) = solver._march((initial,), 2.0, 200.0, 0.4, (50.0,), super_step=True)
+    (got,) = _super_march((initial,), 2.0, 200.0, 0.4, (50.0,))
     assert _bits(got.values) == _bits(want.values) and got.steps == want.steps
     monkeypatch.setattr(solver, "_MAX_STEPS", want.steps - 1)
     with pytest.raises(StabilityError, match="step budget exhausted"):
-        solver._march((initial,), 2.0, 200.0, 0.4, (50.0,), super_step=True)
+        _super_march((initial,), 2.0, 200.0, 0.4, (50.0,))
 
 
 def test_super_step_budget_fails_fast():
@@ -1222,5 +1247,5 @@ def test_super_step_budget_fails_fast():
     grid = SpatialGrid(kind="cartesian", lo=-10.0, hi=10.0, cells=4096)
     started = time.perf_counter()
     with pytest.raises(StabilityError, match="step budget exhausted"):
-        solver._march((box_state(grid, 1.0, 1.0),), 2.0, 1e9, 0.9, (), super_step=True)
+        _super_march((box_state(grid, 1.0, 1.0),), 2.0, 1e9, 0.9, ())
     assert time.perf_counter() - started < 1.0
