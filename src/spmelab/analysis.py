@@ -275,13 +275,23 @@ def mc_lp_bound(cfg: McConfig, p: float, t: float) -> McReport:
     block = max(1, BLOCK_VALUES // grid.cells)
     hs, ss = sweep.h[:, 0].tolist(), sweep.table_times[:, 0]
     per_path = []
-    for start in range(0, len(hs), block):
-        rows = dense_values(table, ss[start : start + block])
-        per_path += [h**p * lp_power_sum(row, grid, p) for h, row in zip(hs[start : start + block], rows)]
-    mean_p, stderr_p, _ = _sample_stats(per_path)
+    out_of_range = InvalidInputError(f"the L^p bound at p = {p} and t = {t} leaves the float range; lower p")
+    # A term, the mean or the right side that leaves the float range raises
+    # OverflowError or comes out inf or NaN, and a term's inf or NaN carries
+    # into the mean; numpy need not warn as well.
+    try:
+        with np.errstate(over="ignore"):
+            for start in range(0, len(hs), block):
+                rows = dense_values(table, ss[start : start + block])
+                per_path += [h**p * lp_power_sum(row, grid, p) for h, row in zip(hs[start : start + block], rows)]
+            mean_p, stderr_p, _ = _sample_stats(per_path)
+            mp = lp_power_sum(cfg.initial.values, cfg.initial.grid, p) ** (1.0 / p)
+        rhs = mp * math.exp(cfg.coeffs.integral_g(t) + 0.5 * (p - 1.0) * cfg.coeffs.integral_f2(t))
+    except OverflowError:
+        raise out_of_range from None
+    if not all(math.isfinite(x) for x in (mean_p, stderr_p, rhs)):
+        raise out_of_range
     lhs = mean_p ** (1.0 / p)
-    mp = lp_power_sum(cfg.initial.values, cfg.initial.grid, p) ** (1.0 / p)
-    rhs = mp * math.exp(cfg.coeffs.integral_g(t) + 0.5 * (p - 1.0) * cfg.coeffs.integral_f2(t))
     rel_stderr = stderr_p / mean_p if mean_p > 0.0 else 0.0
     return _report(
         cfg, lhs, stderr_p, rhs, lhs <= rhs * (1.0 + 3.0 * rel_stderr), "lhs <= rhs * (1 + 3 relative SE)",

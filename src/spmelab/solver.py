@@ -185,7 +185,7 @@ def _bound(peak: float, m: float, scale: float, rate: float) -> float:
     return scale / max(denom, _DENOM_FLOOR)
 
 
-def _window(u: np.ndarray, pad: int = _WINDOW_PAD) -> tuple:
+def _window(u: np.ndarray, pad: int) -> tuple:
     """The columns [lo, hi) that the next ``pad`` flux evaluations can change.
 
     A column is live when some row holds anything but +0.0 there (a -0.0
@@ -213,14 +213,6 @@ def _work(u: np.ndarray, dx: float, m: float) -> tuple:
     )
 
 
-def _cut(u: np.ndarray, lo: int, hi: int, grid: SpatialGrid, areas, m: float) -> tuple:
-    """The window ``u[:, lo:hi]``, its cell volumes, its inner face areas
-    (None on a cartesian grid) and its :func:`_work` buffers."""
-    window = u[:, lo:hi]
-    inner = None if areas is None else areas[lo + 1 : hi]
-    return window, grid.volumes[lo:hi], inner, _work(window, grid.dx, m)
-
-
 def _divergence(u: np.ndarray, areas, work: tuple) -> np.ndarray:
     """The net face flux of every cell of ``u``, diff(A * diff(u**m) / dx) with
     zero flux at the window's edges, in ``work``'s divergence buffer; dividing
@@ -242,24 +234,17 @@ def _advance(u: np.ndarray, dt: float, areas, volumes: np.ndarray, work: tuple):
     ``u`` holds whole columns of the field, ``volumes`` their cell volumes and
     ``areas`` the faces between them (None on a cartesian grid, whose faces
     all have area 1 and whose volumes all equal dx; multiplying by 1.0 and
-    dividing by dx in place of a volume are exact).  The flux is
-    (A * diff(u**m)) / dx and the update u + (dt * div) / volume, in that
-    order, so a row's bits do not depend on the other rows.
+    dividing by dx in place of a volume are exact).  With div from
+    :func:`_divergence` the update is u + (dt * div) / volume, in that order,
+    so a row's bits do not depend on the other rows.
 
     Returns ``(peak, lost)``: the largest value after the step, with the bits
     of ``float(np.max(u))``, and the mass that zeroing negative values
     removed per row, or None when no value went negative.
     """
-    um, um_right, um_left, flux, flux_right, flux_left, div, bits, dx, m, step = work
+    bits, dx, step = work[7], work[8], work[10]
     step[()] = dt
-    # The flux of _divergence, written out: calling it costs about a quarter
-    # of a step of a few hundred cells.
-    np.power(u, m, um)
-    np.subtract(um_right, um_left, flux)
-    if areas is not None:
-        np.multiply(areas, flux, flux)
-    np.divide(flux, dx, flux)
-    np.subtract(flux_right, flux_left, div)
+    div = _divergence(u, areas, work)
     np.multiply(step, div, div)
     np.divide(div, dx if areas is None else volumes, div)
     np.add(u, div, u)
@@ -499,6 +484,8 @@ def _march(initials: tuple, m: float, horizon: float, cfl_safety: float, snapsho
     t = t0
     clamped = [0.0] * len(initials)
     steps_taken = stages_taken = cell_steps = 0
+    # Flux evaluations the current window still covers; 0 cuts one at once.
+    margin = 0
     dt_min, dt_max = math.inf, 0.0
     scale, rate = cfl_safety * grid.dx**2, 2.0 * grid.dim * m
     # The most bounds one step may span.
@@ -528,23 +515,26 @@ def _march(initials: tuple, m: float, horizon: float, cfl_safety: float, snapsho
                     raise InvalidInputError("dt must be positive")
                 if steps_taken == 1:
                     _check_budget(u, m, reach * scale, rate, grid, horizon - t)
-                # Outside the window every value stays +0.0 for the next pad
+                # A forward-Euler step is one flux evaluation, a super-step the
+                # fewest stages whose capacity covers dt.
+                stages = 2 + int(np.searchsorted(_CAPACITY * bound, dt)) if super_step else 1
+                # Outside the window every value stays +0.0 for the next margin
                 # flux evaluations, so marching the window alone keeps every
-                # bit: a super-step's window is cut around it, a forward-Euler
-                # window every _WINDOW_PAD steps.
+                # bit.  A forward-Euler window covers _WINDOW_PAD steps, a
+                # super-step's only itself.
+                if stages > margin:
+                    margin = stages + 1 if super_step else _WINDOW_PAD
+                    lo, hi = _window(u, margin)
+                    window, volumes = u[:, lo:hi], grid.volumes[lo:hi]
+                    inner = None if areas is None else areas[lo + 1 : hi]
+                    work = _work(window, grid.dx, m)
                 if super_step:
-                    stages = 2 + int(np.searchsorted(_CAPACITY * bound, dt))
-                    lo, hi = _window(u, stages + 1)
-                    window, volumes, inner, work = _cut(u, lo, hi, grid, areas, m)
                     peak, lost = _super_step(window, dt, stages, inner, volumes, work)
-                    stages_taken += stages
-                    cell_steps += (hi - lo) * stages
                 else:
-                    if steps_taken % _WINDOW_PAD == 0:
-                        lo, hi = _window(u)
-                        window, volumes, inner, work = _cut(u, lo, hi, grid, areas, m)
                     peak, lost = _advance(window, dt, inner, volumes, work)
-                    cell_steps += hi - lo
+                margin -= stages
+                stages_taken += stages
+                cell_steps += (hi - lo) * stages
                 if lost is not None:
                     clamped = [c + x for c, x in zip(clamped, lost)]
                 t += dt
@@ -559,8 +549,6 @@ def _march(initials: tuple, m: float, horizon: float, cfl_safety: float, snapsho
             times.append(t)
     if not steps_taken:
         dt_min = dt_max = math.nan
-    if not super_step:
-        stages_taken = steps_taken
     return tuple(
         SnapshotTable(
             grid, times, values, clamped_total=total, steps=steps_taken,

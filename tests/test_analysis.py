@@ -243,6 +243,22 @@ def test_mc_lp_bound_holds_and_validates_p():
         mc_lp_bound(cfg, 0.5, 0.5)
 
 
+@pytest.mark.parametrize(
+    "height,p",
+    # h**p raises OverflowError; then the power sum of a tall box comes out inf.
+    [(1.0, 2000.0), (10.0, 400.0)],
+    ids=["clock_power", "power_sum"],
+)
+def test_mc_lp_bound_out_of_float_range_is_invalid_input(recwarn, height, p):
+    cfg = McConfig(
+        n_paths=50, master_seed=MASTER, grid=TimeGrid.uniform(0.5, 256),
+        coeffs=CoefficientPair.constant(1.0, 0.0), m=2.0, initial=box_state(line_grid(), height, 1.0),
+    )
+    with pytest.raises(InvalidInputError, match=f"p = {p} and t = 0.5 leaves the float range"):
+        mc_lp_bound(cfg, p, 0.5)
+    assert not recwarn.list
+
+
 def test_limit_law_statistics_reports_the_variance_mismatch():
     coeffs = CoefficientPair.from_pieces([(0.0, 1.0), (1.0, 0.0)], [(0.0, 0.0)])
     cfg = McConfig(

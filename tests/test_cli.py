@@ -315,6 +315,14 @@ def test_missing_config_file_is_a_usage_error(tmp_path, capsys):
     assert "cannot read config" in capsys.readouterr().err
 
 
+def test_config_file_that_is_not_utf8_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "utf16.ini"
+    path.write_bytes(b"\xff\xfe" + "[run]\ncommand = exact\n".encode("utf-16-le"))
+    assert main(["--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read config: ") and err.count("\n") == 1
+
+
 def test_config_errors_report_the_line(tmp_path, capsys):
     cfg = write_config(tmp_path, "bad.ini", "command = evolve\nbogus = 1\n")
     assert main(["--config", cfg]) == 2
@@ -439,6 +447,27 @@ def test_overflowing_march_exits_with_status_two_in_one_line(tmp_path, capsys, r
     )
     assert main(["--config", cfg]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+    assert not recwarn.list
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        # h**p and the right side's exponential both leave the float range.
+        "p = 2000\n",
+        # The power sum of a tall box overflows in numpy.
+        "p = 400\nheight = 10\n",
+    ],
+    ids=["large_p", "tall_box"],
+)
+def test_overflowing_lp_bound_exits_with_status_two_in_one_line(tmp_path, capsys, recwarn, body):
+    cfg = write_config(
+        tmp_path, "lp.ini", f"command = mc\nmode = lp_bound\nn_paths = 50\n{body}out = {tmp_path / 'out'}\n",
+    )
+    assert main(["--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: the L^p bound at p = ") and err.count("\n") == 1
+    assert "leaves the float range" in err
     assert not recwarn.list
 
 

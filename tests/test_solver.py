@@ -869,17 +869,19 @@ def test_cell_steps_sum_each_window_times_its_steps(monkeypatch, kind):
     else:
         grid = SpatialGrid(kind="radial", lo=0.0, hi=8.0, cells=320, dim=3)
         initial, m, horizon = FieldState(grid, 0.0, np.where(grid.centers < 0.5, 1.5, 0.0)), 1.5, 0.05
-    widths = []
+    widths, pads = [], []
     window = solver._window
 
-    def recorded(u):
-        lo, hi = window(u)
+    def recorded(u, pad):
+        lo, hi = window(u, pad)
         widths.append(hi - lo)
+        pads.append(pad)
         return lo, hi
 
     monkeypatch.setattr(solver, "_window", recorded)
     table = evolve(initial, m, horizon, 0.4, (0.5 * horizon,))
     pad = solver._WINDOW_PAD
+    assert set(pads) == {pad}
     assert table.steps % pad != 0 and len(widths) == -(-table.steps // pad)
     assert len(set(widths)) > 1 and max(widths) < grid.cells
     taken = [min(pad, table.steps - pad * k) for k in range(len(widths))]
@@ -1139,6 +1141,35 @@ def test_super_stepped_window_equals_the_whole_box_oracle_bitwise(monkeypatch, c
     assert 0 < got.cell_steps < grid.cells * got.stages
     if case == "cartesian":
         assert np.signbit(initial.values).any() and not np.signbit(got.values[-1]).any()
+
+
+@pytest.mark.parametrize("case", ["cartesian", "radial"])
+def test_each_super_step_cuts_its_own_window(monkeypatch, case):
+    # Each s-stage super-step is marched on a window cut for it alone, s + 1
+    # cells wider than the live columns on either side.
+    initial, m, horizon, _ = _super_case(case)
+    calls = []
+    window, super_step = solver._window, solver._super_step
+
+    def recorded_window(u, pad):
+        lo, hi = window(u, pad)
+        calls.append(("window", pad, hi - lo))
+        return lo, hi
+
+    def recorded_super_step(u, tau, s, areas, volumes, work):
+        calls.append(("super_step", s, u.shape[1]))
+        return super_step(u, tau, s, areas, volumes, work)
+
+    monkeypatch.setattr(solver, "_window", recorded_window)
+    monkeypatch.setattr(solver, "_super_step", recorded_super_step)
+    (table,) = _super_march((initial,), m, horizon, 0.4, (initial.time + 0.5 * (horizon - initial.time),))
+    cuts, steps = calls[::2], calls[1::2]
+    assert len(cuts) == len(steps) == table.steps
+    assert {c[0] for c in cuts} == {"window"} and {s[0] for s in steps} == {"super_step"}
+    assert all(pad == s + 1 and width == w for (_, pad, width), (_, s, w) in zip(cuts, steps))
+    assert sum(s for _, s, _ in steps) == table.stages
+    assert table.cell_steps == sum(w * s for _, s, w in steps)
+    assert len({w for *_, w in steps}) > 1 and len({s for _, s, _ in steps}) > 1
 
 
 @settings(max_examples=40, deadline=None)
