@@ -117,10 +117,18 @@ def sweep_paths(cfg: McConfig, reduce_path) -> list:
 
 
 def _sample_stats(values) -> tuple[float, float, float]:
-    """Mean, its standard error and the sample variance, by compensated sums."""
+    """Mean, its standard error and the sample variance, by compensated sums.
+
+    Values whose sum or squared spread leaves the float range are invalid
+    input, named with their largest magnitude.
+    """
     n = len(values)
-    mean = math.fsum(values) / n
-    var = math.fsum((v - mean) ** 2 for v in values) / (n - 1)
+    try:
+        mean = math.fsum(values) / n
+        var = math.fsum((v - mean) ** 2 for v in values) / (n - 1)
+    except OverflowError:
+        top = max(abs(v) for v in values)
+        raise InvalidInputError(f"the mean and variance of {n} per-path values up to {top:.3g} overflow") from None
     return mean, math.sqrt(var / n), var
 
 
@@ -276,9 +284,10 @@ def mc_lp_bound(cfg: McConfig, p: float, t: float) -> McReport:
     hs, ss = sweep.h[:, 0].tolist(), sweep.table_times[:, 0]
     per_path = []
     out_of_range = InvalidInputError(f"the L^p bound at p = {p} and t = {t} leaves the float range; lower p")
-    # A term, the mean or the right side that leaves the float range raises
-    # OverflowError or comes out inf or NaN, and a term's inf or NaN carries
-    # into the mean; numpy need not warn as well.
+    # A term or the right side that leaves the float range raises
+    # OverflowError or comes out inf or NaN, a term's inf or NaN carries into
+    # the mean, and finite terms whose mean or variance overflows are
+    # _sample_stats' InvalidInputError; numpy need not warn as well.
     try:
         with np.errstate(over="ignore"):
             for start in range(0, len(hs), block):
@@ -287,7 +296,7 @@ def mc_lp_bound(cfg: McConfig, p: float, t: float) -> McReport:
             mean_p, stderr_p, _ = _sample_stats(per_path)
             mp = lp_power_sum(cfg.initial.values, cfg.initial.grid, p) ** (1.0 / p)
         rhs = mp * math.exp(cfg.coeffs.integral_g(t) + 0.5 * (p - 1.0) * cfg.coeffs.integral_f2(t))
-    except OverflowError:
+    except (OverflowError, InvalidInputError):
         raise out_of_range from None
     if not all(math.isfinite(x) for x in (mean_p, stderr_p, rhs)):
         raise out_of_range

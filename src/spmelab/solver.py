@@ -11,13 +11,14 @@ the update is monotone: it preserves nonnegativity, ordering between
 solutions, and the discrete maximum principle, and it conserves the discrete
 mass exactly up to rounding.
 
-A one-state march may instead take second-order Runge-Kutta-Legendre
-(RKL2) super-steps (Meyer, Balsara & Aslam, J. Comput. Phys. 257, 2014):
-s >= 2 flux evaluations stretch the step to (s**2 + s - 2) / 4 of the bound
-above.  Such a step conserves mass but is not monotone, so it is private:
-:func:`evolve` and :func:`evolve_together` take it for one state only inside
-:func:`_super_steps`, which the one reference solve that reads a single
-state (``analysis.support_experiment``) enters.
+One kernel, :func:`_step`, takes every step: s stages of second-order
+Runge-Kutta-Legendre (RKL2; Meyer, Balsara & Aslam, J. Comput. Phys. 257,
+2014), each one flux evaluation.  With s = 1 it is the forward-Euler update
+above, which every march takes by default.  s >= 2 stages stretch the step
+to (s**2 + s - 2) / 4 of the bound; such a step conserves mass but is not
+monotone, so it is private: :func:`evolve` and :func:`evolve_together` take
+it for one state only inside :func:`_super_steps`, which the one reference
+solve that reads a single state (``analysis.support_experiment``) enters.
 """
 from __future__ import annotations
 
@@ -200,7 +201,7 @@ def _window(u: np.ndarray, pad: int) -> tuple:
 
 
 def _work(u: np.ndarray, dx: float, m: float) -> tuple:
-    """Buffers for :func:`_advance` on a window shaped like ``u`` (rows of
+    """Buffers for :func:`_step` on a window shaped like ``u`` (rows of
     columns), with the views it reads: u**m, the face fluxes between two zero
     columns (the no-flux walls or the window's edges), the divergence and the
     bits of ``u`` itself as uint64.  Then dx, m and a slot for the step length
@@ -227,36 +228,6 @@ def _divergence(u: np.ndarray, areas, work: tuple) -> np.ndarray:
     return div
 
 
-def _advance(u: np.ndarray, dt: float, areas, volumes: np.ndarray, work: tuple):
-    """Advance ``u`` (rows of columns) by one explicit step of length dt, in
-    place; ``work`` comes from :func:`_work` on ``u`` and holds dx and m.
-
-    ``u`` holds whole columns of the field, ``volumes`` their cell volumes and
-    ``areas`` the faces between them (None on a cartesian grid, whose faces
-    all have area 1 and whose volumes all equal dx; multiplying by 1.0 and
-    dividing by dx in place of a volume are exact).  With div from
-    :func:`_divergence` the update is u + (dt * div) / volume, in that order,
-    so a row's bits do not depend on the other rows.
-
-    Returns ``(peak, lost)``: the largest value after the step, with the bits
-    of ``float(np.max(u))``, and the mass that zeroing negative values
-    removed per row, or None when no value went negative.
-    """
-    bits, dx, step = work[7], work[8], work[10]
-    step[()] = dt
-    div = _divergence(u, areas, work)
-    np.multiply(step, div, div)
-    np.divide(div, dx if areas is None else volumes, div)
-    np.add(u, div, u)
-    # Floats with the sign bit clear order as their bits do, so the largest
-    # bit pattern has its sign bit clear exactly when no value carries a sign,
-    # and is then the largest value.  argmax gives its first index.
-    peak = u.item(bits.argmax())
-    if math.copysign(1.0, peak) > 0.0:
-        return peak, None
-    return _clamp(u, volumes)
-
-
 def _clamp(u: np.ndarray, volumes: np.ndarray) -> tuple:
     """Zero the negative values of ``u`` (rows of columns) in place.
 
@@ -280,61 +251,82 @@ _CAPACITY = np.array([(s * s + s - 2) / 4.0 for s in range(2, _MAX_STAGES + 1)])
 @functools.cache
 def _rkl2(s: int) -> tuple:
     """The coefficients of the s-stage RKL2 step: mu~_1, then
-    (mu_j, nu_j, 1 - mu_j - nu_j, mu~_j, gamma~_j) for j = 2, ..., s.
+    (mu_j, nu_j, mu~_j, gamma~_j) for j = 2, ..., s; ``_rkl2(1)`` is
+    forward Euler, ``(1.0, ())``.
 
     With b_j = (j**2 + j - 2) / (2 j (j + 1)), b_0 = b_1 = b_2 = 1/3,
     a_j = 1 - b_j and w_1 = 4 / (s**2 + s - 2): mu~_1 = b_1 w_1,
     mu_j = (2j - 1)/j b_j/b_{j-1}, nu_j = -(j - 1)/j b_j/b_{j-2},
     mu~_j = mu_j w_1 and gamma~_j = -a_{j-1} mu~_j.
     """
+    if s == 1:
+        return 1.0, ()
     b = [1.0 / 3.0] * 3 + [(j * j + j - 2) / (2.0 * j * (j + 1)) for j in range(3, s + 1)]
     w1 = 4.0 / (s * s + s - 2)
     stages = []
     for j in range(2, s + 1):
         mu = (2 * j - 1) / j * b[j] / b[j - 1]
         nu = -(j - 1) / j * b[j] / b[j - 2]
-        stages.append((mu, nu, 1.0 - mu - nu, mu * w1, -(1.0 - b[j - 1]) * (mu * w1)))
+        stages.append((mu, nu, mu * w1, -(1.0 - b[j - 1]) * (mu * w1)))
     return b[1] * w1, tuple(stages)
 
 
-def _super_step(u: np.ndarray, tau: float, s: int, areas, volumes: np.ndarray, work: tuple):
-    """Advance ``u`` (one row of columns) by one s-stage RKL2 step of length
-    tau, in place, with the arguments of :func:`_advance`.
+def _step(u: np.ndarray, dt: float, s: int, areas, volumes: np.ndarray, work: tuple):
+    """Advance ``u`` (rows of columns) by one s-stage RKL2 step (Meyer,
+    Balsara & Aslam, J. Comput. Phys. 257, 2014) of length dt, in place;
+    s = 1 is forward Euler.  ``work`` comes from :func:`_work` on ``u`` and
+    holds dx and m.
 
-    With L(y) = div(y) / volume, div from :func:`_divergence`, the stages are
+    ``u`` holds whole columns of the field, ``volumes`` their cell volumes and
+    ``areas`` the faces between them (None on a cartesian grid, whose faces
+    all have area 1 and whose volumes all equal dx; multiplying by 1.0 and
+    dividing by dx in place of a volume are exact).  With div from
+    :func:`_divergence`, L(y) = div(y) / volume and the forward-Euler
+    increment E = (dt * div(Y_0)) / volume of Y_0 = u, the stages are carried
+    as the increments D_j = Y_j - Y_0:
 
-        Y_0 = u,   Y_1 = Y_0 + (mu~_1 tau) L(Y_0),
-        Y_j = mu_j Y_{j-1} + nu_j Y_{j-2} + (1 - mu_j - nu_j) Y_0
-              + (mu~_j tau) L(Y_{j-1}) + (gamma~_j tau) L(Y_0),
+        D_0 = 0,   D_1 = mu~_1 E,
+        D_j = mu_j D_{j-1} + nu_j D_{j-2} + (mu~_j dt) L(Y_0 + D_{j-1}) + gamma~_j E,
 
-    each sum taken left to right, and ``u`` becomes Y_s.  Negative values are
-    then zeroed; returns ``(peak, lost)`` as :func:`_advance` does.
+    each sum taken left to right (the textbook Y_0 term drops out, since its
+    weights sum to 1), and ``u`` becomes Y_0 + D_s.  With s = 1, mu~_1 = 1
+    and D_1 = E exactly: forward Euler, u + (dt * div) / volume.  A row's bits
+    do not depend on the other rows.
+
+    Returns ``(peak, lost)``: the largest value after the step, with the bits
+    of ``float(np.max(u))``, and the mass that zeroing negative values
+    removed per row, or None when no value went negative.
     """
-    mu1, stages = _rkl2(s)
-    # As in _advance, a cartesian cell divides by the scalar dx of ``work``.
-    # Y_0 is ``u`` itself: it is only read until Y_s is copied into it.
-    cell = volumes if areas is not None else work[8]
-    y0, rate0, term = u, np.empty_like(u), np.empty_like(u)
-    rows = (np.empty_like(u), np.empty_like(u), np.empty_like(u))
-    np.divide(_divergence(y0, areas, work), cell, rate0)
-    prev, cur = y0, rows[0]
-    np.multiply(mu1 * tau, rate0, cur)
-    np.add(y0, cur, cur)
-    for j, (mu, nu, rest, mu_t, gamma_t) in enumerate(stages, 1):
-        new = rows[j % 3]
-        rate = _divergence(cur, areas, work)
-        np.divide(rate, cell, rate)
-        np.multiply(mu, cur, new)
-        np.multiply(nu, prev, term)
-        np.add(new, term, new)
-        np.multiply(rest, y0, term)
-        np.add(new, term, new)
-        np.multiply(mu_t * tau, rate, term)
-        np.add(new, term, new)
-        np.multiply(gamma_t * tau, rate0, term)
-        np.add(new, term, new)
-        prev, cur = cur, new
-    np.copyto(u, cur)
+    bits, step = work[7], work[10]
+    cell = work[8] if areas is None else volumes
+    step[()] = dt
+    div = _divergence(u, areas, work)
+    np.multiply(step, div, div)
+    d = np.divide(div, cell, div)
+    if s > 1:
+        # E leaves div's buffer, which each stage's flux reuses.
+        mu1, stages = _rkl2(s)
+        euler = d.copy()
+        d, before = np.multiply(mu1, euler), np.zeros_like(u)
+        y, term, new = np.empty_like(u), np.empty_like(u), np.empty_like(u)
+        for mu, nu, mu_t, gamma_t in stages:
+            np.add(u, d, y)
+            rate = np.divide(_divergence(y, areas, work), cell, y)
+            np.multiply(mu, d, new)
+            np.multiply(nu, before, term)
+            np.add(new, term, new)
+            np.multiply(mu_t * dt, rate, term)
+            np.add(new, term, new)
+            np.multiply(gamma_t, euler, term)
+            np.add(new, term, new)
+            before, d, new = d, new, before
+    np.add(u, d, u)
+    # Floats with the sign bit clear order as their bits do, so the largest
+    # bit pattern has its sign bit clear exactly when no value carries a sign,
+    # and is then the largest value.  argmax gives its first index.
+    peak = u.item(bits.argmax())
+    if math.copysign(1.0, peak) > 0.0:
+        return peak, None
     return _clamp(u, volumes)
 
 
@@ -445,10 +437,11 @@ def _check_budget(u: np.ndarray, m: float, scale: float, rate: float, grid: Spat
 def _march(initials: tuple, m: float, horizon: float, cfl_safety: float, snapshot_times) -> tuple:
     """The one marching loop behind :func:`evolve` and :func:`evolve_together`.
 
-    Inside :func:`_super_steps` the one state takes RKL2 steps (:func:`_super_step`)
-    of up to ``_CAPACITY[-1]`` bounds, and at most ``_ELAPSED`` times the
-    time marched so far when that exceeds one bound; each is cropped to the
-    next snapshot and takes the fewest stages whose capacity covers it.
+    Every step is one :func:`_step` of s stages: s = 1, forward Euler, by
+    default; inside :func:`_super_steps` the one state takes RKL2 steps of up
+    to ``_CAPACITY[-1]`` bounds, and at most ``_ELAPSED`` times the time
+    marched so far when that exceeds one bound; each is cropped to the next
+    snapshot and takes the fewest stages whose capacity covers it.
     """
     if len(initials) < 1:
         raise InvalidInputError("at least one initial state is required")
@@ -528,10 +521,7 @@ def _march(initials: tuple, m: float, horizon: float, cfl_safety: float, snapsho
                     window, volumes = u[:, lo:hi], grid.volumes[lo:hi]
                     inner = None if areas is None else areas[lo + 1 : hi]
                     work = _work(window, grid.dx, m)
-                if super_step:
-                    peak, lost = _super_step(window, dt, stages, inner, volumes, work)
-                else:
-                    peak, lost = _advance(window, dt, inner, volumes, work)
+                peak, lost = _step(window, dt, stages, inner, volumes, work)
                 margin -= stages
                 stages_taken += stages
                 cell_steps += (hi - lo) * stages

@@ -117,24 +117,41 @@ def rkl2_coefficients(s: int) -> tuple:
     return b(1) * w1, stages
 
 
-def rkl2_march(initial, m: float, horizon: float, safety: float, snapshot_times, max_stages=32, elapsed=0.02):
+def rkl2_increments(y0, tau: float, s: int, div, volumes):
+    """Y_s of one s-stage RKL2 step of length tau from y0, with the stages
+    carried as increments D_j = Y_j - Y_0, the solver's arithmetic written
+    out: E = (tau div(Y_0)) / volume, D_0 = 0, D_1 = mu~_1 E and
+    D_j = mu_j D_{j-1} + nu_j D_{j-2} + (mu~_j tau) L(Y_0 + D_{j-1}) + gamma~_j E,
+    with L(y) = div(y) / volume and each sum taken left to right."""
+    mu1, stages = rkl2_coefficients(s)
+    euler = tau * div(y0) / volumes
+    before, d = np.zeros_like(y0), mu1 * euler
+    for mu, nu, mu_tilde, gamma_tilde in stages:
+        before, d = d, mu * d + nu * before + (mu_tilde * tau) * (div(y0 + d) / volumes) + gamma_tilde * euler
+    return y0 + d
+
+
+def rkl2_march(
+    initial, m: float, horizon: float, safety: float, snapshot_times, max_stages=32, elapsed=0.02, step=rkl2_increments
+):
     """The super-stepped march on the whole box, one state, written out plainly.
 
     Each super-step tau is the forward-Euler bound b times at most
     (S**2 + S - 2) / 4 for S = ``max_stages``, and at most ``elapsed`` times
     the time marched so far when that exceeds b, cropped to the next
     snapshot; it takes the fewest stages s >= 2 with (s**2 + s - 2) / 4 * b
-    >= tau.  Negative values are zeroed after each super-step.  Returns the
-    table, every tau and every stage count.
+    >= tau, and ``step(y, tau, s, div, volumes)`` gives its result, with div
+    the net face flux of the solver.  Negative values are zeroed after each
+    super-step.  Returns the table, every tau and every stage count.
     """
     grid = initial.grid
     t0 = initial.time
     eps = 1e-12 * max(1.0, abs(horizon))
     targets = [s for s in sorted({float(s) for s in snapshot_times} | {horizon}) if s > t0 + eps]
 
-    def rate(y):
+    def div(y):
         flux = grid.face_areas[1:-1] * np.diff(np.power(y, m)) / grid.dx
-        return np.diff(np.concatenate(([0.0], flux, [0.0]))) / grid.volumes
+        return np.diff(np.concatenate(([0.0], flux, [0.0])))
 
     y, t = initial.values.copy(), t0
     times, rows, taus, counts, clamped = [t0], [y.copy()], [], [], 0.0
@@ -148,15 +165,7 @@ def rkl2_march(initial, m: float, horizon: float, safety: float, snapshot_times,
             s = 2
             while (s * s + s - 2) / 4.0 * bound < tau:
                 s += 1
-            mu1, stages = rkl2_coefficients(s)
-            y0 = y
-            rate0 = rate(y0)
-            before, y = y0, y0 + (mu1 * tau) * rate0
-            for mu, nu, mu_tilde, gamma_tilde in stages:
-                before, y = y, (
-                    mu * y + nu * before + (1.0 - mu - nu) * y0
-                    + (mu_tilde * tau) * rate(y) + (gamma_tilde * tau) * rate0
-                )
+            y = step(y, tau, s, div, grid.volumes)
             negative = y < 0.0
             if negative.any():
                 clamped += float(-np.dot(y[negative], grid.volumes[negative]))

@@ -245,9 +245,10 @@ def test_mc_lp_bound_holds_and_validates_p():
 
 @pytest.mark.parametrize(
     "height,p",
-    # h**p raises OverflowError; then the power sum of a tall box comes out inf.
-    [(1.0, 2000.0), (10.0, 400.0)],
-    ids=["clock_power", "power_sum"],
+    # h**p raises OverflowError; then the power sum of a tall box comes out
+    # inf; then finite terms up to about 1e163 whose variance overflows.
+    [(1.0, 2000.0), (10.0, 400.0), (1.0, 500.0)],
+    ids=["clock_power", "power_sum", "variance"],
 )
 def test_mc_lp_bound_out_of_float_range_is_invalid_input(recwarn, height, p):
     cfg = McConfig(
@@ -256,6 +257,20 @@ def test_mc_lp_bound_out_of_float_range_is_invalid_input(recwarn, height, p):
     )
     with pytest.raises(InvalidInputError, match=f"p = {p} and t = 0.5 leaves the float range"):
         mc_lp_bound(cfg, p, 0.5)
+    assert not recwarn.list
+
+
+def test_mean_mass_whose_variance_overflows_is_invalid_input(recwarn):
+    # m - 1 is small, so H stays finite while h(t) grows to about e^380 and
+    # the squared spread of the per-path values leaves the float range.
+    cfg = McConfig(
+        n_paths=4, master_seed=MASTER, grid=TimeGrid.uniform(1.0, 256),
+        coeffs=CoefficientPair.constant(1.0, 400.0), m=1.01, initial=box_state(line_grid(), 1.0, 1.0),
+    )
+    with pytest.raises(InvalidInputError, match=r"the mean and variance of 4 per-path values up to \S+ overflow"):
+        mc_mean_mass(cfg, 0.951)
+    with pytest.raises(InvalidInputError, match="2 per-path values up to 1.7e[+]308 overflow"):
+        analysis._sample_stats([1.7e308, 1.7e308])
     assert not recwarn.list
 
 

@@ -471,6 +471,20 @@ def test_overflowing_lp_bound_exits_with_status_two_in_one_line(tmp_path, capsys
     assert not recwarn.list
 
 
+def test_overflowing_sample_variance_exits_with_status_two_in_one_line(tmp_path, capsys, recwarn):
+    # h(t) is about e^380 while H stays finite, since m - 1 is small.
+    cfg = write_config(
+        tmp_path, "variance.ini",
+        "command = mc\nmode = mean_mass\nm = 1.01\ng = 0:400\nn_paths = 4\nt = 0.951\nhorizon = 1\n"
+        f"out = {tmp_path / 'out'}\n",
+    )
+    assert main(["--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: the mean and variance of 4 per-path values up to ") and err.count("\n") == 1
+    assert err.rstrip().endswith("overflow")
+    assert not recwarn.list
+
+
 @pytest.mark.parametrize(
     "geometry,message",
     [

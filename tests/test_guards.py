@@ -177,7 +177,7 @@ def _no_work(*args):
 )
 def test_nan_arguments_are_invalid_input_naming_the_argument(monkeypatch, call, message):
     monkeypatch.setattr(noise, "_fill_brownian", _no_work)
-    monkeypatch.setattr(solver, "_advance", _no_work)
+    monkeypatch.setattr(solver, "_step", _no_work)
     with pytest.raises(InvalidInputError, match=message):
         call()
 

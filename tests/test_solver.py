@@ -35,7 +35,7 @@ from spmelab import (
 )
 from spmelab import solver
 
-from conftest import rkl2_march
+from conftest import rkl2_coefficients, rkl2_march
 
 
 def line_grid(lo=-6.0, hi=6.0, cells=200) -> SpatialGrid:
@@ -48,7 +48,7 @@ def _advance_box(u, m, dt, grid):
     a radial one.  Checks that the peak it returns has the bits of the
     stepped field's largest value; returns the kernel's clamp record."""
     areas = None if grid.kind == "cartesian" else grid.face_areas[1:-1]
-    peak, lost = solver._advance(u, dt, areas, grid.volumes, solver._work(u, grid.dx, m))
+    peak, lost = solver._step(u, dt, 1, areas, grid.volumes, solver._work(u, grid.dx, m))
     assert _bits(peak) == _bits(float(np.max(u)))
     return lost
 
@@ -681,7 +681,7 @@ def test_march_errors_match_the_scalar_loop(monkeypatch):
         raise AssertionError("stepped before the checks")
 
     with monkeypatch.context() as patch:
-        patch.setattr(solver, "_advance", no_step)
+        patch.setattr(solver, "_step", no_step)
         for call in (lambda: evolve(box, 1.0, 1.0, 0.4, ()), lambda: evolve_together((box, box), 0.5, 1.0, 0.4, ())):
             with pytest.raises(InvalidInputError, match="the solver handles m > 1"):
                 call()
@@ -720,7 +720,7 @@ def test_paired_states_need_one_start_time(monkeypatch):
     high, low = box_state(grid, 1.0, 1.0).values, box_state(grid, 0.5, 1.0).values
     initials = (FieldState(grid, 0.3, high), FieldState(grid, 0.3 + 2e-13, low))
     with monkeypatch.context() as patch:
-        patch.setattr(solver, "_advance", lambda *args: pytest.fail("stepped before the start-time check"))
+        patch.setattr(solver, "_step", lambda *args: pytest.fail("stepped before the start-time check"))
         with pytest.raises(InvalidInputError, match="paired evolution needs a common start time"):
             evolve_together(initials, 2.0, 1.0, 0.4, (0.5, 0.8))
     same = (initials[0], FieldState(grid, 0.3, low))
@@ -744,7 +744,7 @@ def test_snapshot_times_the_march_cannot_tell_apart_fail_before_any_step(monkeyp
     # Both would be stored at one step's time, which the table rejects only
     # after the whole march.
     box = box_state(line_grid(cells=24), 1.0, 1.0)
-    monkeypatch.setattr(solver, "_advance", lambda *args: pytest.fail("stepped before the snapshot-time check"))
+    monkeypatch.setattr(solver, "_step", lambda *args: pytest.fail("stepped before the snapshot-time check"))
     for times, pair in (
         ((0.25, 0.2500000000000001), "0.25 and 0.2500000000000001"),
         ((1.0 - 1e-13,), "0.9999999999999 and 1.0"),
@@ -901,7 +901,7 @@ def test_advance_on_a_window_equals_the_whole_box_bitwise(kind):
     u = rows.copy()
     window = u[:, 10:27]
     areas = None if kind == "cartesian" else grid.face_areas[11:27]
-    peak, lost = solver._advance(window, dt, areas, grid.volumes[10:27], solver._work(window, grid.dx, 2.0))
+    peak, lost = solver._step(window, dt, 1, areas, grid.volumes[10:27], solver._work(window, grid.dx, 2.0))
     assert _bits(peak) == _bits(float(np.max(window)))
     assert lost_whole is not None and max(lost_whole) > 0.0
     assert _bits(u) == _bits(whole)
@@ -1074,13 +1074,13 @@ def _super_march(initials, m, horizon, cfl_safety, snapshot_times):
 
 
 def _amplification(s, z):
-    """R_s(z): one s-stage RKL2 step of u' = z u from u = 1, with the solver's coefficients."""
+    """R_s(z): one s-stage RKL2 step of u' = z u from u = 1, with the solver's
+    coefficients, carried as increments D_j = Y_j - 1 as the solver does."""
     mu1, stages = solver._rkl2(s)
-    y0 = np.ones_like(z)
-    before, y = y0, 1.0 + mu1 * z
-    for mu, nu, rest, mu_tilde, gamma_tilde in stages:
-        before, y = y, mu * y + nu * before + rest * y0 + mu_tilde * z * y + gamma_tilde * z * y0
-    return y
+    before, d = np.zeros_like(z), mu1 * z
+    for mu, nu, mu_tilde, gamma_tilde in stages:
+        before, d = d, mu * d + nu * before + mu_tilde * z * (1.0 + d) + gamma_tilde * z
+    return 1.0 + d
 
 
 @pytest.mark.parametrize("s", range(2, solver._MAX_STAGES + 1))
@@ -1149,23 +1149,23 @@ def test_each_super_step_cuts_its_own_window(monkeypatch, case):
     # cells wider than the live columns on either side.
     initial, m, horizon, _ = _super_case(case)
     calls = []
-    window, super_step = solver._window, solver._super_step
+    window, step = solver._window, solver._step
 
     def recorded_window(u, pad):
         lo, hi = window(u, pad)
         calls.append(("window", pad, hi - lo))
         return lo, hi
 
-    def recorded_super_step(u, tau, s, areas, volumes, work):
-        calls.append(("super_step", s, u.shape[1]))
-        return super_step(u, tau, s, areas, volumes, work)
+    def recorded_step(u, dt, s, areas, volumes, work):
+        calls.append(("step", s, u.shape[1]))
+        return step(u, dt, s, areas, volumes, work)
 
     monkeypatch.setattr(solver, "_window", recorded_window)
-    monkeypatch.setattr(solver, "_super_step", recorded_super_step)
+    monkeypatch.setattr(solver, "_step", recorded_step)
     (table,) = _super_march((initial,), m, horizon, 0.4, (initial.time + 0.5 * (horizon - initial.time),))
     cuts, steps = calls[::2], calls[1::2]
     assert len(cuts) == len(steps) == table.steps
-    assert {c[0] for c in cuts} == {"window"} and {s[0] for s in steps} == {"super_step"}
+    assert {c[0] for c in cuts} == {"window"} and {s[0] for s in steps} == {"step"}
     assert all(pad == s + 1 and width == w for (_, pad, width), (_, s, w) in zip(cuts, steps))
     assert sum(s for _, s, _ in steps) == table.stages
     assert table.cell_steps == sum(w * s for _, s, w in steps)
@@ -1210,15 +1210,11 @@ def _relative_l1(table, reference):
     return np.abs(table.values - reference.values) @ volumes / (np.abs(reference.values) @ volumes)
 
 
-@pytest.mark.parametrize("data", ["box", "radial box", "bump"])
-def test_super_steps_are_as_accurate_as_forward_euler(data):
-    # The support portrait's problem at a short horizon: box data of height 1
-    # and half-width 1, m = 2, a box 1.15 times the envelope's reach at dx
-    # about 0.1, and 160 geometric snapshots; then the same box in d = 2 on a
-    # radial grid, and a smooth bump in its place.  Against forward Euler at
-    # CFL 0.05, super-steps must be no farther than forward Euler at CFL 0.4,
-    # at every snapshot at worst and at the last one.
-    horizon = 8.0
+def _accuracy_case(data, horizon=8.0):
+    """The support portrait's problem at a short horizon: box data of height 1
+    and half-width 1, m = 2, a box 1.15 times the envelope's reach at dx about
+    0.1, and 160 geometric snapshots; or the same box in d = 2 on a radial
+    grid, or a smooth bump in its place.  Returns the state and the snapshots."""
     beta = 1.0 / 3.0
     half = math.sqrt(4.0 * (1.0 + beta / 4.0) / beta) * (1.0 + horizon) ** beta * 1.15
     cells = int(math.ceil(2.0 * half / 0.1 / 8.0)) * 8
@@ -1227,7 +1223,15 @@ def test_super_steps_are_as_accurate_as_forward_euler(data):
     else:
         grid = line_grid(-half, half, cells)
     initial = FieldState(grid, 0.0, Bump(0.0, 1.0)(grid.centers)) if data == "bump" else box_state(grid, 1.0, 1.0)
-    snaps = np.geomspace(1e-4 * horizon, horizon, 160)
+    return initial, np.geomspace(1e-4 * horizon, horizon, 160)
+
+
+@pytest.mark.parametrize("data", ["box", "radial box", "bump"])
+def test_super_steps_are_as_accurate_as_forward_euler(data):
+    # Against forward Euler at CFL 0.05, super-steps must be no farther than
+    # forward Euler at CFL 0.4, at every snapshot at worst and at the last one.
+    horizon = 8.0
+    initial, snaps = _accuracy_case(data, horizon)
     reference = evolve(initial, 2.0, horizon, 0.05, snaps)
     euler = _relative_l1(evolve(initial, 2.0, horizon, 0.4, snaps), reference)
     (table,) = _super_march((initial,), 2.0, horizon, 0.4, snaps)
@@ -1236,6 +1240,38 @@ def test_super_steps_are_as_accurate_as_forward_euler(data):
     assert rkl2[-1] <= euler[-1]
     assert abs(table.masses[-1] - table.masses[0]) <= 1e-12 * table.masses[0]
     assert table.stages < table.steps * solver._MAX_STAGES and table.clamped_total == 0.0
+
+
+def _textbook_rkl2(y0, tau, s, div, volumes):
+    """Y_s of one s-stage RKL2 step in the textbook recurrence of Meyer,
+    Balsara & Aslam: Y_1 = Y_0 + mu~_1 tau L(Y_0) and
+    Y_j = mu_j Y_{j-1} + nu_j Y_{j-2} + (1 - mu_j - nu_j) Y_0
+          + mu~_j tau L(Y_{j-1}) + gamma~_j tau L(Y_0),
+    with L(y) = div(y) / volume."""
+    mu1, stages = rkl2_coefficients(s)
+    rate0 = div(y0) / volumes
+    before, y = y0, y0 + mu1 * tau * rate0
+    for mu, nu, mu_tilde, gamma_tilde in stages:
+        before, y = y, (
+            mu * y + nu * before + (1.0 - mu - nu) * y0
+            + mu_tilde * tau * div(y) / volumes + gamma_tilde * tau * rate0
+        )
+    return y
+
+
+@pytest.mark.parametrize("data", ["box", "radial box", "bump"])
+def test_super_steps_agree_with_the_textbook_recurrence(data):
+    # The kernel carries increments D_j = Y_j - Y_0, as the oracle in
+    # conftest does; the textbook recurrence in Y_j shares no such step with
+    # either, so a slip that both made (say D_0 = Y_0) shows here.
+    horizon = 8.0
+    initial, snaps = _accuracy_case(data, horizon)
+    (table,) = _super_march((initial,), 2.0, horizon, 0.4, snaps)
+    textbook, taus, counts = rkl2_march(initial, 2.0, horizon, 0.4, snaps, step=_textbook_rkl2)
+    assert (table.steps, table.stages) == (len(taus), sum(counts))
+    assert _bits(table.times) == _bits(textbook.times)
+    assert np.max(_relative_l1(table, textbook)) <= 1e-12
+    assert np.max(np.abs(table.values - textbook.values)) <= 1e-12 * np.max(textbook.values)
 
 
 @pytest.mark.parametrize("kind", ["cartesian", "radial"])
@@ -1253,7 +1289,7 @@ def test_super_step_on_a_window_clamps_like_the_oracle(kind):
     u = values[None, :].copy()
     window = u[:, 9:28]
     areas = None if kind == "cartesian" else grid.face_areas[10:28]
-    peak, lost = solver._super_step(window, tau, 2, areas, grid.volumes[9:28], solver._work(window, grid.dx, 2.0))
+    peak, lost = solver._step(window, tau, 2, areas, grid.volumes[9:28], solver._work(window, grid.dx, 2.0))
     assert _bits(u[0]) == _bits(want.values[-1])
     assert _bits(lost) == _bits([want.clamped_total])
     assert _bits(peak) == _bits(float(np.max(u)))
