@@ -685,7 +685,8 @@ def support_experiment(
 
     provenance = _provenance(
         cfg, table, b_dominating=b_dom, table_steps=table.steps, table_stages=table.stages,
-        table_dt_min=table.dt_min, table_dt_max=table.dt_max, table_clamped=table.clamped_total,
+        table_rezones=table.rezones, table_dt_min=table.dt_min, table_dt_max=table.dt_max,
+        table_clamped=table.clamped_total,
     )
     return {
         "plateau": _report(

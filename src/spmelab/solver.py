@@ -19,6 +19,11 @@ to (s**2 + s - 2) / 4 of the bound; such a step conserves mass but is not
 monotone, so it is private: :func:`evolve` and :func:`evolve_together` take
 it for one state only inside :func:`_super_steps`, which the one reference
 solve that reads a single state (``analysis.support_experiment``) enters.
+That march also rezones: once its live columns span more than ``2 * _N``
+cells, cell pairs merge into the cells of the grid with half as many on the
+same box, the merged value being the pair's volume-weighted mean, which is
+linear, monotone and conserves mass; its snapshots are stored back on the
+configured grid.
 """
 from __future__ import annotations
 
@@ -43,6 +48,9 @@ _WINDOW_PAD = 32
 # start from rough data and the front's motion need short steps.
 _MAX_STAGES = 32
 _ELAPSED = 0.02
+# A super-stepped march merges cell pairs while its live columns span more
+# than 2 * _N cells, so a merge leaves at least _N cells across the support.
+_N = 200
 # True inside _super_steps().
 _SUPER_STEP = contextvars.ContextVar("super_step", default=False)
 
@@ -200,6 +208,16 @@ def _window(u: np.ndarray, pad: int) -> tuple:
     return max(first - pad, 0), min(last + pad + 1, u.shape[1])
 
 
+def _merge(u: np.ndarray, grid: SpatialGrid) -> tuple:
+    """``u`` (rows of columns on ``grid``) with cell pairs merged, and its grid
+    of half the cells on the same box: cell i becomes
+    (u[2i] V[2i] + u[2i+1] V[2i+1]) / V'[i], with V the volumes of ``grid``
+    and V' those of the new grid."""
+    coarse = SpatialGrid(grid.kind, grid.lo, grid.hi, grid.cells // 2, grid.dim)
+    mass = u * grid.volumes
+    return (mass[:, 0::2] + mass[:, 1::2]) / coarse.volumes, coarse
+
+
 def _work(u: np.ndarray, dx: float, m: float) -> tuple:
     """Buffers for :func:`_step` on a window shaped like ``u`` (rows of
     columns), with the views it reads: u**m, the face fluxes between two zero
@@ -333,7 +351,8 @@ def _step(u: np.ndarray, dt: float, s: int, areas, volumes: np.ndarray, work: tu
 @contextlib.contextmanager
 def _super_steps():
     """Within this block a march of one state takes RKL2 super-steps in
-    place of forward-Euler steps, and a march of several states is refused."""
+    place of forward-Euler steps and rezones (see :func:`_march`), and a
+    march of several states is refused."""
     token = _SUPER_STEP.set(True)
     try:
         yield
@@ -353,6 +372,12 @@ class SnapshotTable:
     evaluations, ``steps`` for forward Euler, and ``cell_steps`` sums the
     cells each of them advanced, at most ``cells * stages``, since a step
     advances only a window around the support.
+
+    ``rezones`` counts the cell-pair merges of a super-stepped march (see
+    :func:`_march`).  After k of them each marched cell covers 2**k cells of
+    ``grid``, and a row holds its value repeated over them: a read inside a
+    merged cell is piecewise constant, and a read between two merged cells
+    interpolates their values.
     """
 
     grid: SpatialGrid
@@ -364,6 +389,7 @@ class SnapshotTable:
     dt_max: float = math.nan
     cell_steps: int = 0
     stages: int = 0
+    rezones: int = 0
     masses: np.ndarray = field(init=False)
 
     def __post_init__(self):
@@ -417,10 +443,11 @@ def evolve_together(initials: tuple, m: float, horizon: float, cfl_safety: float
 
 def _check_budget(u: np.ndarray, m: float, scale: float, rate: float, grid: SpatialGrid, span: float) -> None:
     """Raise the step-budget error now when marching ``span`` further from ``u``
-    provably needs more than ``_MAX_STEPS - 1`` steps.
+    (on ``grid``) provably needs more than ``_MAX_STEPS - 1`` steps.
 
     Every step is at most ``_bound`` of the largest row peak, with ``scale``
-    stretched by the most bounds one step may span.  A peak is at
+    that of the coarsest grid the march can rezone to, stretched by the most
+    bounds one step may span.  A peak is at
     least its row's volume-weighted mean, which never falls (the scheme
     conserves mass and clamping only adds; the 1e-6 margin covers rounding),
     and ``_bound`` decreases in the peak, so ``_bound`` of the largest mean
@@ -442,6 +469,13 @@ def _march(initials: tuple, m: float, horizon: float, cfl_safety: float, snapsho
     to ``_CAPACITY[-1]`` bounds, and at most ``_ELAPSED`` times the time
     marched so far when that exceeds one bound; each is cropped to the next
     snapshot and takes the fewest stages whose capacity covers it.
+
+    Such a march also rezones before it cuts each window: while the live
+    columns span more than ``2 * _N`` cells and the cell count is even, it
+    merges cell pairs with :func:`_merge`.  The step already chosen stays
+    stable, since merging quadruples dx**2 and never raises the peak; the
+    next step takes the coarser grid's bound.  Snapshots hold each marched
+    value repeated over the cells of the configured grid it covers.
     """
     if len(initials) < 1:
         raise InvalidInputError("at least one initial state is required")
@@ -476,13 +510,18 @@ def _march(initials: tuple, m: float, horizon: float, cfl_safety: float, snapsho
     times = []
     t = t0
     clamped = [0.0] * len(initials)
-    steps_taken = stages_taken = cell_steps = 0
+    steps_taken = stages_taken = cell_steps = rezones = 0
     # Flux evaluations the current window still covers; 0 cuts one at once.
     margin = 0
     dt_min, dt_max = math.inf, 0.0
+    # The grid marched on, the configured one until a merge.
+    marched = grid
     scale, rate = cfl_safety * grid.dx**2, 2.0 * grid.dim * m
-    # The most bounds one step may span.
+    # The most bounds one step may span, and the fewest cells merging can leave.
     reach = float(_CAPACITY[-1]) if super_step else 1.0
+    fewest = grid.cells
+    while super_step and fewest % 2 == 0 and fewest > 2 * _N:
+        fewest //= 2
     areas = None if grid.kind == "cartesian" else grid.face_areas
     # _bound falls as the peak grows, so the bound of the largest value is the
     # least of the rows' bounds and the update is monotone for every row.
@@ -507,7 +546,8 @@ def _march(initials: tuple, m: float, horizon: float, cfl_safety: float, snapsho
                 if not dt > 0.0:
                     raise InvalidInputError("dt must be positive")
                 if steps_taken == 1:
-                    _check_budget(u, m, reach * scale, rate, grid, horizon - t)
+                    coarsest = cfl_safety * ((grid.hi - grid.lo) / fewest) ** 2
+                    _check_budget(u, m, reach * coarsest, rate, marched, horizon - t)
                 # A forward-Euler step is one flux evaluation, a super-step the
                 # fewest stages whose capacity covers dt.
                 stages = 2 + int(np.searchsorted(_CAPACITY * bound, dt)) if super_step else 1
@@ -518,9 +558,20 @@ def _march(initials: tuple, m: float, horizon: float, cfl_safety: float, snapsho
                 if stages > margin:
                     margin = stages + 1 if super_step else _WINDOW_PAD
                     lo, hi = _window(u, margin)
-                    window, volumes = u[:, lo:hi], grid.volumes[lo:hi]
+                    # The window holds the live columns, the window of pad 0,
+                    # so one of at most 2 * _N cells needs no merge.
+                    while super_step and hi - lo > 2 * _N and marched.cells % 2 == 0:
+                        first, end = _window(u, 0)
+                        if not end - first > 2 * _N:
+                            break
+                        u, marched = _merge(u, marched)
+                        rezones += 1
+                        scale = cfl_safety * marched.dx**2
+                        areas = None if areas is None else marched.face_areas
+                        lo, hi = _window(u, margin)
+                    window, volumes = u[:, lo:hi], marched.volumes[lo:hi]
                     inner = None if areas is None else areas[lo + 1 : hi]
-                    work = _work(window, grid.dx, m)
+                    work = _work(window, marched.dx, m)
                 peak, lost = _step(window, dt, stages, inner, volumes, work)
                 margin -= stages
                 stages_taken += stages
@@ -535,14 +586,14 @@ def _march(initials: tuple, m: float, horizon: float, cfl_safety: float, snapsho
                 steps_taken += 1
                 if steps_taken > _MAX_STEPS:
                     raise StabilityError("step budget exhausted before reaching the horizon")
-            snaps[:, k] = u
+            snaps[:, k] = np.repeat(u, grid.cells // marched.cells, axis=1)
             times.append(t)
     if not steps_taken:
         dt_min = dt_max = math.nan
     return tuple(
         SnapshotTable(
             grid, times, values, clamped_total=total, steps=steps_taken,
-            dt_min=dt_min, dt_max=dt_max, cell_steps=cell_steps, stages=stages_taken,
+            dt_min=dt_min, dt_max=dt_max, cell_steps=cell_steps, stages=stages_taken, rezones=rezones,
         )
         for values, total in zip(snaps, clamped)
     )

@@ -16,6 +16,7 @@ from spmelab import (
     InvalidInputError,
     MultiplierPath,
     SnapshotTable,
+    SpatialGrid,
     barenblatt,
     interp_h,
     interp_H,
@@ -132,7 +133,8 @@ def rkl2_increments(y0, tau: float, s: int, div, volumes):
 
 
 def rkl2_march(
-    initial, m: float, horizon: float, safety: float, snapshot_times, max_stages=32, elapsed=0.02, step=rkl2_increments
+    initial, m: float, horizon: float, safety: float, snapshot_times, max_stages=32, elapsed=0.02,
+    step=rkl2_increments, n=200,
 ):
     """The super-stepped march on the whole box, one state, written out plainly.
 
@@ -140,42 +142,57 @@ def rkl2_march(
     (S**2 + S - 2) / 4 for S = ``max_stages``, and at most ``elapsed`` times
     the time marched so far when that exceeds b, cropped to the next
     snapshot; it takes the fewest stages s >= 2 with (s**2 + s - 2) / 4 * b
-    >= tau, and ``step(y, tau, s, div, volumes)`` gives its result, with div
-    the net face flux of the solver.  Negative values are zeroed after each
-    super-step.  Returns the table, every tau and every stage count.
+    >= tau.  Then, while the columns that hold anything but +0.0 span more
+    than 2 ``n`` cells and the cell count is even, cell pairs merge onto the
+    grid of half the cells on the same box, cell i becoming
+    (y[2i] V[2i] + y[2i+1] V[2i+1]) / V'[i] with V and V' the cell volumes
+    before and after.  ``step(y, tau, s, div, volumes)`` gives the
+    super-step's result, with div the net face flux of the solver.  Negative
+    values are zeroed after each super-step.  Rows hold each value repeated
+    over the cells of the initial grid it covers.  Returns the table, every
+    tau and every stage count.
     """
-    grid = initial.grid
+    grid = marched = initial.grid
     t0 = initial.time
     eps = 1e-12 * max(1.0, abs(horizon))
     targets = [s for s in sorted({float(s) for s in snapshot_times} | {horizon}) if s > t0 + eps]
 
     def div(y):
-        flux = grid.face_areas[1:-1] * np.diff(np.power(y, m)) / grid.dx
+        flux = marched.face_areas[1:-1] * np.diff(np.power(y, m)) / marched.dx
         return np.diff(np.concatenate(([0.0], flux, [0.0])))
 
+    def live_span(y):
+        live = np.flatnonzero((y != 0.0) | np.signbit(y))
+        return live[-1] - live[0] + 1 if live.size else 0
+
     y, t = initial.values.copy(), t0
-    times, rows, taus, counts, clamped = [t0], [y.copy()], [], [], 0.0
+    times, rows, taus, counts, clamped, rezones = [t0], [y.copy()], [], [], 0.0, 0
     for target in targets:
         while t < target - eps:
             peak = float(np.max(y))
-            denom = 2.0 * grid.dim * m * peak ** (m - 1.0) if peak > 0.0 else 0.0
-            bound = safety * grid.dx**2 / max(denom, 1e-12)
+            denom = 2.0 * marched.dim * m * peak ** (m - 1.0) if peak > 0.0 else 0.0
+            bound = safety * marched.dx**2 / max(denom, 1e-12)
             most = (max_stages * max_stages + max_stages - 2) / 4.0 * bound
             tau = min(most, max(bound, elapsed * (t - t0)), target - t)
             s = 2
             while (s * s + s - 2) / 4.0 * bound < tau:
                 s += 1
-            y = step(y, tau, s, div, grid.volumes)
+            while marched.cells % 2 == 0 and live_span(y) > 2 * n:
+                coarse = SpatialGrid(marched.kind, marched.lo, marched.hi, marched.cells // 2, marched.dim)
+                volumes = marched.volumes
+                y = (y[0::2] * volumes[0::2] + y[1::2] * volumes[1::2]) / coarse.volumes
+                marched, rezones = coarse, rezones + 1
+            y = step(y, tau, s, div, marched.volumes)
             negative = y < 0.0
             if negative.any():
-                clamped += float(-np.dot(y[negative], grid.volumes[negative]))
+                clamped += float(-np.dot(y[negative], marched.volumes[negative]))
                 y = np.where(negative, 0.0, y)
             t += tau
             taus.append(tau)
             counts.append(s)
         times.append(t)
-        rows.append(y.copy())
-    return SnapshotTable(grid, times, rows, clamped_total=clamped), taus, counts
+        rows.append(np.repeat(y, grid.cells // marched.cells))
+    return SnapshotTable(grid, times, rows, clamped_total=clamped, rezones=rezones), taus, counts
 
 
 def record_criterion(index: int, passed: bool, detail: str) -> str:

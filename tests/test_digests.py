@@ -41,6 +41,14 @@ CONFIGS = {
         "command = support\nf = 0:1\ng = 0:0\nhorizon = 30\nsteps = 600\nn_paths = 30\n"
         "grid_lo = -3\ngrid_hi = 3\ncells = 64\n"
     ),
+    # The source profile's support spans 388 of 2,240 cells at t0, so the
+    # super-stepped solve merges cell pairs three times (table_rezones: 3),
+    # the first one before most paths' clock values: the decay table reads
+    # merged rows.
+    "support_rezoned": (
+        "command = support\nf = 0:1\ng = 0:0\nhorizon = 30\nsteps = 600\nn_paths = 30\n"
+        "initial = barenblatt\nt0 = 1\ngrid_lo = -20\ngrid_hi = 20\ncells = 2240\n"
+    ),
     "transform_radial": (
         "command = transform\ngrid_kind = radial\ndim = 2\ngrid_lo = 0\ngrid_hi = 4\ncells = 64\n"
         "n_paths = 4\nsteps = 64\nhorizon = 0.5\ntimes = 0.25, 0.5\npoints = -1, 0, 0.5, 3.9\n"

@@ -137,5 +137,6 @@ def test_deterministic_solution_fields_are_the_listed_ones():
 
 def test_snapshot_table_fields_are_the_listed_ones():
     assert [f.name for f in dataclasses.fields(spmelab.SnapshotTable)] == [
-        "grid", "times", "values", "clamped_total", "steps", "dt_min", "dt_max", "cell_steps", "stages", "masses",
+        "grid", "times", "values", "clamped_total", "steps", "dt_min", "dt_max", "cell_steps", "stages", "rezones",
+        "masses",
     ]

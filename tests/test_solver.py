@@ -1186,6 +1186,27 @@ def test_super_stepped_march_equals_the_oracle_on_random_data(case, bounds):
     assert (got.steps, got.stages) == (len(taus), sum(counts))
 
 
+@pytest.mark.parametrize("case", ["cartesian", "radial", "wall"])
+def test_rezoned_window_equals_the_whole_box_oracle_bitwise(monkeypatch, case):
+    # With 2N = 32 the small boxes merge cell pairs at least twice, in the
+    # wall case with the support at a wall.
+    monkeypatch.setattr(solver, "_N", 16)
+    initial, m, horizon, clear = _super_case(case)
+    grid, t0 = initial.grid, initial.time
+    snaps = tuple(t0 + np.geomspace(1e-3, 1.0, 12) * (horizon - t0))
+    want, taus, counts = rkl2_march(initial, m, horizon, 0.4, snaps, n=16)
+    (got,) = _super_march((initial,), m, horizon, 0.4, snaps)
+    assert got.rezones == want.rezones >= 2
+    assert _bits(got.times) == _bits(want.times)
+    assert _bits(got.values) == _bits(want.values)
+    assert _bits(got.clamped_total) == _bits(want.clamped_total)
+    assert (got.steps, got.stages, got.dt_min, got.dt_max) == (len(taus), sum(counts), min(taus), max(taus))
+    assert got.values.shape == (len(snaps) + 1, grid.cells)
+    live = np.flatnonzero(got.values[-1] > 0.0)
+    assert (live[0] > 0 and live[-1] < grid.cells - 1) == clear
+    assert 0 < got.cell_steps < grid.cells * got.stages
+
+
 def test_super_stepping_marches_one_state():
     box = box_state(line_grid(cells=32), 1.0, 1.0)
     with pytest.raises(InvalidInputError, match="super-stepping marches one state"):
@@ -1240,6 +1261,66 @@ def test_super_steps_are_as_accurate_as_forward_euler(data):
     assert rkl2[-1] <= euler[-1]
     assert abs(table.masses[-1] - table.masses[0]) <= 1e-12 * table.masses[0]
     assert table.stages < table.steps * solver._MAX_STAGES and table.clamped_total == 0.0
+
+
+def _cell_averages(p, t, grid):
+    """Exact cell averages of the source profile at time t on a cartesian
+    grid, by 8-point Gauss-Legendre quadrature on each cell."""
+    nodes, weights = np.polynomial.legendre.leggauss(8)
+    return barenblatt(p, t, grid.centers[:, None] + 0.5 * grid.dx * nodes) @ weights / 2.0
+
+
+def _as_marched(row, grid, rezones):
+    """A stored row on the grid it was marched on: the coarsest of at most
+    ``rezones`` halvings of ``grid`` over whose cells the row is constant."""
+    for k in range(rezones, 0, -1):
+        coarse = row[:: 2**k]
+        if np.array_equal(np.repeat(coarse, 2**k), row):
+            return coarse, SpatialGrid(grid.kind, grid.lo, grid.hi, grid.cells >> k)
+    return row, grid
+
+
+def _errors_against_the_source_profile(table, p):
+    """Relative L1 error of each row, on the grid it was marched on, against
+    the exact cell averages there."""
+    errors = []
+    for t, row in zip(table.times.tolist(), table.values):
+        values, grid = _as_marched(row, table.grid, table.rezones)
+        exact = _cell_averages(p, t, grid)
+        errors.append(np.abs(values - exact) @ grid.volumes / (exact @ grid.volumes))
+    return np.array(errors)
+
+
+def test_rezoned_march_is_as_accurate_as_its_coarsest_mesh(monkeypatch):
+    # The source profile (m = 2, d = 1, b = 1) marched from s = 1 to 3,000 on
+    # 1,152 cells at dx 0.1: the support passes 400 cells twice, so the march
+    # ends on dx 0.4.  Its standard is a uniform march on that mesh; a fixed
+    # march (no merge) is the fine reference.
+    p = BarenblattParams(2.0, 1, 1.0)
+    fine = line_grid(-57.6, 57.6, 1152)
+    snaps = np.geomspace(1.0, 3000.0, 40)[1:-1]
+
+    def march(grid):
+        (table,) = _super_march((barenblatt_state(grid, p, 1.0),), 2.0, 3000.0, 0.4, snaps)
+        return table
+
+    rezoned, most = march(fine), 2 * solver._N
+    coarsest = line_grid(fine.lo, fine.hi, fine.cells >> rezoned.rezones)
+    uniform = march(coarsest)
+    monkeypatch.setattr(solver, "_N", fine.cells)
+    fixed = march(fine)
+    assert (rezoned.rezones, uniform.rezones, fixed.rezones) == (2, 0, 0)
+    errors = _errors_against_the_source_profile(rezoned, p)
+    assert np.all(errors <= _errors_against_the_source_profile(uniform, p))
+    assert np.max(errors) <= np.max(_errors_against_the_source_profile(fixed, p))
+    assert abs(rezoned.masses[-1] - rezoned.masses[0]) <= 1e-12 * rezoned.masses[0]
+    assert rezoned.clamped_total == 0.0
+    assert 2 * rezoned.stages <= fixed.stages
+    # Up to the first merge the march is the fixed one, bit for bit.
+    spans = np.array([np.ptp(np.flatnonzero(row)) + 1 for row in fixed.values])
+    before = spans <= most
+    assert 10 < before.sum() < before.size
+    assert _bits(rezoned.values[before]) == _bits(fixed.values[before])
 
 
 def _textbook_rkl2(y0, tau, s, div, volumes):
@@ -1309,8 +1390,25 @@ def test_super_step_budget_counts_super_steps(monkeypatch):
         _super_march((initial,), 2.0, 200.0, 0.4, (50.0,))
 
 
+def test_super_step_budget_allows_for_rezoning(monkeypatch):
+    # 440 super-steps finish a march that merges three times; on the
+    # configured grid's bound alone at least 2,833 would be needed, so the
+    # early check must take the coarsest grid that merging can reach.
+    monkeypatch.setattr(solver, "_N", 16)
+    initial = box_state(line_grid(cells=256), 1.0, 1.0)
+    (want,) = _super_march((initial,), 2.0, 1000.0, 0.4, ())
+    assert (want.rezones, want.steps) == (3, 440)
+    monkeypatch.setattr(solver, "_MAX_STEPS", want.steps)
+    (got,) = _super_march((initial,), 2.0, 1000.0, 0.4, ())
+    assert _bits(got.values) == _bits(want.values) and got.steps == want.steps
+    monkeypatch.setattr(solver, "_MAX_STEPS", want.steps - 1)
+    with pytest.raises(StabilityError, match="step budget exhausted"):
+        _super_march((initial,), 2.0, 1000.0, 0.4, ())
+
+
 def test_super_step_budget_fails_fast():
-    # Even at 263.5 bounds a super-step, about 1,400 times the budget is needed.
+    # Even at 263.5 bounds of the coarsest grid that merging can reach (256
+    # cells) a super-step, about 5.5 times the budget is needed.
     grid = SpatialGrid(kind="cartesian", lo=-10.0, hi=10.0, cells=4096)
     started = time.perf_counter()
     with pytest.raises(StabilityError, match="step budget exhausted"):
