@@ -141,6 +141,8 @@ def _report(cfg: McConfig, estimate, stderr, target, passed, rule, extras, prove
 
 
 def _provenance(cfg: McConfig, table=None, **extra) -> dict:
+    """The sweep's settings and ``extra``; a reference table adds its grid and
+    horizon before ``extra`` and the statistics of its solve after it."""
     info = {
         "n_paths": cfg.n_paths,
         "master_seed": cfg.master_seed,
@@ -148,10 +150,13 @@ def _provenance(cfg: McConfig, table=None, **extra) -> dict:
         "horizon": cfg.grid.horizon,
         "m": cfg.m,
     }
-    if table is not None:
-        info.update(table_cells=table.grid.cells, table_horizon=table.t_last)
-    info.update(extra)
-    return info
+    if table is None:
+        return {**info, **extra}
+    return {
+        **info, "table_cells": table.grid.cells, "table_horizon": table.t_last, **extra,
+        "table_steps": table.steps, "table_stages": table.stages, "table_rezones": table.rezones,
+        "table_dt_min": table.dt_min, "table_dt_max": table.dt_max, "table_clamped": table.clamped_total,
+    }
 
 
 def _reference_tables(cfg: McConfig, span: float, initials: tuple) -> tuple:
@@ -373,30 +378,31 @@ class Bump:
     def hi(self) -> float:
         return self.center + self.width
 
-    def _s(self, x):
+    def _on_support(self, x, rule):
+        """``rule(s, phi)`` on the support s < 1, with s and phi there, and 0
+        outside, in the shape of ``x``."""
         xi = (np.asarray(x, dtype=float) - self.center) / self.width
-        return xi * xi
-
-    def __call__(self, x):
-        s = np.atleast_1d(self._s(x))
-        out = np.zeros_like(s)
-        inside = s < 1.0
-        out[inside] = np.exp(1.0 - 1.0 / (1.0 - s[inside]))
-        return _maybe_float(out.reshape(np.shape(x)))
-
-    def laplacian(self, x):
-        """Second derivative in one dimension, exact on the support."""
-        s = np.atleast_1d(self._s(x))
+        s = np.atleast_1d(xi * xi)
         out = np.zeros_like(s)
         inside = s < 1.0
         si = s[inside]
-        phi = np.exp(1.0 - 1.0 / (1.0 - si))
-        one = 1.0 - si
-        phi_s = -phi / one**2
-        phi_ss = phi * (1.0 / one**4 - 2.0 / one**3)
-        w2 = self.width**2
-        out[inside] = phi_ss * 4.0 * si / w2 + phi_s * 2.0 / w2
+        out[inside] = rule(si, np.exp(1.0 - 1.0 / (1.0 - si)))
         return _maybe_float(out.reshape(np.shape(x)))
+
+    def __call__(self, x):
+        return self._on_support(x, lambda s, phi: phi)
+
+    def laplacian(self, x):
+        """Second derivative in one dimension, exact on the support."""
+        w2 = self.width**2
+
+        def rule(s, phi):
+            one = 1.0 - s
+            phi_s = -phi / one**2
+            phi_ss = phi * (1.0 / one**4 - 2.0 / one**3)
+            return phi_ss * 4.0 * s / w2 + phi_s * 2.0 / w2
+
+        return self._on_support(x, rule)
 
 
 def _simpson(a: float, b: float, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -683,11 +689,7 @@ def support_experiment(
     center_median = float(decay_medians[-1])
     decay_target = DECAY_FACTOR * center_initial
 
-    provenance = _provenance(
-        cfg, table, b_dominating=b_dom, table_steps=table.steps, table_stages=table.stages,
-        table_rezones=table.rezones, table_dt_min=table.dt_min, table_dt_max=table.dt_max,
-        table_clamped=table.clamped_total,
-    )
+    provenance = _provenance(cfg, table, b_dominating=b_dom)
     return {
         "plateau": _report(
             cfg, plateau, 0.0, plateau_tol, plateau <= plateau_tol,

@@ -24,6 +24,11 @@ cells, cell pairs merge into the cells of the grid with half as many on the
 same box, the merged value being the pair's volume-weighted mean, which is
 linear, monotone and conserves mass; its snapshots are stored back on the
 configured grid.
+
+Every march runs through the one loop in :func:`evolve_together`
+(:func:`evolve` marches one state with it).  The loop steps only a window
+around the live support, which it scans once per window it cuts, and again
+only after a merge.
 """
 from __future__ import annotations
 
@@ -194,18 +199,18 @@ def _bound(peak: float, m: float, scale: float, rate: float) -> float:
     return scale / max(denom, _DENOM_FLOOR)
 
 
-def _window(u: np.ndarray, pad: int) -> tuple:
-    """The columns [lo, hi) that the next ``pad`` flux evaluations can change.
+def _live(u: np.ndarray) -> tuple:
+    """The live columns [first, end) of ``u`` (rows of columns), [0, 1) when
+    none is.
 
     A column is live when some row holds anything but +0.0 there (a -0.0
     counts, so its sign evolves as on the whole box).  Each flux evaluation
     spreads the live set by at most one cell, so the live columns widened by
-    ``pad`` on either side keep +0.0 just outside the window, and the
-    window's edge faces carry exactly the zero flux of the whole box.
+    n on either side keep +0.0 just outside for the next n flux evaluations,
+    and the window's edge faces carry exactly the zero flux of the whole box.
     """
     live = np.flatnonzero(np.bitwise_or.reduce(u.view(np.int64), 0))
-    first, last = (int(live[0]), int(live[-1])) if live.size else (0, 0)
-    return max(first - pad, 0), min(last + pad + 1, u.shape[1])
+    return (int(live[0]), int(live[-1]) + 1) if live.size else (0, 1)
 
 
 def _merge(u: np.ndarray, grid: SpatialGrid) -> tuple:
@@ -351,8 +356,8 @@ def _step(u: np.ndarray, dt: float, s: int, areas, volumes: np.ndarray, work: tu
 @contextlib.contextmanager
 def _super_steps():
     """Within this block a march of one state takes RKL2 super-steps in
-    place of forward-Euler steps and rezones (see :func:`_march`), and a
-    march of several states is refused."""
+    place of forward-Euler steps and rezones (see :func:`evolve_together`),
+    and a march of several states is refused."""
     token = _SUPER_STEP.set(True)
     try:
         yield
@@ -374,10 +379,10 @@ class SnapshotTable:
     advances only a window around the support.
 
     ``rezones`` counts the cell-pair merges of a super-stepped march (see
-    :func:`_march`).  After k of them each marched cell covers 2**k cells of
-    ``grid``, and a row holds its value repeated over them: a read inside a
-    merged cell is piecewise constant, and a read between two merged cells
-    interpolates their values.
+    :func:`evolve_together`).  After k of them each marched cell covers 2**k
+    cells of ``grid``, and a row holds its value repeated over them: a read
+    inside a merged cell is piecewise constant, and a read between two merged
+    cells interpolates their values.
     """
 
     grid: SpatialGrid
@@ -427,18 +432,7 @@ def evolve(initial: FieldState, m: float, horizon: float, cfl_safety: float, sna
     step for the safety factor ``cfl_safety`` in (0, 1], cropped to land
     exactly on the next snapshot.
     """
-    return _march((initial,), m, horizon, cfl_safety, snapshot_times)[0]
-
-
-def evolve_together(initials: tuple, m: float, horizon: float, cfl_safety: float, snapshot_times) -> tuple:
-    """March several states with a single shared step sequence.
-
-    All states advance with the same dt, the minimum of their stable bounds,
-    so order relations between them are preserved step by step by the
-    monotone update.  The states must share one start time exactly, and
-    every table holds the same times.
-    """
-    return _march(initials, m, horizon, cfl_safety, snapshot_times)
+    return evolve_together((initial,), m, horizon, cfl_safety, snapshot_times)[0]
 
 
 def _check_budget(u: np.ndarray, m: float, scale: float, rate: float, grid: SpatialGrid, span: float) -> None:
@@ -461,8 +455,14 @@ def _check_budget(u: np.ndarray, m: float, scale: float, rate: float, grid: Spat
         raise StabilityError("step budget exhausted before reaching the horizon")
 
 
-def _march(initials: tuple, m: float, horizon: float, cfl_safety: float, snapshot_times) -> tuple:
-    """The one marching loop behind :func:`evolve` and :func:`evolve_together`.
+def evolve_together(initials: tuple, m: float, horizon: float, cfl_safety: float, snapshot_times) -> tuple:
+    """March several states with a single shared step sequence: the one
+    marching loop, behind :func:`evolve` too.
+
+    All states advance with the same dt, the minimum of their stable bounds,
+    so order relations between them are preserved step by step by the
+    monotone update.  The states must share one start time exactly, and
+    every table holds the same times.
 
     Every step is one :func:`_step` of s stages: s = 1, forward Euler, by
     default; inside :func:`_super_steps` the one state takes RKL2 steps of up
@@ -557,18 +557,14 @@ def _march(initials: tuple, m: float, horizon: float, cfl_safety: float, snapsho
                 # super-step's only itself.
                 if stages > margin:
                     margin = stages + 1 if super_step else _WINDOW_PAD
-                    lo, hi = _window(u, margin)
-                    # The window holds the live columns, the window of pad 0,
-                    # so one of at most 2 * _N cells needs no merge.
-                    while super_step and hi - lo > 2 * _N and marched.cells % 2 == 0:
-                        first, end = _window(u, 0)
-                        if not end - first > 2 * _N:
-                            break
+                    first, end = _live(u)
+                    while super_step and end - first > 2 * _N and marched.cells % 2 == 0:
                         u, marched = _merge(u, marched)
                         rezones += 1
                         scale = cfl_safety * marched.dx**2
                         areas = None if areas is None else marched.face_areas
-                        lo, hi = _window(u, margin)
+                        first, end = _live(u)
+                    lo, hi = max(first - margin, 0), min(end + margin, marched.cells)
                     window, volumes = u[:, lo:hi], marched.volumes[lo:hi]
                     inner = None if areas is None else areas[lo + 1 : hi]
                     work = _work(window, marched.dx, m)

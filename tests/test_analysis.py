@@ -632,6 +632,12 @@ def test_mc_mean_mass_matches_the_scalar_reference_bitwise():
     rep = mc_mean_mass(cfg, 0.5)
     assert rep.extras["per_path"] == want
     assert (rep.estimate, rep.stderr, rep.target, rep.passed) == mean_mass_verdict(cfg, clocks, table, 0.5)
+    # Every table-backed report ends its provenance with the statistics of the solve.
+    solve = [table.steps, table.stages, table.rezones, table.dt_min, table.dt_max, table.clamped_total]
+    assert list(rep.provenance)[-6:] == [
+        "table_steps", "table_stages", "table_rezones", "table_dt_min", "table_dt_max", "table_clamped",
+    ]
+    assert list(rep.provenance.values())[-6:] == solve and table.steps > 0
 
 
 def test_mc_lp_bound_matches_the_scalar_reference_bitwise(monkeypatch):

@@ -246,3 +246,41 @@ def test_every_float_guard_is_written_as_its_valid_condition():
     assert not flagged, "write these as `if not <valid condition>: raise`, which a NaN fails:\n" + "\n".join(flagged)
     stale = set(ALLOWED) - {(name, text) for name, text, _ in found}
     assert not stale, f"allowlist entries that match no guard: {sorted(stale)}"
+
+
+# ---------------------------------------------------------------------------
+# No dead helpers: every private module-level function is read somewhere.
+# ---------------------------------------------------------------------------
+
+
+def _unused_private_functions(sources) -> list:
+    """(file, name) of each private module-level function (dunders aside) in
+    ``sources``, (file, text) pairs, that no source loads as a name or an
+    attribute.  An import or a docstring mention is not a load."""
+    defined, loaded = [], set()
+    for name, text in sources:
+        tree = ast.parse(text, filename=name)
+        defined += [
+            (name, node.name)
+            for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and node.name.startswith("_")
+            and not (node.name.startswith("__") and node.name.endswith("__"))
+        ]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.attr)
+    return [(name, fn) for name, fn in defined if fn not in loaded]
+
+
+def test_every_private_function_is_used():
+    probe = [
+        ("a.py", 'def _dead():\n    """_dead"""\ndef _used():\n    pass\ndef __getattr__(name):\n    pass\n'),
+        ("b.py", "import a\nfrom a import _dead\nx = a._used\n"),
+    ]
+    assert _unused_private_functions(probe) == [("a.py", "_dead")]
+    sources = [(path.name, path.read_text()) for path in sorted(pathlib.Path(spmelab.__file__).parent.glob("*.py"))]
+    dead = _unused_private_functions(sources)
+    assert not dead, "private functions that no module uses:\n" + "\n".join(f"{n}: {fn}" for n, fn in dead)

@@ -869,23 +869,31 @@ def test_cell_steps_sum_each_window_times_its_steps(monkeypatch, kind):
     else:
         grid = SpatialGrid(kind="radial", lo=0.0, hi=8.0, cells=320, dim=3)
         initial, m, horizon = FieldState(grid, 0.0, np.where(grid.centers < 0.5, 1.5, 0.0)), 1.5, 0.05
-    widths, pads = [], []
-    window = solver._window
+    widths = []
+    live, pad = solver._live, solver._WINDOW_PAD
 
-    def recorded(u, pad):
-        lo, hi = window(u, pad)
-        widths.append(hi - lo)
-        pads.append(pad)
-        return lo, hi
+    def recorded(u):
+        # A forward-Euler window is the live columns widened by _WINDOW_PAD.
+        first, end = live(u)
+        widths.append(min(end + pad, u.shape[1]) - max(first - pad, 0))
+        return first, end
 
-    monkeypatch.setattr(solver, "_window", recorded)
+    monkeypatch.setattr(solver, "_live", recorded)
     table = evolve(initial, m, horizon, 0.4, (0.5 * horizon,))
-    pad = solver._WINDOW_PAD
-    assert set(pads) == {pad}
     assert table.steps % pad != 0 and len(widths) == -(-table.steps // pad)
     assert len(set(widths)) > 1 and max(widths) < grid.cells
     taken = [min(pad, table.steps - pad * k) for k in range(len(widths))]
     assert table.cell_steps == sum(w * n for w, n in zip(widths, taken))
+
+
+def test_live_columns_count_negative_zeros_and_every_row():
+    u = np.zeros((2, 9))
+    assert solver._live(u) == (0, 1)
+    u[1, 2] = -0.0
+    assert solver._live(u) == (2, 3)
+    u[0, 6] = 0.5
+    assert solver._live(u) == (2, 7)
+    assert solver._live(u[:1]) == (6, 7)
 
 
 @pytest.mark.parametrize("kind", ["cartesian", "radial"])
@@ -1149,24 +1157,28 @@ def test_each_super_step_cuts_its_own_window(monkeypatch, case):
     # cells wider than the live columns on either side.
     initial, m, horizon, _ = _super_case(case)
     calls = []
-    window, step = solver._window, solver._step
+    live, step = solver._live, solver._step
 
-    def recorded_window(u, pad):
-        lo, hi = window(u, pad)
-        calls.append(("window", pad, hi - lo))
-        return lo, hi
+    def recorded_live(u):
+        first, end = live(u)
+        calls.append(("live", first, end, u.shape[1]))
+        return first, end
 
     def recorded_step(u, dt, s, areas, volumes, work):
         calls.append(("step", s, u.shape[1]))
         return step(u, dt, s, areas, volumes, work)
 
-    monkeypatch.setattr(solver, "_window", recorded_window)
+    monkeypatch.setattr(solver, "_live", recorded_live)
     monkeypatch.setattr(solver, "_step", recorded_step)
     (table,) = _super_march((initial,), m, horizon, 0.4, (initial.time + 0.5 * (horizon - initial.time),))
-    cuts, steps = calls[::2], calls[1::2]
-    assert len(cuts) == len(steps) == table.steps
-    assert {c[0] for c in cuts} == {"window"} and {s[0] for s in steps} == {"step"}
-    assert all(pad == s + 1 and width == w for (_, pad, width), (_, s, w) in zip(cuts, steps))
+    scans, steps = calls[::2], calls[1::2]
+    assert table.rezones == 0 and len(scans) == len(steps) == table.steps
+    assert {c[0] for c in scans} == {"live"} and {s[0] for s in steps} == {"step"}
+    # The margin of an s-stage super-step is s + 1.
+    widths = [
+        min(end + s + 1, cells) - max(first - s - 1, 0) for (_, first, end, cells), (_, s, _) in zip(scans, steps)
+    ]
+    assert widths == [w for *_, w in steps]
     assert sum(s for _, s, _ in steps) == table.stages
     assert table.cell_steps == sum(w * s for _, s, w in steps)
     assert len({w for *_, w in steps}) > 1 and len({s for _, s, _ in steps}) > 1
@@ -1205,6 +1217,30 @@ def test_rezoned_window_equals_the_whole_box_oracle_bitwise(monkeypatch, case):
     live = np.flatnonzero(got.values[-1] > 0.0)
     assert (live[0] > 0 and live[-1] < grid.cells - 1) == clear
     assert 0 < got.cell_steps < grid.cells * got.stages
+
+
+def test_rezoned_march_scans_the_live_support_once_per_window_and_merge(monkeypatch):
+    # The setup of the rezoned oracle test: the box merges cell pairs at least twice.
+    monkeypatch.setattr(solver, "_N", 16)
+    initial, m, horizon, _ = _super_case("cartesian")
+    counts = {"live": 0, "work": 0}
+    live, work = solver._live, solver._work
+
+    def recorded_live(u):
+        counts["live"] += 1
+        return live(u)
+
+    def recorded_work(u, dx, m):
+        counts["work"] += 1
+        return work(u, dx, m)
+
+    monkeypatch.setattr(solver, "_live", recorded_live)
+    monkeypatch.setattr(solver, "_work", recorded_work)
+    snaps = tuple(initial.time + np.geomspace(1e-3, 1.0, 12) * (horizon - initial.time))
+    (table,) = _super_march((initial,), m, horizon, 0.4, snaps)
+    # One window is cut, with its buffers, per super-step.
+    assert table.rezones >= 2 and counts["work"] == table.steps
+    assert counts["live"] == counts["work"] + table.rezones
 
 
 def test_super_stepping_marches_one_state():
